@@ -199,7 +199,7 @@
 //
 //	stage                        dense (pre-sparse)   sparse
 //	common neighbors / Jaccard   O(n)                 O(Σ_{a∈out(r)} d_a)
-//	weighted paths (len ≤ L)     O(L·n)               O(L-hop frontier)
+//	weighted paths (len ≤ L)     O(L·n)               O(L-hop frontier), dense once ≥ n/4
 //	rooted PageRank              O(iters·m)           O(iters·reached edges)
 //	degree                       O(n)                 O(n) scan, O(nnz) alloc
 //	candidate bookkeeping        O(n) list            O(1) count + O(d_r+nnz) table
@@ -209,6 +209,18 @@
 //	top-k release                O(n log k) / O(k·n)  O(nnz + k) / O(k·nnz)
 //	expected accuracy (audit)    O(n)                 O(nnz)
 //	cache entry memory           ~24n bytes           ~25·nnz + 4·d_r bytes
+//
+// The weighted-paths walk tracks touched nodes only while a level stays
+// sparse. A level whose expansion bound (Σ out-degree over its frontier)
+// reaches n/4 accumulates straight into the dense array, and the score
+// accumulator does the same once a level reaches n/8 nodes. On small-world
+// graphs the length-3 frontier covers most nodes, so the walk then costs
+// O(n + reached edges) per level with no per-edge bookkeeping.
+//
+// The exponential top-k peel does O(k·nnz) additions but only
+// O(nnz·(1 + c)) exp evaluations, c the number of rounds whose pick changes
+// the remaining maximum: a round's weights exp((ε/k/Δf)·(u_i − u_max))
+// depend on nothing else, so they are reused until u_max changes.
 //
 // The zero tail needs no materialization because all zero-utility
 // candidates are exchangeable under every mechanism: the Definition 5

@@ -222,6 +222,76 @@ func TestRebuildFailureDegradesAndForceFullRecovers(t *testing.T) {
 	}
 }
 
+// TestFailedRebuildRetriedWithoutNewWrites pins the retry of a rebuild
+// that drained the journal and then failed: with nothing pending, the next
+// Rebuild must still install the drained edges and clear the degraded
+// flag instead of returning early as a no-op.
+func TestFailedRebuildRetriedWithoutNewWrites(t *testing.T) {
+	defer fault.Reset()
+	rec := newWALRecommender(t, ringGraph(16), t.TempDir())
+	defer rec.Close()
+
+	if err := rec.AddEdge(0, 8); err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm("live.rebuild", fault.Config{Mode: fault.Error})
+	if err := rec.Rebuild(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Rebuild = %v, want injected error", err)
+	}
+	if rec.PendingDeltas() != 0 {
+		t.Fatalf("failed rebuild left %d deltas pending, want the journal drained", rec.PendingDeltas())
+	}
+	fault.Reset()
+	if err := rec.Rebuild(); err != nil {
+		t.Fatalf("retry Rebuild: %v", err)
+	}
+	if v := rec.SnapshotVersion(); v != 1 {
+		t.Fatalf("SnapshotVersion after retry = %d, want 1", v)
+	}
+	if deg := rec.Degraded(); deg != nil {
+		t.Fatalf("Degraded after retry = %v, want none", deg)
+	}
+	if !rec.state.Load().snap.HasEdge(0, 8) {
+		t.Fatal("served snapshot lacks the acknowledged edge")
+	}
+}
+
+// TestRebuildLoopRetriesFailedRebuild is the background-loop form: once the
+// fault clears, the loop must retry on its own, with no further write to
+// make anything pending.
+func TestRebuildLoopRetriesFailedRebuild(t *testing.T) {
+	defer fault.Reset()
+	rec := newWALRecommender(t, ringGraph(16), t.TempDir(), WithRebuildInterval(2*time.Millisecond))
+	defer rec.Close()
+
+	fault.Arm("live.rebuild", fault.Config{Mode: fault.Error})
+	if err := rec.AddEdge(0, 8); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a failed rebuild", func() bool {
+		return rec.PendingDeltas() == 0 && rec.Degraded()[subsystemRebuild] != ""
+	})
+	fault.Reset()
+	waitFor(t, "the loop to retry", func() bool {
+		return rec.SnapshotVersion() >= 1 && rec.Degraded() == nil
+	})
+	if !rec.state.Load().snap.HasEdge(0, 8) {
+		t.Fatal("served snapshot lacks the acknowledged edge")
+	}
+}
+
+// waitFor polls cond for up to ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestWALTruncatesAfterDurablePersist(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")

@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"socialrec/internal/distribution"
+	"socialrec/internal/gen"
+	"socialrec/internal/stream"
+	"socialrec/internal/utility"
 )
 
 func benchVector(n int) []float64 {
@@ -83,6 +86,42 @@ func BenchmarkMonteCarloAccuracy1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := MonteCarloAccuracy(l, u, 1000, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTopKPeelStream times the private top-10 peel (ε = 1) over the
+// weighted-paths supports (γ = 0.005) of uniformly drawn targets on a
+// seeded Wiki-Vote-shaped graph, the top-k layer of an uncached read. The
+// supports are materialized up front so only the peel is timed.
+func BenchmarkTopKPeelStream(b *testing.B) {
+	g, err := gen.WikiVoteLike(distribution.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := g.Snapshot()
+	w := utility.WeightedPaths{Gamma: 0.005}
+	sens := w.Sensitivity(snap)
+	type support struct {
+		sc    *stream.Slice
+		ncand int
+	}
+	rng := distribution.NewRNG(2)
+	supports := make([]support, 64)
+	for i := range supports {
+		t := rng.Intn(snap.NumNodes())
+		idx, val, err := w.Sparse(snap, t)
+		if err != nil {
+			b.Fatal(err)
+		}
+		supports[i] = support{stream.NewSlice(idx, val), utility.CandidateCount(snap, t)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := supports[i%len(supports)]
+		if _, err := TopKPeelStream(1, sens, s.sc, s.ncand, 10, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

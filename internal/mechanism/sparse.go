@@ -582,44 +582,22 @@ func TopKLaplaceSparse(eps, sens float64, s SparseVec, k int, rng *rand.Rand) ([
 // the original tail so the caller's candidate mapping stays fixed. Results
 // are in selection order with original-tail ranks.
 func TopKPeelSparse(eps, sens float64, s SparseVec, k int, rng *rand.Rand) ([]Pick, error) {
-	if !(eps > 0) {
-		return nil, ErrBadEpsilon
+	ps := getPeelScratch()
+	defer peelPool.Put(ps)
+	ps.vals = append(ps.vals, s.Val...)
+	for i := range s.Val {
+		ps.ids = append(ps.ids, int32(i))
 	}
-	if !(sens > 0) {
-		return nil, ErrBadSens
-	}
-	if err := s.validate(); err != nil {
+	if err := ps.peel(eps, sens, s.N, k, rng); err != nil {
 		return nil, err
 	}
-	if k < 1 || k > s.N {
-		return nil, fmt.Errorf("mechanism: top-k k=%d outside [1, %d]", k, s.N)
-	}
-	round := Exponential{Epsilon: eps / float64(k), Sensitivity: sens}
-	remaining := make([]float64, len(s.Val))
-	copy(remaining, s.Val)
-	alive := make([]int, len(s.Val)) // alive[i] = original support index at slot i
-	for i := range alive {
-		alive[i] = i
-	}
-	m := s.tail()
-	var taken TailTracker
-	out := make([]Pick, 0, k)
-	for len(out) < k {
-		pick, err := round.RecommendSparse(SparseVec{Val: remaining, N: len(remaining) + m}, rng)
-		if err != nil {
-			return nil, err
+	out := make([]Pick, len(ps.picks))
+	for i, p := range ps.picks {
+		if p.IsTail {
+			out[i] = TailPick(p.Tail)
+		} else {
+			out[i] = Pick{Support: int(p.Node)}
 		}
-		if pick.IsTail() {
-			out = append(out, TailPick(taken.Take(pick.Tail)))
-			m--
-			continue
-		}
-		out = append(out, Pick{Support: alive[pick.Support]})
-		last := len(remaining) - 1
-		remaining[pick.Support], remaining[last] = remaining[last], remaining[pick.Support]
-		alive[pick.Support], alive[last] = alive[last], alive[pick.Support]
-		remaining = remaining[:last]
-		alive = alive[:last]
 	}
 	return out, nil
 }

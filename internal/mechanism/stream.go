@@ -369,38 +369,137 @@ func TopKLaplaceStream(eps, sens float64, sc stream.Scorer, n, k int, rng *rand.
 	return out, nil
 }
 
-// peelScratch holds the gathered support TopKPeelStream's without-
-// replacement rounds swap-remove from; pooled because the peel genuinely
-// needs random access to the shrinking remainder.
+// peelScratch is the pooled working set of a without-replacement peel: the
+// remaining support's utilities, the IDs picks are reported by, and each
+// utility's exponential weight under the current maximum, all three
+// swap-removed in step. Every slice grows in place across requests.
 type peelScratch struct {
-	vals  []float64
-	nodes []int32
+	vals []float64
+	ids  []int32
+	w    []float64
+	// umax is the maximum remaining utility (floored at zero, the
+	// SparseVec.max semantics), ties how many remaining entries equal it.
+	umax  float64
+	ties  int
+	picks []StreamPick
+	taken TailTracker
 }
 
 var peelPool = stream.NewPool("mechanism.peel", func() *peelScratch { return &peelScratch{} })
 
-// TopKPeelStream is TopKPeelSparse over a stream: the support is gathered
-// once into pooled scratch (the k sequential ε/k draws remove winners
-// without replacement, which requires random access), then the identical
-// peel runs against it. Draws consume the RNG exactly as the materialized
-// peel does, so the released sequence is bit-identical.
-func TopKPeelStream(eps, sens float64, sc stream.Scorer, n, k int, rng *rand.Rand) ([]StreamPick, error) {
+// getPeelScratch returns pooled scratch with an empty support.
+func getPeelScratch() *peelScratch {
+	ps := peelPool.Get()
+	ps.vals, ps.ids = ps.vals[:0], ps.ids[:0]
+	return ps
+}
+
+// reweigh recomputes the maximum, its tie count and every weight
+// exp(scale·(x - u_max)) — the per-entry arithmetic appendCDF performs.
+func (ps *peelScratch) reweigh(scale float64) {
+	umax := 0.0
+	for _, x := range ps.vals {
+		if x > umax {
+			umax = x
+		}
+	}
+	ps.umax, ps.ties = umax, 0
+	if cap(ps.w) < len(ps.vals) {
+		ps.w = make([]float64, len(ps.vals))
+	}
+	ps.w = ps.w[:len(ps.vals)]
+	for i, x := range ps.vals {
+		ps.w[i] = math.Exp(scale * (x - umax))
+		if x == umax {
+			ps.ties++
+		}
+	}
+}
+
+// remove swap-removes support slot i and reports whether the weights went
+// stale: only removing the last entry tied at the maximum changes it.
+func (ps *peelScratch) remove(i int) (stale bool) {
+	if ps.vals[i] == ps.umax {
+		ps.ties--
+		stale = ps.ties == 0
+	}
+	last := len(ps.vals) - 1
+	ps.vals[i], ps.ids[i], ps.w[i] = ps.vals[last], ps.ids[last], ps.w[last]
+	ps.vals, ps.ids, ps.w = ps.vals[:last], ps.ids[:last], ps.w[:last]
+	return stale
+}
+
+// peel is the one exponential-mechanism peel behind TopKPeelSparse and
+// TopKPeelStream: k rounds at ε/k over the gathered support (ps.vals with
+// ps.ids) plus n - len(ps.vals) implicit zeros, each round a sparse
+// exponential draw without replacement. A round's weights depend only on
+// the remaining maximum, so they are computed once and recomputed only
+// when that maximum changes; each round then costs two add-only passes —
+// the support mass, and a linear scan for the first cumulative weight
+// above the draw. The running sums are buildSparseCDF's prefix sums bit
+// for bit, so the scan finds the candidate SampleSparseCDF's binary search
+// finds from the same single rng.Float64(), and the tail and rounding
+// cases resolve as it does. The picks, in selection order with tail ranks
+// remapped to the original tail, are left in ps.picks.
+func (ps *peelScratch) peel(eps, sens float64, n, k int, rng *rand.Rand) error {
 	if !(eps > 0) {
-		return nil, ErrBadEpsilon
+		return ErrBadEpsilon
 	}
 	if !(sens > 0) {
-		return nil, ErrBadSens
+		return ErrBadSens
 	}
-	nnz, _, err := scanStream(sc, n)
-	if err != nil {
-		return nil, err
+	if err := (SparseVec{Val: ps.vals, N: n}).validate(); err != nil {
+		return err
 	}
 	if k < 1 || k > n {
-		return nil, fmt.Errorf("mechanism: top-k k=%d outside [1, %d]", k, n)
+		return fmt.Errorf("mechanism: top-k k=%d outside [1, %d]", k, n)
 	}
-	ps := peelPool.Get()
+	scale := eps / float64(k) / sens // Exponential{ε/k, Δf}'s ε/Δf
+	ps.picks, ps.taken.chosen = ps.picks[:0], ps.taken.chosen[:0]
+	m := n - len(ps.vals)
+	ps.reweigh(scale)
+	tw := math.Exp(-scale * ps.umax)
+	for len(ps.picks) < k {
+		var zs float64
+		for _, x := range ps.w {
+			zs += x
+		}
+		target := rng.Float64() * (zs + float64(m)*tw)
+		slot := len(ps.w) - 1 // rounding fell through with no tail: last entry
+		if target < zs {
+			var acc float64
+			for i, x := range ps.w {
+				acc += x
+				if acc > target {
+					slot = i
+					break
+				}
+			}
+		} else if m > 0 {
+			rank := int((target - zs) / tw)
+			if rank >= m {
+				rank = m - 1 // rounding falls through to the last tail slot
+			}
+			ps.picks = append(ps.picks, StreamPick{IsTail: true, Tail: ps.taken.Take(rank)})
+			m--
+			continue
+		}
+		ps.picks = append(ps.picks, StreamPick{Node: ps.ids[slot], Util: ps.vals[slot]})
+		if ps.remove(slot) {
+			ps.reweigh(scale)
+			tw = math.Exp(-scale * ps.umax)
+		}
+	}
+	return nil
+}
+
+// TopKPeelStream is TopKPeelSparse over a stream: the support is gathered
+// once into pooled scratch (the k sequential ε/k draws remove winners
+// without replacement, which requires random access), then the shared
+// peel runs against it. The released sequence is bit-identical.
+func TopKPeelStream(eps, sens float64, sc stream.Scorer, n, k int, rng *rand.Rand) ([]StreamPick, error) {
+	ps := getPeelScratch()
 	defer peelPool.Put(ps)
-	ps.vals, ps.nodes = ps.vals[:0], ps.nodes[:0]
 	sc.Reset()
 	for {
 		i, x, ok := sc.Next()
@@ -408,30 +507,13 @@ func TopKPeelStream(eps, sens float64, sc stream.Scorer, n, k int, rng *rand.Ran
 			break
 		}
 		ps.vals = append(ps.vals, x)
-		ps.nodes = append(ps.nodes, i)
+		ps.ids = append(ps.ids, i)
 	}
-	remaining, nodes := ps.vals, ps.nodes
-	round := Exponential{Epsilon: eps / float64(k), Sensitivity: sens}
-	m := n - nnz
-	var taken TailTracker
-	out := make([]StreamPick, 0, k)
-	for len(out) < k {
-		pick, err := round.RecommendSparse(SparseVec{Val: remaining, N: len(remaining) + m}, rng)
-		if err != nil {
-			return nil, err
-		}
-		if pick.IsTail() {
-			out = append(out, StreamPick{IsTail: true, Tail: taken.Take(pick.Tail)})
-			m--
-			continue
-		}
-		out = append(out, StreamPick{Node: nodes[pick.Support], Util: remaining[pick.Support]})
-		last := len(remaining) - 1
-		remaining[pick.Support], remaining[last] = remaining[last], remaining[pick.Support]
-		nodes[pick.Support], nodes[last] = nodes[last], nodes[pick.Support]
-		remaining = remaining[:last]
-		nodes = nodes[:last]
+	if err := ps.peel(eps, sens, n, k, rng); err != nil {
+		return nil, err
 	}
+	out := make([]StreamPick, len(ps.picks))
+	copy(out, ps.picks)
 	return out, nil
 }
 

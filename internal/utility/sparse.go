@@ -49,10 +49,10 @@ func outRow(v View, node int, buf *[]int32) []int32 {
 
 // accumulator is a sparse accumulator (SPA): a dense value array that is
 // all-zero between uses plus the list of indices holding nonzero mass, so
-// clearing costs O(touched) rather than O(n). Kernels that can bound the
-// support in advance and see it is not sparse may instead accumulate into
-// val directly (setting dense), trading the per-add touch tracking for one
-// O(n) scan at collection time.
+// clearing costs O(touched) rather than O(n). Once a pass is known to reach
+// a large share of the n entries, touch tracking is wasted work, and the
+// accumulator switches to dense mode (see expect): adds then write val
+// directly, and one O(n) scan rebuilds the index list at collection time.
 type accumulator struct {
 	val     []float64
 	touched []int32
@@ -64,6 +64,16 @@ type accumulator struct {
 	n int
 }
 
+// Density thresholds, as divisors of n. Touch tracking pays only while the
+// support stays sparse: once n/scanDiv entries are touched, ascending
+// rebuilds the index list with a dense scan anyway. A walk that expands a
+// frontier knows only Σ out-degree over it, which counts repeat visits, so
+// it goes dense at the more conservative n/walkDiv.
+const (
+	scanDiv = 8
+	walkDiv = 4
+)
+
 func (a *accumulator) grow(n int) {
 	if len(a.val) < n {
 		a.val = make([]float64, n) // fresh allocation is already zeroed
@@ -73,14 +83,49 @@ func (a *accumulator) grow(n int) {
 	a.n = n
 }
 
-// add accumulates x into entry i, tracking first touches. Contributions are
-// non-negative, so an entry never cancels back to zero and the touched list
-// stays duplicate-free.
+// expect announces a pass that adds to at most bound entries (or, for a
+// frontier expansion, makes at most bound additions) and switches the
+// accumulator to dense mode when bound reaches n/div. It is the single
+// density rule every walk applies; dense mode lasts until ascending or
+// reset.
+func (a *accumulator) expect(bound, div int) {
+	if div*bound >= a.n {
+		a.dense = true
+	}
+}
+
+// add accumulates x into entry i, tracking first touches unless dense.
+// Contributions are non-negative, so an entry never cancels back to zero
+// and the touched list stays duplicate-free.
 func (a *accumulator) add(i int32, x float64) {
-	if a.val[i] == 0 && x != 0 {
+	if !a.dense && a.val[i] == 0 && x != 0 {
 		a.touched = append(a.touched, i)
 	}
 	a.val[i] += x
+}
+
+// addRow adds x to every entry of row except skip1 and skip2, in row order
+// — the same float operations as calling add per entry, with the density
+// branch taken once per row instead of once per edge.
+func (a *accumulator) addRow(row []int32, x float64, skip1, skip2 int32) {
+	val := a.val
+	if a.dense {
+		for _, i := range row {
+			if i != skip1 && i != skip2 {
+				val[i] += x
+			}
+		}
+		return
+	}
+	for _, i := range row {
+		if i == skip1 || i == skip2 {
+			continue
+		}
+		if val[i] == 0 && x != 0 {
+			a.touched = append(a.touched, i)
+		}
+		val[i] += x
+	}
 }
 
 // zero clears entry i without removing it from the touched list.
@@ -94,14 +139,22 @@ func (a *accumulator) zero(i int32) { a.val[i] = 0 }
 // cost more (the scan also drops entries zeroed since touching, which the
 // sort path retains harmlessly).
 func (a *accumulator) ascending(n int) []int32 {
-	if a.dense || 8*len(a.touched) >= n {
+	if a.dense || scanDiv*len(a.touched) >= n {
 		a.dense = false
-		a.touched = a.touched[:0]
-		for i := 0; i < n; i++ {
-			if a.val[i] != 0 {
-				a.touched = append(a.touched, int32(i))
+		if cap(a.touched) < n {
+			a.touched = make([]int32, n)
+		}
+		// Branch-free compaction: every index is written, only nonzero
+		// ones advance the cursor.
+		t := a.touched[:n]
+		j := 0
+		for i, x := range a.val[:n] {
+			t[j] = int32(i)
+			if x != 0 {
+				j++
 			}
 		}
+		a.touched = t[:j]
 		return a.touched
 	}
 	slices.Sort(a.touched)
@@ -137,19 +190,23 @@ func getSparseScratch() *sparseScratch {
 	return sparsePool.Get()
 }
 
-func putSparseScratch(s *sparseScratch) {
+// reset restores the all-zero invariant a pooled scratch must hold.
+func (s *sparseScratch) reset() {
 	s.a.reset()
 	s.b.reset()
 	s.c.reset()
+}
+
+func putSparseScratch(s *sparseScratch) {
+	s.reset()
 	sparsePool.Put(s)
 }
 
 // twoHopWalk accumulates the common-neighbor counts of target r into s.a:
 // counts[i] = number of length-2 out-walks r→a→i with i ∉ {r, a}. The
 // two-hop edge count bounds the support up front, so when the result will
-// not be sparse the walk accumulates densely — skipping the per-add touch
-// tracking — and lets ascending() rebuild the index list in one scan;
-// counts are identical either way.
+// not be sparse the walk accumulates densely; counts are identical either
+// way.
 func twoHopWalk(v View, r int, s *sparseScratch) {
 	s.a.grow(v.NumNodes())
 	row := outRow(v, r, &s.rowA)
@@ -157,26 +214,9 @@ func twoHopWalk(v View, r int, s *sparseScratch) {
 	for _, a := range row {
 		bound += v.OutDegree(int(a))
 	}
-	if 4*bound >= v.NumNodes() {
-		s.a.dense = true
-		val := s.a.val
-		for _, a := range row {
-			for _, i := range outRow(v, int(a), &s.rowB) {
-				if int(i) == r || i == a {
-					continue
-				}
-				val[i]++
-			}
-		}
-		return
-	}
+	s.a.expect(bound, walkDiv)
 	for _, a := range row {
-		for _, i := range outRow(v, int(a), &s.rowB) {
-			if int(i) == r || i == a {
-				continue
-			}
-			s.a.add(i, 1)
-		}
+		s.a.addRow(outRow(v, int(a), &s.rowB), 1, int32(r), a)
 	}
 }
 

@@ -62,7 +62,12 @@ func (w WeightedPaths) Sparse(v View, r int) ([]int32, []float64, error) {
 }
 
 // accumulate runs the frontier walk, leaving the discounted scores in s.a.
-// It is the shared kernel behind Sparse and StreamSparse.
+// It is the shared kernel behind Sparse and StreamSparse. Each level first
+// bounds its expansion by Σ out-degree over the frontier and lets the
+// accumulator's density rule pick touch-tracked or direct accumulation —
+// on small-world graphs the length-3 frontier already covers most nodes.
+// Walks into r are skipped rather than counted and zeroed: r never scores
+// and never expands.
 func (w WeightedPaths) accumulate(v View, r int, s *sparseScratch) error {
 	if err := w.validate(); err != nil {
 		return err
@@ -81,18 +86,23 @@ func (w WeightedPaths) accumulate(v View, r int, s *sparseScratch) error {
 		frontier.add(a, 1)
 	}
 	weight := 1.0 // γ^{l-2}
+	// level is the frontier's ascending index list; each level's reached
+	// list is the next level's, already in order.
+	level := frontier.ascending(n)
 	for l := 2; l <= w.maxLen(); l++ {
-		for _, a := range frontier.ascending(n) {
-			cnt := frontier.val[a]
-			if cnt == 0 {
-				continue
-			}
-			for _, i := range outRow(v, int(a), &s.rowB) {
-				next.add(i, cnt)
+		bound := 0
+		for _, a := range level {
+			bound += v.OutDegree(int(a))
+		}
+		next.expect(bound, walkDiv)
+		for _, a := range level {
+			if cnt := frontier.val[a]; cnt != 0 {
+				next.addRow(outRow(v, int(a), &s.rowB), cnt, int32(r), int32(r))
 			}
 		}
-		next.zero(int32(r))
-		for _, i := range next.ascending(n) {
+		reached := next.ascending(n)
+		s.a.expect(len(reached), scanDiv)
+		for _, i := range reached {
 			if c := next.val[i]; c != 0 {
 				s.a.add(i, weight*c)
 			}
@@ -100,6 +110,7 @@ func (w WeightedPaths) accumulate(v View, r int, s *sparseScratch) error {
 		weight *= w.Gamma
 		frontier.reset()
 		frontier, next = next, frontier
+		level = reached
 	}
 	return nil
 }

@@ -56,8 +56,10 @@ type liveState struct {
 
 	// forceFull is set (under refreshMu) when a rebuild failed after the
 	// journal was drained, losing the incremental basis; the next rebuild
-	// must re-snapshot from the full graph.
-	forceFull bool
+	// must re-snapshot from the full graph, even with nothing pending, since
+	// the drained edges are in no served snapshot yet. Atomic so the
+	// background loop can read it without the lock.
+	forceFull atomic.Bool
 
 	// drainedLSN (under refreshMu) is the WAL sequence number of the last
 	// drained delta. Journal appends and WAL appends happen in the same
@@ -236,14 +238,14 @@ func (r *Recommender) Rebuild() error {
 }
 
 // rebuildLocked performs the swap under refreshMu and returns the new
-// state (nil when nothing was pending). Persistence deliberately happens
-// outside the lock: a multi-second disk write must not stall subsequent
-// swaps.
+// state (nil when nothing was pending and no failed rebuild awaits a
+// retry). Persistence deliberately happens outside the lock: a
+// multi-second disk write must not stall subsequent swaps.
 func (r *Recommender) rebuildLocked(lv *liveState) (*snapState, error) {
 	r.refreshMu.Lock()
 	defer r.refreshMu.Unlock()
 	pending := lv.mut.Pending()
-	if pending == 0 {
+	if pending == 0 && !lv.forceFull.Load() {
 		return nil, nil
 	}
 	cur := r.state.Load()
@@ -253,8 +255,8 @@ func (r *Recommender) rebuildLocked(lv *liveState) (*snapState, error) {
 	// snapshot, the deltas drained now are not the complete diff between
 	// cur.snap and the recovery snapshot — so the cache sweep below must not
 	// trust them for retention.
-	basisLost := lv.forceFull
-	incremental := !lv.forceFull && patchWorthwhile(pending, cur.snap)
+	basisLost := lv.forceFull.Load()
+	incremental := !basisLost && patchWorthwhile(pending, cur.snap)
 	if incremental {
 		deltas = lv.mut.Drain()
 		// Patch copies touched and untouched rows out of whichever store
@@ -288,11 +290,11 @@ func (r *Recommender) rebuildLocked(lv *liveState) (*snapState, error) {
 		// incremental basis is lost, so the next attempt must re-snapshot
 		// the full graph (which is always self-consistent). Serving
 		// continues from the last good snapshot; /healthz shows degraded.
-		lv.forceFull = true
+		lv.forceFull.Store(true)
 		r.health.set(subsystemRebuild, err)
 		return nil, err
 	}
-	lv.forceFull = false
+	lv.forceFull.Store(false)
 	r.health.clear(subsystemRebuild)
 	st.walLSN = lv.drainedLSN
 	// Sweep the cache before publishing the new state so retained entries
@@ -400,7 +402,7 @@ func (r *Recommender) rebuildLoop(lv *liveState) {
 		case <-ticker.C:
 		case <-lv.kick:
 		}
-		if lv.mut.Pending() > 0 {
+		if lv.mut.Pending() > 0 || lv.forceFull.Load() {
 			r.Rebuild() //nolint:errcheck // retried next tick via forceFull
 		}
 	}
