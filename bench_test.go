@@ -12,12 +12,16 @@ package socialrec
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"socialrec/internal/bounds"
 	"socialrec/internal/distribution"
 	"socialrec/internal/experiment"
+	"socialrec/internal/gen"
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
 	"socialrec/internal/stats"
@@ -461,4 +465,63 @@ func BenchmarkBatchRecommend(b *testing.B) {
 			_ = rec.BatchRecommend(targets)
 		}
 	})
+}
+
+// BenchmarkLiveChurn reproduces the cache layer of a live serving mix
+// without HTTP: on a Wiki-Vote-like graph with the cache, live mutations
+// and delta invalidation on, each op is nine reads over Zipf(1.2)-ranked
+// targets (highest degree first) plus one edge insert, and every 20 inserts
+// are folded into a new snapshot by Rebuild.
+func BenchmarkLiveChurn(b *testing.B) {
+	const (
+		readsPerWrite = 9
+		rebuildEvery  = 20
+	)
+	g, err := gen.WikiVoteLike(distribution.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := g.NumNodes()
+	byDegree := make([]int, n)
+	for i := range byDegree {
+		byDegree[i] = i
+	}
+	sort.SliceStable(byDegree, func(i, j int) bool { return g.Degree(byDegree[i]) > g.Degree(byDegree[j]) })
+	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(1),
+		WithCache(DefaultCacheSize),
+		WithRebuildInterval(time.Hour), // only explicit Rebuild swaps
+		WithMaxPendingDeltas(1<<30),
+		WithDeltaInvalidation())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rec.Close()
+	rng := distribution.NewRNG(2)
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(n-1))
+	writes := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < readsPerWrite; j++ {
+			_, err := rec.RecommendWithRNG(byDegree[zipf.Uint64()], rng)
+			if err != nil && !errors.Is(err, ErrNoCandidates) {
+				b.Fatal(err)
+			}
+		}
+		u, v := rng.Intn(n), rng.Intn(n-1)
+		if v >= u {
+			v++
+		}
+		if err := rec.AddEdge(u, v); err != nil {
+			if !errors.Is(err, ErrDuplicateEdge) {
+				b.Fatal(err)
+			}
+			continue
+		}
+		if writes++; writes%rebuildEvery == 0 {
+			if err := rec.Rebuild(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

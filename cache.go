@@ -23,13 +23,14 @@ import (
 // Entries are keyed by (epoch, target). The epoch increments whenever the
 // Recommender swaps in a new graph snapshot (RefreshSnapshot or a live
 // Rebuild). At each swap, advance sweeps every shard once: entries of the
-// outgoing epoch that the swap provably did not touch are re-keyed to the
-// new epoch in place (delta-aware invalidation, see invalidate.go), while
-// affected and dead-epoch entries are removed immediately — so CacheStats
-// never counts unusable residue and a high-churn live graph keeps serving
-// warm. Without delta information (or with WithDeltaInvalidation off) the
-// sweep degenerates to a full flush. The cache is sharded to keep lock
-// contention negligible under concurrent serving.
+// outgoing epoch whose target lies outside the delta batch's
+// radius-expanded touched set are re-keyed to the new epoch in place
+// (delta-aware invalidation, see invalidate.go), while touched and
+// dead-epoch entries are removed immediately — so CacheStats never counts
+// unusable residue and a high-churn live graph keeps serving warm. Without
+// delta information (or with WithDeltaInvalidation off) the sweep
+// degenerates to a full flush. The cache is sharded to keep lock contention
+// negligible under concurrent serving.
 
 // DefaultCacheSize is the entry cap EnableCache uses when given a
 // non-positive size.
@@ -150,8 +151,9 @@ type CacheStats struct {
 	// invalidation (re-keyed to the new epoch instead of discarded).
 	Retained uint64 `json:"retained"`
 	// Invalidated counts entries discarded at snapshot swaps — because a
-	// delta batch touched their dependency closure, or because the swap had
-	// no delta information and flushed everything.
+	// delta batch came within the utility's invalidation radius of their
+	// target, or because the swap had no delta information and flushed
+	// everything.
 	Invalidated uint64 `json:"invalidated"`
 }
 
@@ -244,59 +246,14 @@ type cacheShard struct {
 	// insert/refresh/evict so stats() stays O(1) per shard instead of
 	// walking the LRU under the lock.
 	bytes int64
-	// rev is the reverse dependency index powering delta-aware
-	// invalidation (nil unless the cache tracks closures): it maps every
-	// node of a live entry's dependency closure — the target, its
-	// out-neighbors, and its nonzero support, i.e. exactly the skip table —
-	// to the targets cached under it. advance consults it to decide which
-	// entries a drained delta batch doomed. Buckets are multisets: a target
-	// appears once per live entry registering the node (entries of the same
-	// target at different epochs can briefly coexist).
-	rev map[int32][]int
 }
 
-// register records ent's dependency closure in the reverse index.
-func (s *cacheShard) register(ent *cacheEntry) {
-	if s.rev == nil {
-		return
-	}
-	for _, node := range ent.val.skip {
-		s.rev[node] = append(s.rev[node], ent.key.target)
-	}
-}
-
-// unregister removes one occurrence of ent's registrations (swap-remove;
-// bucket order is irrelevant). Must mirror a prior register with the same
-// ent.val.
-func (s *cacheShard) unregister(ent *cacheEntry) {
-	if s.rev == nil {
-		return
-	}
-	for _, node := range ent.val.skip {
-		bucket := s.rev[node]
-		for i, t := range bucket {
-			if t == ent.key.target {
-				bucket[i] = bucket[len(bucket)-1]
-				bucket = bucket[:len(bucket)-1]
-				break
-			}
-		}
-		if len(bucket) == 0 {
-			delete(s.rev, node)
-		} else {
-			s.rev[node] = bucket
-		}
-	}
-}
-
-// detach removes el from the LRU, the byte gauge, and the reverse index —
-// everything but the entries map, whose key the caller owns (it may already
-// have been deleted or re-pointed during a re-key collision).
+// detach removes el from the LRU and the byte gauge — everything but the
+// entries map, whose key the caller owns (it may already have been deleted
+// or re-pointed during a re-key).
 func (s *cacheShard) detach(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
 	s.lru.Remove(el)
-	s.bytes -= int64(ent.val.bytes())
-	s.unregister(ent)
+	s.bytes -= int64(el.Value.(*cacheEntry).val.bytes())
 }
 
 // vectorCache is a sharded, epoch-keyed LRU cache of cachedVector values.
@@ -315,9 +272,8 @@ type vectorCache struct {
 // the cap is distributed across the 16 shards with the remainder spread one
 // entry each over the first size%16 shards, so EnableCache(100) admits 100
 // entries, not 112. Caps below the shard count leave some shards at zero —
-// targets hashing there are simply never cached. track enables the reverse
-// dependency index delta-aware invalidation needs (WithDeltaInvalidation).
-func newVectorCache(size int, track bool) *vectorCache {
+// targets hashing there are simply never cached.
+func newVectorCache(size int) *vectorCache {
 	if size <= 0 {
 		size = DefaultCacheSize
 	}
@@ -328,9 +284,6 @@ func newVectorCache(size int, track bool) *vectorCache {
 		c.shards[i].cap = perShard
 		if i < rem {
 			c.shards[i].cap++
-		}
-		if track {
-			c.shards[i].rev = make(map[int32][]int)
 		}
 	}
 	return c
@@ -391,10 +344,8 @@ func (c *vectorCache) put(epoch uint64, target int, val *cachedVector) {
 	}
 	if el, ok := s.entries[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		s.unregister(ent)
 		s.bytes += int64(val.bytes()) - int64(ent.val.bytes())
 		ent.val = val
-		s.register(ent)
 		s.lru.MoveToFront(el)
 		return
 	}
@@ -404,85 +355,52 @@ func (c *vectorCache) put(epoch uint64, target int, val *cachedVector) {
 		delete(s.entries, ent.key)
 		s.detach(oldest)
 	}
-	ent := &cacheEntry{key: key, val: val}
-	s.entries[key] = s.lru.PushFront(ent)
-	s.register(ent)
+	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, val: val})
 	s.bytes += int64(val.bytes())
 }
 
 // advance transitions the cache from one snapshot epoch to the next. aff
 // describes what the swap's delta batch may have touched (see invalidate.go);
 // nil means "no delta information — flush everything". With aff non-nil,
-// entries of fromEpoch survive the swap re-keyed to toEpoch — preserving
-// their LRU position, byte accounting, and reverse-index registrations —
-// unless the batch doomed them: their target lies inside the radius-expanded
-// touched set, or their dependency closure contains a raw delta endpoint.
-// Everything else (doomed entries plus residue of even older epochs) is
-// removed on the spot, so stats stop counting dead entries the moment they
-// become unusable instead of waiting for LRU pressure.
+// entries of fromEpoch whose target lies outside aff's radius-expanded
+// touched set survive the swap re-keyed to toEpoch, keeping their LRU
+// position and byte accounting. Everything else (touched targets plus
+// residue of even older epochs) is removed on the spot, so stats stop
+// counting dead entries the moment they become unusable instead of waiting
+// for LRU pressure.
 //
-// Each shard is processed atomically under its own lock: the doom decision
-// and the sweep must not be separated, or a concurrent put of an affected
-// target at fromEpoch could slip in between and be wrongly retained. A put
-// at toEpoch racing ahead of the sweep is fine — it was computed from the
-// new snapState — and on a re-key collision with such an entry the fresh
-// one wins.
+// Each shard is processed atomically under its own lock, so a concurrent put
+// of a touched target at fromEpoch cannot slip in after the sweep and
+// linger. A put at toEpoch racing ahead of the sweep is fine — it was
+// computed from the new snapState — and on a re-key collision with such an
+// entry the fresh one wins. The carried copy is then counted as neither
+// retained nor invalidated: the target keeps a bit-identical entry.
+//
+// The sweep re-keys while ranging over the entries map. That is well
+// defined: an entry created during iteration may or may not be produced,
+// and a produced toEpoch entry is skipped.
 func (c *vectorCache) advance(fromEpoch, toEpoch uint64, aff *affectedSet) {
 	var retained, invalidated uint64
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		var doomed map[int]struct{}
-		if aff != nil && s.rev != nil {
-			// Targets whose closure holds a delta endpoint. Iterating the
-			// (small) endpoint set keeps this O(|seeds| + hits), not
-			// O(entries).
-			for node := range aff.seeds {
-				for _, t := range s.rev[node] {
-					if doomed == nil {
-						doomed = make(map[int]struct{})
-					}
-					doomed[t] = struct{}{}
-				}
-			}
-		}
-		var rekey, drop []*list.Element
 		for key, el := range s.entries {
 			if key.epoch == toEpoch {
 				continue
 			}
-			keep := aff != nil && key.epoch == fromEpoch
-			if keep {
-				if _, ok := doomed[key.target]; ok {
-					keep = false
-				} else if _, ok := aff.touched[int32(key.target)]; ok {
-					keep = false
-				}
-			}
-			if keep {
-				rekey = append(rekey, el)
-			} else {
-				drop = append(drop, el)
-			}
-		}
-		for _, el := range drop {
-			delete(s.entries, el.Value.(*cacheEntry).key)
-			s.detach(el)
-			invalidated++
-		}
-		for _, el := range rekey {
-			ent := el.Value.(*cacheEntry)
-			delete(s.entries, ent.key)
-			ent.key.epoch = toEpoch
-			if _, exists := s.entries[ent.key]; exists {
-				// A fresh compute for the same target raced in at toEpoch.
-				// Both are bit-identical by the retention invariant; keep the
-				// incumbent and drop the carried copy.
+			delete(s.entries, key)
+			if aff == nil || key.epoch != fromEpoch || aff.has(key.target) {
 				s.detach(el)
 				invalidated++
 				continue
 			}
-			s.entries[ent.key] = el
+			key.epoch = toEpoch
+			if _, exists := s.entries[key]; exists {
+				s.detach(el)
+				continue
+			}
+			el.Value.(*cacheEntry).key = key
+			s.entries[key] = el
 			retained++
 		}
 		s.mu.Unlock()

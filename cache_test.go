@@ -160,6 +160,29 @@ func TestRefreshSnapshotAdvancesEpoch(t *testing.T) {
 	}
 }
 
+// TestAdvanceRekeyCollisionCountsNeither pins the swap counters when a fresh
+// toEpoch entry races ahead of the sweep: the carried copy is dropped, but
+// the target still holds a bit-identical entry, so it is neither retained
+// nor invalidated.
+func TestAdvanceRekeyCollisionCountsNeither(t *testing.T) {
+	const target = 5
+	c := newVectorCache(256)
+	carried, fresh := &cachedVector{}, &cachedVector{}
+	c.put(1, target, carried)
+	c.put(2, target, fresh)
+	c.advance(1, 2, &affectedSet{touched: make([]uint64, 1)}) // touches nothing
+	st := c.stats()
+	if st.Entries != 1 || st.Retained != 0 || st.Invalidated != 0 {
+		t.Fatalf("after colliding re-key: %+v, want Entries=1 Retained=0 Invalidated=0", st)
+	}
+	if st.Bytes != int64(fresh.bytes()) {
+		t.Fatalf("Bytes = %d, want the fresh entry's %d", st.Bytes, fresh.bytes())
+	}
+	if got, ok := c.get(2, target); !ok || got != fresh {
+		t.Fatal("collision must keep the fresh toEpoch entry")
+	}
+}
+
 func TestBatchRecommendMatchesSequential(t *testing.T) {
 	g := biggerGraph(t)
 	rec, err := NewRecommender(g, WithSeed(9), WithCache(1024))

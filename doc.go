@@ -285,26 +285,28 @@
 // By default every snapshot swap flushes the utility-vector cache: the
 // epoch bump orphans all entries, so a live graph under steady mutation
 // traffic serves almost entirely uncached. WithDeltaInvalidation replaces
-// the flush with delta-aware retention built on two pieces:
+// the flush with delta-aware retention built on a per-utility invalidation
+// radius.
 //
-// A reverse dependency index. Each cache insertion registers the entry's
-// dependency closure — the target, its out-neighbors, and its nonzero
-// support (exactly the skip table the entry already carries) — under the
-// cached target, maintained incrementally on insert, evict, and replace.
-//
-// A per-utility invalidation radius. A utility declares locality by
-// implementing InvalidationRadius() int (utility.Localized): radius ρ
-// promises its output for target r is fully determined by r's ρ-hop
-// out-ball. CommonNeighbors and Jaccard declare 2, WeightedPaths declares
+// A utility declares locality by implementing InvalidationRadius() int
+// (utility.Localized): radius ρ promises its output for target r is fully
+// determined by r's ρ-hop out-ball, and its nonzero support lies inside
+// that ball. CommonNeighbors and Jaccard declare 2, WeightedPaths declares
 // its path-length truncation (3 by default). At each live rebuild, the
 // drained delta batch's endpoints are expanded ρ reverse-BFS hops over the
 // union of the pre- and post-patch adjacency — both graphs, because an edge
 // add can pull a node into a support that was previously empty, and an edge
-// removal can orphan one. Entries whose target falls in that expanded set,
-// or whose registered closure contains a raw delta endpoint, are dropped;
-// every other entry is re-keyed to the new epoch in place and keeps
-// serving. CacheStats.Retained / .Invalidated (and /healthz) count both
-// outcomes.
+// removal can orphan one. Entries whose target falls in that touched set
+// are dropped; every other entry is re-keyed to the new epoch in place and
+// keeps serving. CacheStats.Retained / .Invalidated (and /healthz) count
+// both outcomes.
+//
+// The touched set is the whole test. An entry's dependency closure — the
+// target, its out-neighbors and its nonzero support, exactly the skip table
+// the entry carries — lies inside the target's ρ-out-ball on the pre-patch
+// graph. A delta endpoint inside the closure is therefore within ρ hops of
+// the target, which already puts the target in the touched set, so the
+// cache keeps no per-entry dependency index.
 //
 // The conservative fallback: retention only happens when it is provably
 // bit-exact. The swap flushes everything when the utility declares no

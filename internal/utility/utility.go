@@ -88,7 +88,8 @@ type Function interface {
 // ρ-hop out-ball of r — the adjacency rows of every node at out-distance
 // < ρ from r, plus the in/out-degrees of every node at out-distance <= ρ
 // (and r's own row). Equivalently: adding or removing an edge (u, v) cannot
-// change the output for r unless u or v lies within ρ out-hops of r.
+// change the output for r unless u or v lies within ρ out-hops of r. The
+// nonzero support of Sparse(r) lies inside the same ball.
 //
 // The serving layer uses this contract for delta-aware cache invalidation:
 // after a snapshot swap it retains every cached vector whose target is

@@ -45,20 +45,27 @@ import (
 // no released output ever crosses a snapshot boundary.
 
 // affectedSet is what one drained delta batch may have touched, handed to
-// vectorCache.advance at swap time.
+// vectorCache.advance at swap time: the batch's edge endpoints expanded by
+// radius reverse-BFS hops over the union of the pre- and post-patch
+// adjacency, held as a bitset over node IDs. advance drops every entry
+// whose target is in the set and re-keys the rest; by the argument above,
+// that alone keeps every retained entry bit-identical.
+//
+// A per-entry dependency test would add nothing. An entry's dependency
+// closure — its skip table: the target, its out-neighbors and its nonzero
+// support — lies inside the target's ρ-out-ball on the pre-patch graph,
+// because the Localized contract confines the support to that ball. So a
+// delta endpoint in the closure is within ρ out-hops of the target, and the
+// target is already in the set. The set also catches entries whose support
+// the batch created from nothing, which a closure test would miss.
 type affectedSet struct {
-	// seeds are the raw endpoints of the batch's edge deltas. advance dooms
-	// every target whose registered dependency closure contains one: the
-	// closure (skip = target ∪ out-neighbors ∪ support) spans the declared
-	// radius, so this is the precise "did the batch touch my ball" test for
-	// entries whose registration is current.
-	seeds map[int32]struct{}
-	// touched is seeds expanded by radius reverse-BFS hops over the union
-	// of the pre- and post-patch adjacency. advance dooms every target in
-	// it, covering entries whose support the batch created from nothing —
-	// an empty closure registers almost nothing, so the closure test alone
-	// would miss them.
-	touched map[int32]struct{}
+	touched []uint64
+}
+
+// has reports whether target is in the touched set.
+func (a *affectedSet) has(target int) bool {
+	w := target >> 6
+	return w < len(a.touched) && a.touched[w]&(1<<(uint(target)&63)) != 0
 }
 
 // retentionRadius returns the serving utility's declared invalidation
@@ -99,14 +106,12 @@ func (r *Recommender) affectedByBatch(cur, next *snapState, deltas []graph.Delta
 			return nil
 		}
 	}
-	aff := &affectedSet{
-		seeds:   make(map[int32]struct{}, 2*len(deltas)),
-		touched: make(map[int32]struct{}, 8*len(deltas)),
-	}
+	n := max(cur.snap.NumNodes(), next.snap.NumNodes())
+	aff := &affectedSet{touched: make([]uint64, (n+63)/64)}
 	frontier := make([]int32, 0, 2*len(deltas))
 	mark := func(v int32) {
-		if _, ok := aff.touched[v]; !ok {
-			aff.touched[v] = struct{}{}
+		if !aff.has(int(v)) {
+			aff.touched[v>>6] |= 1 << (v & 63)
 			frontier = append(frontier, v)
 		}
 	}
@@ -114,15 +119,12 @@ func (r *Recommender) affectedByBatch(cur, next *snapState, deltas []graph.Delta
 		mark(int32(d.From))
 		mark(int32(d.To))
 	}
-	for v := range aff.touched {
-		aff.seeds[v] = struct{}{}
-	}
-	// Reverse BFS: a target is affected when a seed lies within radius
-	// out-hops of it, so the touched set is grown by following in-edges
-	// from the seeds. Expanding over both stores at every level covers any
-	// mix of pre-only and post-only edges — a superset of the two per-graph
-	// balls, conservative in the right direction. (On undirected graphs
-	// In == Out and this is the plain neighborhood ball.)
+	// Reverse BFS: a target is affected when a delta endpoint lies within
+	// radius out-hops of it, so the touched set is grown by following
+	// in-edges from the endpoints. Expanding over both stores at every
+	// level covers any mix of pre-only and post-only edges — a superset of
+	// the two per-graph balls, conservative in the right direction. (On
+	// undirected graphs In == Out and this is the plain neighborhood ball.)
 	stores := [2]graph.Store{cur.snap, next.snap}
 	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
 		level := frontier

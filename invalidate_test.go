@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"socialrec/internal/utility"
 )
 
 // equalCachedVector reports field-wise bit-identity of two pre-processing
@@ -156,46 +158,72 @@ func TestAddNodeErrorReturnsInvalidID(t *testing.T) {
 }
 
 // TestCacheRetentionAcrossRebuild is the deterministic retention property
-// test: warm the whole cache, churn edges, rebuild, and assert (a) every
+// test, run for every localized utility on an undirected and a directed
+// graph: warm the whole cache, churn edges, rebuild, and assert (a) every
 // entry at the new epoch is bit-identical to a fresh recompute and (b)
 // retention actually happens (the sweep is not just a disguised flush).
 func TestCacheRetentionAcrossRebuild(t *testing.T) {
 	const n = 3000
-	g, err := GenerateSocialGraph(n, 9000, 5)
-	if err != nil {
-		t.Fatal(err)
+	utilities := []struct {
+		name string
+		u    UtilityFunction
+	}{
+		{"common-neighbors", utility.CommonNeighbors{}},
+		{"jaccard", utility.Jaccard{}},
+		{"weighted-paths-2", utility.WeightedPaths{Gamma: 0.05, MaxLen: 2}},
+		{"weighted-paths-3", utility.WeightedPaths{Gamma: 0.05, MaxLen: 3}},
+		{"weighted-paths-4", utility.WeightedPaths{Gamma: 0.05, MaxLen: 4}},
 	}
-	rec, err := NewRecommender(g, WithSeed(3),
-		WithRebuildInterval(time.Hour), // only explicit Rebuild swaps
-		WithMaxPendingDeltas(1<<30),
-		WithCache(n),
-		WithDeltaInvalidation())
-	if err != nil {
-		t.Fatal(err)
+	graphs := []struct {
+		name string
+		gen  func(n, m int, seed int64) (*Graph, error)
+	}{
+		{"social", GenerateSocialGraph},
+		{"follower", GenerateFollowerGraph},
 	}
-	defer rec.Close()
-	for target := 0; target < n; target++ {
-		_, _ = rec.Recommend(target) // hopeless targets cache negatives
-	}
-	rng := rand.New(rand.NewSource(42))
-	for round := 0; round < 20; round++ {
-		for i, muts := 0, 1+rng.Intn(8); i < muts; i++ {
-			mutateOnce(t, rec, rng, n)
+	for _, uc := range utilities {
+		for _, gc := range graphs {
+			t.Run(gc.name+"/"+uc.name, func(t *testing.T) {
+				t.Parallel()
+				g, err := gc.gen(n, 9000, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, err := NewRecommender(g, WithSeed(3), WithUtility(uc.u),
+					WithRebuildInterval(time.Hour), // only explicit Rebuild swaps
+					WithMaxPendingDeltas(1<<30),
+					WithCache(n),
+					WithDeltaInvalidation())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rec.Close()
+				for target := 0; target < n; target++ {
+					_, _ = rec.Recommend(target) // hopeless targets cache negatives
+				}
+				rng := rand.New(rand.NewSource(42))
+				for round := 0; round < 20; round++ {
+					for i, muts := 0, 1+rng.Intn(8); i < muts; i++ {
+						mutateOnce(t, rec, rng, n)
+					}
+					if err := rec.Rebuild(); err != nil {
+						t.Fatal(err)
+					}
+					verifyRetainedEntries(t, rec)
+					for i := 0; i < 200; i++ { // keep the cache populated
+						_, _ = rec.Recommend(rng.Intn(n))
+					}
+				}
+				st, _ := rec.CacheStats()
+				if st.Retained == 0 {
+					t.Fatal("delta invalidation retained nothing across 20 rebuilds")
+				}
+				if st.Invalidated == 0 {
+					t.Fatal("delta invalidation invalidated nothing across 20 rebuilds of edge churn")
+				}
+				t.Logf("retained %d, invalidated %d", st.Retained, st.Invalidated)
+			})
 		}
-		if err := rec.Rebuild(); err != nil {
-			t.Fatal(err)
-		}
-		verifyRetainedEntries(t, rec)
-		for i := 0; i < 200; i++ { // keep the cache populated
-			_, _ = rec.Recommend(rng.Intn(n))
-		}
-	}
-	st, _ := rec.CacheStats()
-	if st.Retained == 0 {
-		t.Fatal("delta invalidation retained nothing across 20 rebuilds")
-	}
-	if st.Invalidated == 0 {
-		t.Fatal("delta invalidation invalidated nothing across 20 rebuilds of edge churn")
 	}
 }
 

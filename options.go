@@ -88,15 +88,15 @@ func WithCoalescing(window time.Duration) Option {
 
 // WithDeltaInvalidation makes snapshot swaps retain cached utility vectors
 // that the swap's delta batch provably did not touch, instead of flushing
-// the whole cache: entries register their dependency closure in a reverse
-// index, and each live Rebuild re-keys every entry whose target lies
-// outside the batch's radius-expanded touched set to the new epoch (see
-// invalidate.go for the correctness and DP-safety argument). Retention
-// requires the serving utility to declare an invalidation radius
-// (utility.Localized — CommonNeighbors, Jaccard, and WeightedPaths do);
-// otherwise, and on node additions, Δf changes, or RefreshSnapshot with an
-// unrelated graph, the swap conservatively flushes everything. Meaningful
-// only together with WithCache and WithLiveMutations. Off by default.
+// the whole cache: each live Rebuild re-keys every entry whose target lies
+// outside the batch's radius-expanded touched set to the new epoch, and
+// drops the rest (see invalidate.go for the correctness and DP-safety
+// argument). Retention requires the serving utility to declare an
+// invalidation radius (utility.Localized — CommonNeighbors, Jaccard, and
+// WeightedPaths do); otherwise, and on node additions, Δf changes, or
+// RefreshSnapshot with an unrelated graph, the swap conservatively flushes
+// everything. Meaningful only together with WithCache and
+// WithLiveMutations. Off by default.
 func WithDeltaInvalidation() Option {
 	return func(r *Recommender) error {
 		r.deltaInval = true

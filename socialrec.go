@@ -460,7 +460,7 @@ func (r *Recommender) RefreshSnapshot(g *Graph) error {
 // recommendation; it only skips recomputation of the deterministic
 // pre-noise stage.
 func (r *Recommender) EnableCache(size int) {
-	r.cache.CompareAndSwap(nil, newVectorCache(size, r.deltaInval))
+	r.cache.CompareAndSwap(nil, newVectorCache(size))
 }
 
 // CacheStats returns a snapshot of the utility-vector cache's counters. The
