@@ -258,11 +258,7 @@ func (r *Recommender) Precompute(targets []int) int {
 				warmed.Add(1)
 				continue
 			}
-			// computeShared routes through the coalescer (sans deadline wait)
-			// when one is enabled, so warming a target a live request is
-			// already computing shares that work instead of duplicating it;
-			// the shared path also writes the cache entry.
-			if _, err := r.computeShared(st, c, target, true); err != nil {
+			if _, err := r.computeCached(st, c, target); err != nil {
 				continue
 			}
 			warmed.Add(1)

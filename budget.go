@@ -400,9 +400,10 @@ func (a *Accountant) RecommendAs(principal string, target int) (Recommendation, 
 
 // RecommendWithRNG is Recommend with caller-supplied randomness — the
 // serving layer passes each HTTP request its own Recommender.RequestRNG()
-// stream so coalesced duplicates draw independently. Budget semantics are
-// identical to Recommend: the charge lands before the query and is refunded
-// on failure, once per call, regardless of any pre-noise sharing.
+// stream, because Recommend's target-keyed stream would give every repeated
+// request for a target the same pick. Budget semantics are identical to
+// Recommend: the charge lands before the query and is refunded on failure,
+// once per call, whether or not the cache served the pre-noise stage.
 func (a *Accountant) RecommendWithRNG(target int, rng *rand.Rand) (Recommendation, error) {
 	eps := a.rec.Epsilon()
 	tok, err := a.charge(a.key(target), target, 1, eps)

@@ -4,9 +4,7 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"socialrec/internal/coalesce"
 	"socialrec/internal/mechanism"
 )
 
@@ -36,95 +34,15 @@ import (
 // non-positive size.
 const DefaultCacheSize = 4096
 
-// DefaultCoalesceWindow is the deadline window EnableCoalescing uses when
-// given a non-positive duration: long enough for a high-QPS burst of
-// duplicate targets to accumulate, short enough to stay invisible next to
-// network round-trip times.
-const DefaultCoalesceWindow = time.Millisecond
-
-// coalKey identifies one shareable pre-noise computation: a target under a
-// specific snapshot epoch. Epoch-keying keeps a request that raced past a
-// snapshot swap from being handed a vector computed on the other side of
-// it — groups never mix snapshots, mirroring the cache's (epoch, target)
-// keying.
-type coalKey struct {
-	epoch  uint64
-	target int
-}
-
-// targetCoalescer coalesces concurrent pre-noise computations per
-// (epoch, target); see internal/coalesce and the "Request coalescing"
-// section of doc.go.
-type targetCoalescer = coalesce.Coalescer[coalKey, *cachedVector]
-
-// CoalesceStats is a point-in-time snapshot of the request coalescer's
-// counters, exposed for operational monitoring (recserver's /healthz).
-type CoalesceStats struct {
-	// Requests counts pre-noise computations requested through the
-	// coalescer (cache hits never reach it).
-	Requests uint64 `json:"requests"`
-	// Groups counts coalesce groups formed — shared computations actually
-	// executed, one per group.
-	Groups uint64 `json:"groups"`
-	// Shared counts requests that joined an existing group and skipped the
-	// computation; Requests == Groups + Shared.
-	Shared uint64 `json:"shared"`
-	// WindowNs is the configured deadline window in nanoseconds.
-	WindowNs int64 `json:"window_ns"`
-}
-
-// EnableCoalescing turns on deadline-based coalescing of the pre-noise
-// serving stage with the given window (DefaultCoalesceWindow when window
-// <= 0). Like EnableCache it is first-wins: a no-op if coalescing is
-// already enabled. Coalescing shares only the deterministic pre-noise
-// computation between concurrent requests for the same target — every
-// request still draws its own noise afterwards — so it never changes any
-// recommendation's distribution; see doc.go.
-func (r *Recommender) EnableCoalescing(window time.Duration) {
-	if window <= 0 {
-		window = DefaultCoalesceWindow
+// computeCached runs the deterministic pre-noise stage for target and, when
+// a cache is enabled, stores the result. Serving misses and Precompute both
+// go through it.
+func (r *Recommender) computeCached(st *snapState, c *vectorCache, target int) (*cachedVector, error) {
+	cv, err := r.computeVector(st, target)
+	if err == nil && c != nil {
+		c.put(st.epoch, target, cv)
 	}
-	r.coal.CompareAndSwap(nil, coalesce.New[coalKey, *cachedVector](window))
-}
-
-// CoalesceStats returns the request coalescer's counters. The second
-// return is false when coalescing is not enabled.
-func (r *Recommender) CoalesceStats() (CoalesceStats, bool) {
-	co := r.coal.Load()
-	if co == nil {
-		return CoalesceStats{}, false
-	}
-	st := co.Stats()
-	return CoalesceStats{
-		Requests: st.Requests,
-		Groups:   st.Groups,
-		Shared:   st.Shared,
-		WindowNs: int64(co.Window()),
-	}, true
-}
-
-// computeShared runs the deterministic pre-noise stage for target and
-// populates the cache (when one is enabled). It is the single entry point
-// serving misses and cache warmers go through: with coalescing enabled,
-// concurrent calls for the same (epoch, target) share one computation —
-// warmers via DoNow (no deadline wait), serving misses via Do (deadline
-// window, so a duplicate burst accumulates into one group).
-func (r *Recommender) computeShared(st *snapState, c *vectorCache, target int, warm bool) (*cachedVector, error) {
-	compute := func() (*cachedVector, error) {
-		cv, err := r.computeVector(st, target)
-		if err == nil && c != nil {
-			c.put(st.epoch, target, cv)
-		}
-		return cv, err
-	}
-	co := r.coal.Load()
-	if co == nil {
-		return compute()
-	}
-	if warm {
-		return co.DoNow(coalKey{epoch: st.epoch, target: target}, compute)
-	}
-	return co.Do(coalKey{epoch: st.epoch, target: target}, compute)
+	return cv, err
 }
 
 // cacheShardCount must be a power of two; 16 shards keep contention low at
@@ -144,8 +62,7 @@ type CacheStats struct {
 	// Capacity is the configured entry cap.
 	Capacity int `json:"capacity"`
 	// Bytes approximates the resident size of all cached entries. Sparse
-	// entries cost O(nonzeros), not O(n); recbench tracks the per-entry
-	// figure against the dense representation.
+	// entries cost O(nonzeros), not O(n).
 	Bytes int64 `json:"approx_bytes"`
 	// Retained counts entries carried across snapshot swaps by delta-aware
 	// invalidation (re-keyed to the new epoch instead of discarded).
@@ -160,12 +77,11 @@ type CacheStats struct {
 // cachedVector is the immutable per-target pre-processing result, held in
 // sparse form: on sparse graphs a target's utility vector has a few hundred
 // nonzeros out of n, so an entry costs O(nnz) bytes instead of the O(n) a
-// dense vector + candidate list would (the recbench sparse scenario
-// measures the reduction). The slices are shared between the cache and all
-// readers and must never be mutated after insertion. umax == 0 records a
-// negative result (the target has no positive-utility candidate), so
-// repeated requests for hopeless targets are served without a graph scan
-// too.
+// dense vector + candidate list would. The slices are shared between the
+// cache and all readers and must never be mutated after insertion.
+// umax == 0 records a negative result (the target has no positive-utility
+// candidate), so repeated requests for hopeless targets are served without
+// a graph scan too.
 type cachedVector struct {
 	// idx holds the candidate node IDs with nonzero utility, ascending; val
 	// the matching utilities (utility.Function.Sparse output).
@@ -201,7 +117,7 @@ func (cv *cachedVector) resolve(p mechanism.Pick) (int, float64) {
 }
 
 // bytes approximates the entry's resident footprint, reported through
-// CacheStats for capacity planning and the recbench memory comparison.
+// CacheStats for capacity planning.
 func (cv *cachedVector) bytes() int {
 	b := 64 + 4*len(cv.idx) + 8*len(cv.val) + 4*len(cv.skip)
 	if cv.cdf != nil {

@@ -2,6 +2,7 @@ package socialrec
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -48,6 +49,13 @@ func TestCachedMatchesUncached(t *testing.T) {
 					if wantK[i] != gotK[i] {
 						t.Fatalf("%v target %d: top-k[%d] %+v != %+v", kind, target, i, gotK[i], wantK[i])
 					}
+				}
+				// The explicit-RNG path the HTTP layer uses: identical
+				// streams must yield identical draws.
+				want, errW = plain.RecommendWithRNG(target, rand.New(rand.NewSource(int64(target+round))))
+				got, errG = cached.RecommendWithRNG(target, rand.New(rand.NewSource(int64(target+round))))
+				if (errW == nil) != (errG == nil) || want != got {
+					t.Fatalf("%v target %d round %d: WithRNG cached %+v (%v) != uncached %+v (%v)", kind, target, round, got, errG, want, errW)
 				}
 			}
 		}

@@ -10,8 +10,6 @@
 //	recbench -scale 1             # paper-size graphs (slow)
 //	recbench -laplace 1000        # also evaluate the Laplace mechanism
 //	recbench -wiki wiki-Vote.txt  # use the real SNAP dataset when available
-//	recbench -servebench BENCH_serve.json  # serving-engine perf snapshot
-//	recbench -servebench BENCH_serve.json -quick  # CI smoke: sparse + accountant guardrails
 package main
 
 import (
@@ -36,8 +34,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit JSON instead of text tables")
 		sweep      = flag.Bool("sweep", false, "run the epsilon sweep ablation instead of the figures")
 		compare    = flag.Bool("compare", false, "run the §7.2 Laplace-vs-Exponential comparison table")
-		servebench = flag.String("servebench", "", "run the serving benchmark and write a perf snapshot to this file (e.g. BENCH_serve.json)")
-		quick      = flag.Bool("quick", false, "with -servebench: CI smoke mode — skip the 500k-node scenario and fail if the sparse uncached path is slower than dense, the sharded accountant slower than the global lock, or the batch API slower than a sequential loop")
 	)
 	flag.Parse()
 
@@ -50,13 +46,6 @@ func main() {
 		TwitterPath:   *twitter,
 	}
 
-	if *servebench != "" {
-		if err := runServeBench(opts, *servebench, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "recbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *sweep {
 		if err := runSweep(opts); err != nil {
 			fmt.Fprintln(os.Stderr, "recbench:", err)

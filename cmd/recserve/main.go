@@ -63,12 +63,10 @@
 // persisted snapshot durably covers a log prefix, those segments are
 // reclaimed.
 //
-// Hot-target traffic: -coalesce-window merges concurrent requests for the
-// same target behind a short deadline window — they share one deterministic
-// pre-noise computation while each response still draws its own independent
-// noise, so the privacy guarantee and the response distribution are exactly
-// those of uncoalesced serving (see the socialrec package documentation).
-// Coalescer counters are exported on /healthz alongside the cache's.
+// Randomness: every request draws its noise from its own stream
+// (socialrec.Recommender.RequestRNG), so repeated requests for one target
+// are independent draws, each charged its own ε. With -cache on, repeated
+// targets reuse the cached pre-noise stage; the noise is never reused.
 //
 // Robustness: handler panics are recovered to 500s (counted on
 // /healthz), each request gets a -request-timeout deadline, and beyond
@@ -116,7 +114,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		seed      = flag.Int64("seed", 0, "seed (0 = time-based; use non-zero only for testing)")
 		cache     = flag.Int("cache", socialrec.DefaultCacheSize, "utility-vector cache entries (0 disables caching)")
-		coalesce  = flag.Duration("coalesce-window", 0, "deadline window for coalescing concurrent same-target requests; they share one pre-noise computation but draw independent noise (0 disables)")
 		live      = flag.Bool("live", false, "accept streaming graph mutations (POST /edges, DELETE /edges, POST /nodes)")
 		deltaInv  = flag.Bool("delta-invalidation", false, "retain cached utility vectors a rebuild's delta batch provably did not touch, instead of flushing the cache at every snapshot swap (with -live and -cache)")
 		interval  = flag.Duration("rebuild-interval", socialrec.DefaultRebuildInterval, "debounce interval for folding mutations into the serving snapshot (with -live)")
@@ -219,7 +216,6 @@ func main() {
 		TotalEpsilon:        *budget,
 		PerPrincipalEpsilon: *perUser,
 		CacheSize:           *cache,
-		CoalesceWindow:      *coalesce,
 		EnablePprof:         *pprofFlag,
 		HandlerTimeout:      *reqTO,
 		MaxInFlight:         *maxInFly,

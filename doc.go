@@ -39,9 +39,9 @@
 // Every recommendation factors into a deterministic pre-processing stage —
 // computing the target's utility vector, candidate list, and u_max over the
 // immutable graph snapshot — followed by a randomized mechanism draw. Only
-// the draw carries the privacy guarantee, and its noise is fresh on every
-// call. The Recommender can therefore memoize the pre-processing stage in a
-// sharded LRU cache (WithCache, EnableCache) without touching the ε-DP
+// the draw carries the privacy guarantee, and its noise never comes from
+// the cache. The Recommender can therefore memoize the pre-processing stage
+// in a sharded LRU cache (WithCache, EnableCache) without touching the ε-DP
 // analysis: caching is pure pre-processing in the differential privacy
 // sense, the mechanism's output distribution is bit-for-bit the same with
 // and without it, and the cached raw utilities never leave the process.
@@ -59,50 +59,12 @@
 // budgets additively regardless of cache hits), because the mechanism draw,
 // not the utility computation, is what consumes the budget.
 //
-// # Request coalescing
-//
-// Caching amortizes repeated targets across time; coalescing
-// (WithCoalescing, EnableCoalescing, recserve -coalesce-window) amortizes
-// them across concurrent requests. The first request for an (epoch, target)
-// pair becomes a group leader and waits out a short deadline window
-// (DefaultCoalesceWindow, 1ms) while duplicate requests accumulate; the
-// leader then runs the pre-noise stage once and every member of the group
-// reuses it. This is a Nagle-style latency/throughput trade aimed at the
-// Zipf-popular targets of real recommendation traffic: under a hot-target
-// burst, hundreds of cache misses collapse into one computation instead of
-// stampeding, at the cost of up to one window of added latency. A plain
-// singleflight only merges requests overlapping an in-progress computation,
-// which on a fast pre-noise stage is nearly never; the deadline window is
-// what makes merging happen at serving QPS.
-//
-// Coalescing is DP-safe by the same argument as caching, applied across
-// requests instead of across time. What the group shares is exactly the
-// deterministic pre-processing stage — utility support, candidate count,
-// tail table, sparse CDF — a pure function of the public snapshot and
-// (ε, Δf). What it never shares is randomness: each member draws its own
-// noise from its own RNG stream after the shared stage returns, so the
-// joint output distribution over a group of k requests is the product of k
-// independent mechanism draws — identical to k uncoalesced requests. With
-// no concurrent duplicates every group is a singleton and the served bytes
-// are bit-identical to the uncoalesced path under fixed seeds; both
-// properties are pinned by tests (a chi-squared comparison of concurrent
-// coalesced draws against the sequential distribution, and byte-equality of
-// sequential coalesced serving).
-//
-// Budgeting is likewise untouched: ε is charged per request served, never
-// per group, because each member releases its own mechanism draw. Ten
-// coalesced requests for one target cost 10ε exactly as ten uncoalesced
-// ones do. Precompute routes its warming through the same coalescer
-// (without the deadline wait), so bulk warming and live serving of the same
-// target share one computation instead of racing.
-//
 // # Streaming pipeline
 //
-// Caching and coalescing amortize the pre-noise stage across requests; the
-// streaming pipeline removes its memory cost from requests that have
-// nothing to amortize against. When no cache and no coalescer are enabled,
-// a request never materializes its utility vector at all — the stages fuse
-// into one pull-based graph:
+// Caching amortizes the pre-noise stage across requests; the streaming
+// pipeline removes its memory cost from requests that have nothing to
+// amortize against. When no cache is enabled, a request never materializes
+// its utility vector at all — the stages fuse into one pull-based graph:
 //
 //	candidates ──▶ utility kernel ──▶ stream.Scorer ──▶ mechanism consumer ──▶ top-k / pick
 //	               (pooled scratch)    Next()/Reset()    (running scalars,       (O(k) heap)
@@ -127,10 +89,10 @@
 // the request returns — the per-pool get/put/new counters are exported on
 // /healthz so a leak (news tracking gets) is observable in production.
 // Shared consumers still need vectors that outlive a request, so cache
-// fill, coalesced computation, batch serving, and Precompute gather their
-// support slices from the same streaming kernels (one counting pass, one
-// exact-size fill); there is one stage graph, consumed lazily by plain
-// requests and eagerly by shared ones.
+// fill, batch serving, and Precompute gather their support slices from the
+// same streaming kernels (one counting pass, one exact-size fill); there is
+// one stage graph, consumed lazily by plain requests and eagerly by shared
+// ones.
 //
 // Streaming is DP-safe for the strongest possible reason: it is the same
 // computation. Every streamed stage performs the identical floating-point
@@ -140,9 +102,10 @@
 // mechanism, directedness, and both the single and top-k APIs). Fusion
 // reorganizes only the deterministic pre-noise stage — u_max, Δf, the
 // candidate domain, and the mechanism's output distribution are untouched,
-// and noise is still drawn fresh per request after the pre-noise scan.
-// WithoutStreaming forces the materialized path as a diagnostic control;
-// the recbench `streaming` section measures one against the other.
+// and noise is still drawn from the request's RNG stream after the
+// pre-noise scan. WithoutStreaming forces the materialized path as a
+// diagnostic control; the streaming guardrail tests measure one against
+// the other.
 //
 // # Budget accounting
 //
@@ -294,8 +257,11 @@
 // that ball. CommonNeighbors and Jaccard declare 2, WeightedPaths declares
 // its path-length truncation (3 by default). At each live rebuild, the
 // drained delta batch's endpoints are expanded ρ reverse-BFS hops over the
-// union of the pre- and post-patch adjacency — both graphs, because an edge
-// add can pull a node into a support that was previously empty, and an edge
+// post-patch adjacency. One graph suffices: a shortest path from a target
+// to its nearest delta endpoint uses no delta edge (its first one would
+// start at a nearer endpoint), so that path exists before and after the
+// patch, and the ball is the same in both graphs — even though an edge add
+// can pull a node into a support that was previously empty, and an edge
 // removal can orphan one. Entries whose target falls in that touched set
 // are dropped; every other entry is re-keyed to the new epoch in place and
 // keeps serving. CacheStats.Retained / .Invalidated (and /healthz) count
@@ -398,11 +364,11 @@
 // serves zero-copy out of the OS page cache. Opening either backend costs
 // one sequential checksum-and-validation pass over the file — linear in
 // its size, but running at disk/memory bandwidth with no parsing and (for
-// mmap) no per-edge allocation, tens of times faster than the edge-list
-// path in the recbench cold-start benchmark. Beyond that pass
-// the mmap backend's peak RSS no longer pays the build-then-flatten 2×
-// transient, processes mapping the same file share one physical copy, and
-// steady-state serving pages rows on demand, so the graph may exceed RAM.
+// mmap) no per-edge allocation, so it is far cheaper than re-parsing the
+// edge list. Beyond that pass the mmap backend's peak RSS no longer pays
+// the build-then-flatten 2× transient, processes mapping the same file
+// share one physical copy, and steady-state serving pages rows on demand,
+// so the graph may exceed RAM.
 // The trade-off: first-touch scans can take page faults where the heap
 // backend would have warm memory, so latency-critical deployments with
 // small graphs may prefer SnapshotHeap.

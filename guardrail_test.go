@@ -1,0 +1,467 @@
+package socialrec
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"socialrec/internal/budget"
+	"socialrec/internal/distribution"
+	"socialrec/internal/gen"
+	"socialrec/internal/mechanism"
+	"socialrec/internal/utility"
+)
+
+// Perf guardrails. Each TestGuardrail* runs two arms of one serving path on
+// the same seeded inputs and fails when their ratio crosses a fixed
+// threshold; none asserts an absolute time. Measured arms run back to back
+// guardrailReps times and the gate reads the median of the per-repetition
+// ratios, so host noise lands on both arms of a pair alike. All guardrails
+// skip under the race detector, whose instrumentation distorts both time
+// and allocations; CI runs them in a separate non-race step:
+//
+//	go test -run '^TestGuardrail' -count=1 .
+
+const guardrailReps = 21
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("race instrumentation distorts timings and allocation counts")
+	}
+}
+
+// guardrailGraph is the Wiki-Vote-like graph at 1/10 scale that recbench's
+// default dataset loader builds for seed 1.
+func guardrailGraph(t *testing.T) *Graph {
+	t.Helper()
+	g, err := gen.WikiVoteLikeScaled(10, distribution.Split(1, "wiki-vote"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// medianRatio runs base and test back to back reps times, alternating
+// which goes first, and returns the median of test/base over the
+// repetitions. Each run starts after a forced GC, so one arm's garbage is
+// not collected on the other arm's clock.
+func medianRatio(reps int, base, test func() float64) float64 {
+	ratios := make([]float64, reps)
+	for r := range ratios {
+		runtime.GC()
+		var b, t float64
+		if r%2 == 0 {
+			b = base()
+			runtime.GC()
+			t = test()
+		} else {
+			t = test()
+			runtime.GC()
+			b = base()
+		}
+		ratios[r] = t / b
+	}
+	slices.Sort(ratios)
+	return ratios[reps/2]
+}
+
+// nsPerOp times n calls of op.
+func nsPerOp(n int, op func(i int)) float64 {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		op(i)
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(n)
+}
+
+// hubTargets returns the hotCount serveable targets with the largest
+// common-neighbours support: the requests where materializing a vector
+// costs the most.
+func hubTargets(t *testing.T, g *Graph, hotCount int) []int {
+	t.Helper()
+	snap := g.Snapshot()
+	cn := utility.CommonNeighbors{}
+	type cand struct{ target, support int }
+	var cands []cand
+	for v := 0; v < snap.NumNodes(); v++ {
+		idx, val, err := cn.Sparse(snap, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if utility.Max(val) > 0 {
+			cands = append(cands, cand{target: v, support: len(idx)})
+		}
+	}
+	if len(cands) == 0 {
+		t.Fatal("no serveable targets")
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].support > cands[j].support })
+	hot := make([]int, min(hotCount, len(cands)))
+	for i := range hot {
+		hot[i] = cands[i].target
+	}
+	return hot
+}
+
+// TestGuardrailSparseUncachedVsDense: an uncached request on the sparse
+// serving path must cost at most 1.1x the dense O(n) pipeline it replaced
+// (full utility vector, candidate list, compacted vector, dense draw).
+func TestGuardrailSparseUncachedVsDense(t *testing.T) {
+	skipUnderRace(t)
+	g := guardrailGraph(t)
+	snap := g.Snapshot()
+	cn := utility.CommonNeighbors{}
+	e := mechanism.Exponential{Epsilon: 1, Sensitivity: cn.Sensitivity(snap)}
+	var targets []int
+	for v := 0; v < snap.NumNodes() && len(targets) < 48; v++ {
+		_, val, err := cn.Sparse(snap, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if utility.Max(val) > 0 {
+			targets = append(targets, v)
+		}
+	}
+	if len(targets) == 0 {
+		t.Fatal("no serveable targets")
+	}
+	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	rng := distribution.NewRNG(7)
+	ratio := medianRatio(guardrailReps,
+		func() float64 {
+			return nsPerOp(100, func(i int) {
+				target := targets[i%len(targets)]
+				full, err := cn.Vector(snap, target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				candidates := utility.Candidates(snap, target)
+				idx, err := e.Recommend(utility.Compact(full, candidates), rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = candidates[idx]
+			})
+		},
+		func() float64 {
+			return nsPerOp(1000, func(i int) {
+				if _, err := rec.Recommend(targets[i%len(targets)]); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	t.Logf("uncached sparse/dense time: %.2f", ratio)
+	if ratio > 1.1 {
+		t.Fatalf("uncached sparse path takes %.2fx the dense pipeline's time, want <= 1.1x", ratio)
+	}
+}
+
+// seedAccountant replicates the accounting state machine the sharded
+// budget manager replaced: every operation takes one global mutex, refunds
+// truncate the newest ledger entry, and a poll copies the ledger to count
+// calls (what /v1/budget did per request).
+type seedAccountant struct {
+	mu     sync.Mutex
+	total  float64
+	spent  float64
+	ledger []Spend
+}
+
+func (a *seedAccountant) charge(target int, eps float64) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.spent+eps > a.total+1e-12 {
+		return false
+	}
+	a.spent += eps
+	a.ledger = append(a.ledger, Spend{Target: target, K: 1, Epsilon: eps})
+	return true
+}
+
+func (a *seedAccountant) refundLast(eps float64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.spent -= eps
+	if n := len(a.ledger); n > 0 {
+		a.ledger = a.ledger[:n-1]
+	}
+}
+
+func (a *seedAccountant) poll() (spent float64, calls int) {
+	a.mu.Lock()
+	ledger := append([]Spend(nil), a.ledger...)
+	spent = a.spent
+	a.mu.Unlock()
+	return spent, len(ledger)
+}
+
+// TestGuardrailShardedAccountant: on the serving workload — concurrent
+// charges and refunds across many principals, with a budget poll every 512
+// charges per goroutine — the sharded budget manager must cost at most
+// 1.1x the global-lock accountant it replaced.
+func TestGuardrailShardedAccountant(t *testing.T) {
+	skipUnderRace(t)
+	const (
+		principals = 64
+		goroutines = 8
+		ops        = 20000 // per goroutine
+		pollEvery  = 512
+		// Budgets far above total spend: this measures accounting
+		// overhead, not admission refusals.
+		eps   = 1e-9
+		limit = 2 * eps * goroutines * ops
+	)
+	run := func(op func(g, i int), poll func()) float64 {
+		var wg sync.WaitGroup
+		start := time.Now()
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < ops; i++ {
+					op(g, i)
+					if i%pollEvery == 0 {
+						poll()
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		return float64(time.Since(start).Nanoseconds()) / (goroutines * ops)
+	}
+	keys := make([]string, principals)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user-%d", i)
+	}
+	var failed error
+	var failMu sync.Mutex
+	fail := func(err error) {
+		failMu.Lock()
+		failed = err
+		failMu.Unlock()
+	}
+	// The arms differ ~15x, far beyond host noise, so three repetitions
+	// suffice for the slowest guardrail.
+	ratio := medianRatio(3,
+		func() float64 {
+			seed := &seedAccountant{total: limit}
+			return run(func(g, i int) {
+				if !seed.charge((g*ops+i)%principals, eps) {
+					fail(errors.New("global-lock accountant refused within budget"))
+				}
+				if i%4 == 0 {
+					seed.refundLast(eps)
+				}
+			}, func() { seed.poll() })
+		},
+		func() float64 {
+			mgr := budget.NewManager(budget.Limits{Global: limit, PerPrincipal: limit})
+			return run(func(g, i int) {
+				r, err := mgr.Reserve(keys[(g*ops+i)%principals], eps)
+				if err != nil {
+					fail(err)
+					return
+				}
+				if i%4 == 0 {
+					r.Refund()
+				}
+			}, func() {
+				mgr.Global()
+				mgr.Principals()
+			})
+		})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	t.Logf("sharded/global-lock time: %.3f", ratio)
+	if ratio > 1.1 {
+		t.Fatalf("sharded manager takes %.2fx the global lock's time, want <= 1.1x", ratio)
+	}
+}
+
+// TestGuardrailDeltaInvalidationHitRate: on a live graph under steady
+// mutation traffic, delta-aware invalidation must keep a strictly higher
+// cache hit rate than the full flush. Both arms serve the identical seeded
+// workload: warm the whole target domain, then alternate mutation batches
+// and synchronous rebuilds with read bursts.
+func TestGuardrailDeltaInvalidationHitRate(t *testing.T) {
+	skipUnderRace(t)
+	const (
+		nodes             = 12000
+		edges             = 36000
+		distinctTargets   = 4096
+		rounds            = 12
+		readsPerRound     = 256
+		mutationsPerRound = 2
+	)
+	// A flat-degree (Erdős–Rényi) graph: on a heavy-tailed one, a mutation
+	// near a hub dooms the hub's whole radius-2 ball, and the measurement
+	// becomes a study of hub placement rather than of the policy.
+	g, err := gen.ErdosRenyiGNM(nodes, edges, distribution.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitRate := func(deltaAware bool) float64 {
+		opts := []Option{
+			WithEpsilon(1), WithSeed(1),
+			// Rebuilds happen only at the explicit Rebuild calls, so both
+			// arms swap snapshots at identical workload points.
+			WithRebuildInterval(time.Hour),
+			WithMaxPendingDeltas(1 << 30),
+			WithCache(2 * distinctTargets),
+		}
+		if deltaAware {
+			opts = append(opts, WithDeltaInvalidation())
+		}
+		rec, err := NewRecommender(g, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		targets := make([]int, distinctTargets)
+		for i := range targets {
+			targets[i] = i
+		}
+		rec.Precompute(targets)
+		base, _ := rec.CacheStats()
+		// Zipf-Mandelbrot reads (v flattens the head): with a raw Zipf head
+		// the full-flush arm re-warms its top targets within a round, and
+		// the gap would understate the flush.
+		mutRNG := distribution.NewRNG(11)
+		zipf := rand.NewZipf(distribution.NewRNG(12), 1.1, 32, distinctTargets-1)
+		for round := 0; round < rounds; round++ {
+			for m := 0; m < mutationsPerRound; m++ {
+				u, v := mutRNG.Intn(nodes), mutRNG.Intn(nodes)
+				if u == v {
+					continue
+				}
+				if err := rec.AddEdge(u, v); err != nil {
+					// Toggle existing edges off so churn stays balanced.
+					if err := rec.RemoveEdge(u, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := rec.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < readsPerRound; i++ {
+				_, _ = rec.Recommend(int(zipf.Uint64())) // hopeless targets still exercise the cache
+			}
+		}
+		st, _ := rec.CacheStats()
+		hits, misses := st.Hits-base.Hits, st.Misses-base.Misses
+		return float64(hits) / float64(hits+misses)
+	}
+	flush, delta := hitRate(false), hitRate(true)
+	t.Logf("hit rate: full flush %.3f, delta-aware %.3f", flush, delta)
+	if delta <= flush {
+		t.Fatalf("delta-aware hit rate %.3f not above full-flush %.3f", delta, flush)
+	}
+}
+
+// TestGuardrailBatchFasterThanSequential: on a repeat-heavy Zipf batch, the
+// batch API must beat a sequential Recommend loop (ratio > 1.0). Dedup
+// alone guarantees that on one core, so a failure means the batch path
+// lost its dedup or scheduling win.
+func TestGuardrailBatchFasterThanSequential(t *testing.T) {
+	skipUnderRace(t)
+	g := guardrailGraph(t)
+	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	zipf := rand.NewZipf(distribution.NewRNG(2), 1.3, 1, 4*64-1)
+	targets := make([]int, 512)
+	for i := range targets {
+		targets[i] = int(zipf.Uint64()) % g.NumNodes()
+	}
+	ratio := medianRatio(guardrailReps,
+		func() float64 {
+			return nsPerOp(len(targets), func(i int) { _, _ = rec.Recommend(targets[i]) })
+		},
+		func() float64 {
+			start := time.Now()
+			_ = rec.BatchRecommend(targets)
+			return float64(time.Since(start).Nanoseconds()) / float64(len(targets))
+		})
+	t.Logf("batch speedup over sequential: %.2fx", 1/ratio)
+	if 1/ratio <= 1.0 {
+		t.Fatalf("batch speedup over sequential %.2fx, want > 1.0x", 1/ratio)
+	}
+}
+
+// streamedOverMaterialized measures uncached requests over the 48 hub
+// targets on a streamed and on a materialized (WithoutStreaming)
+// recommender, and returns the median streamed/materialized ratio.
+func streamedOverMaterialized(t *testing.T, measure func(rec *Recommender, hot []int) float64) float64 {
+	t.Helper()
+	g := guardrailGraph(t)
+	hot := hubTargets(t, g, 48)
+	s, err := NewRecommender(g, WithEpsilon(1), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m, err := NewRecommender(g, WithEpsilon(1), WithSeed(1), WithoutStreaming())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	return medianRatio(guardrailReps,
+		func() float64 { return measure(m, hot) },
+		func() float64 { return measure(s, hot) })
+}
+
+// streamingRequests is one repetition's request count.
+const streamingRequests = 250
+
+func serveHot(rec *Recommender, hot []int) {
+	for i := 0; i < streamingRequests; i++ {
+		_, _ = rec.Recommend(hot[i%len(hot)])
+	}
+}
+
+// TestGuardrailStreamingAllocs: the fused streaming pipeline must make at
+// most half the per-request allocations of the materialized one.
+func TestGuardrailStreamingAllocs(t *testing.T) {
+	skipUnderRace(t)
+	ratio := streamedOverMaterialized(t, func(rec *Recommender, hot []int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		serveHot(rec, hot)
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs - before.Mallocs)
+	})
+	t.Logf("streamed/materialized allocations: %.2f", ratio)
+	if ratio > 0.5 {
+		t.Fatalf("streamed requests make %.2fx the materialized allocations, want <= 0.5x", ratio)
+	}
+}
+
+// TestGuardrailStreamingTime: fusing the stages must not cost latency —
+// streamed requests take at most 1.1x the materialized pipeline's time.
+func TestGuardrailStreamingTime(t *testing.T) {
+	skipUnderRace(t)
+	ratio := streamedOverMaterialized(t, func(rec *Recommender, hot []int) float64 {
+		start := time.Now()
+		serveHot(rec, hot)
+		return float64(time.Since(start).Nanoseconds())
+	})
+	t.Logf("streamed/materialized time: %.2f", ratio)
+	if ratio > 1.1 {
+		t.Fatalf("streamed requests take %.2fx the materialized time, want <= 1.1x", ratio)
+	}
+}

@@ -6,9 +6,9 @@ import (
 	"go/types"
 )
 
-// AtomicField pins the counter discipline of the budget/cache/coalesce/
-// pool code: a struct field that is accessed through sync/atomic anywhere
-// must be accessed atomically everywhere. Mixing atomic.AddInt64(&s.n, 1)
+// AtomicField pins the counter discipline of the budget/cache/pool code: a
+// struct field that is accessed through sync/atomic anywhere must be
+// accessed atomically everywhere. Mixing atomic.AddInt64(&s.n, 1)
 // with a plain s.n read is a data race whose torn reads surface as
 // impossible budget arithmetic — exactly the class of bug the striped
 // budget manager (PR 5) exists to exclude — and the race detector only

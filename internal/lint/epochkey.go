@@ -6,21 +6,20 @@ import (
 	"strings"
 )
 
-// EpochKey pins the snapshot-epoch keying rule of the serving cache and
-// coalescer: every cache access and every coalescing key must carry the
-// epoch of the snapshot the computation ran against, threaded from the
-// snapshot state — never a literal, never arithmetic, never an unrelated
-// variable. Epoch keying is what lets a request that raced past a snapshot
-// swap miss cleanly instead of reading a vector computed on a different
-// graph (see the "Delta-aware invalidation" and "Request coalescing"
-// sections in doc.go); a single call site that fabricates an epoch turns
-// the cache into a cross-snapshot aliasing bug that no test with a single
-// epoch will ever catch.
+// EpochKey pins the snapshot-epoch keying rule of the serving cache: every
+// cache access and every cache key must carry the epoch of the snapshot the
+// computation ran against, threaded from the snapshot state — never a
+// literal, never arithmetic, never an unrelated variable. Epoch keying is
+// what lets a request that raced past a snapshot swap miss cleanly instead
+// of reading a vector computed on a different graph (see the "Cache
+// invalidation" section in doc.go); a single call site that fabricates an
+// epoch turns the cache into a cross-snapshot aliasing bug that no test
+// with a single epoch will ever catch.
 //
 // Mechanically, inside the root socialrec package the analyzer checks:
 //
 //   - calls to vectorCache.get / put / contains: the epoch argument,
-//   - composite literals of coalKey and cacheKey: the epoch field value,
+//   - composite literals of cacheKey: the epoch field value,
 //   - assignments to a field named epoch: the right-hand side,
 //
 // and requires each checked expression to be epoch-derived: a selector
@@ -30,8 +29,8 @@ import (
 // else is reported.
 var EpochKey = &Analyzer{
 	Name: "epochkey",
-	Doc: "flag cache/coalesce accesses whose key is not derived from the snapshot epoch\n\n" +
-		"vector-cache entries and coalescing groups are keyed (epoch, target); " +
+	Doc: "flag cache accesses whose key is not derived from the snapshot epoch\n\n" +
+		"vector-cache entries are keyed (epoch, target); " +
 		"fabricating an epoch at a call site aliases results across snapshots.",
 	Run: runEpochKey,
 }
@@ -76,11 +75,7 @@ func runEpochKey(pass *Pass) error {
 		if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != modulePath {
 			return false
 		}
-		switch named.Obj().Name() {
-		case "coalKey", "cacheKey":
-			return true
-		}
-		return false
+		return named.Obj().Name() == "cacheKey"
 	}
 
 	for _, file := range pass.Files {

@@ -13,7 +13,7 @@ import (
 //  1. Calls to math/rand's package-level draw functions (rand.Float64,
 //     rand.Intn, rand.Shuffle, ...). The global source is seeded
 //     per-process, shared across goroutines, and invisible to the
-//     bit-identity contracts of the coalescing and streaming paths: one
+//     bit-identity contracts of the cached and streaming paths: one
 //     stray global draw makes "same inputs, same bytes" unfalsifiable.
 //  2. Ad-hoc generator construction — rand.New or rand.NewSource —
 //     outside the approved construction sites. Approved sites are the

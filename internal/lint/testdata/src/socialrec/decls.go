@@ -1,6 +1,6 @@
 // Package socialrec is the fixture mirror of the repository root package:
 // epochkey and noiseorder only fire inside the root package, so their
-// fixtures re-declare the minimal shapes (vectorCache, coalKey, snapState,
+// fixtures re-declare the minimal shapes (vectorCache, cacheKey, snapState,
 // Recommender, Accountant) under the same import path.
 package socialrec
 
@@ -11,11 +11,6 @@ type cachedVector struct{}
 type snapState struct{ epoch uint64 }
 
 type cacheKey struct {
-	epoch  uint64
-	target int
-}
-
-type coalKey struct {
 	epoch  uint64
 	target int
 }

@@ -47,6 +47,11 @@
 // across the epoch bump instead of flushing the cache, and these gauges
 // show how much of the working set each swap preserved.
 //
+// Randomness: every recommend request draws its noise from its own
+// Recommender.RequestRNG stream, so repeated requests for one target are
+// independent draws, each charged as its own release. The cache reuses only
+// the pre-noise stage.
+//
 // Live mutations: when the Recommender is built with live mutations
 // (socialrec.WithLiveMutations, recserve -live), the server additionally
 // accepts writes — POST /edges, DELETE /edges, POST /nodes — which journal
@@ -106,16 +111,6 @@ type Config struct {
 	// Server — this size is ignored. See the package comment for why
 	// caching is DP-safe.
 	CacheSize int
-	// CoalesceWindow enables deadline-based request coalescing on the
-	// Recommender: concurrent recommend/topk requests for the same target
-	// share one pre-noise computation (each still draws its own noise), with
-	// group leaders holding for this window so duplicate bursts accumulate.
-	// Zero leaves coalescing as configured on the Recommender itself;
-	// negative values enable the default window
-	// (socialrec.DefaultCoalesceWindow). Like CacheSize this mutates the
-	// shared Recommender and is first-wins. See the socialrec doc.go
-	// "Request coalescing" section for the DP-safety argument.
-	CoalesceWindow time.Duration
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof so
 	// hot-path regressions (serving latency, allocation spikes) are
 	// diagnosable against a production process. Default off: profiles
@@ -179,9 +174,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.CacheSize != 0 {
 		cfg.Recommender.EnableCache(cfg.CacheSize)
-	}
-	if cfg.CoalesceWindow != 0 {
-		cfg.Recommender.EnableCoalescing(cfg.CoalesceWindow)
 	}
 	if cfg.TotalEpsilon > 0 || cfg.PerPrincipalEpsilon > 0 {
 		// The server never reads the per-call audit ledger (budget
@@ -307,10 +299,6 @@ type healthResponse struct {
 	// caching is disabled. Counters are aggregates over raw pre-processing
 	// reuse and reveal nothing about individual requests or edges.
 	Cache *socialrec.CacheStats `json:"cache,omitempty"`
-	// Coalesce reports request-coalescer effectiveness (groups formed,
-	// requests that shared a computation); omitted when coalescing is
-	// disabled. Aggregates over pre-noise reuse, like the cache counters.
-	Coalesce *socialrec.CoalesceStats `json:"coalesce,omitempty"`
 	// Live reports the streaming-mutation subsystem (pending deltas,
 	// rebuild counts); omitted when live mutations are disabled. Like the
 	// cache counters these are aggregates over pre-processing and reveal
@@ -343,9 +331,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if st, ok := s.rec.CacheStats(); ok {
 		resp.Cache = &st
-	}
-	if st, ok := s.rec.CoalesceStats(); ok {
-		resp.Coalesce = &st
 	}
 	if st, ok := s.rec.LiveStats(); ok {
 		resp.Live = &st
@@ -419,12 +404,12 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 }
 
 // recommendOne and recommendTopK draw from a per-request RNG stream rather
-// than the library's target-keyed stream: coalesced duplicates of one hot
-// target share their pre-noise computation but must each receive an
-// independent noise draw — per-target streams would hand every concurrent
-// duplicate the same "fresh" randomness. Streams are split from the seed by
-// a global sequence, so a fixed seed plus a fixed request order still
-// reproduces byte-for-byte.
+// than the library's target-keyed stream: Recommend's stream is keyed by
+// target, so every repeated request for one target would get the same pick,
+// while each request is charged as a separate release and must get its own
+// independent noise draw. Streams are split from the seed by a global
+// sequence, so a fixed seed plus a fixed request order still reproduces
+// byte-for-byte.
 func (s *Server) recommendOne(target int) (socialrec.Recommendation, error) {
 	rng := s.rec.RequestRNG()
 	if s.acct != nil {

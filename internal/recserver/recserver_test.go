@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"socialrec"
 )
@@ -512,82 +511,58 @@ func TestConcurrentCachedServer(t *testing.T) {
 
 // TestSequentialServersBitIdentical: per-request RNG streams are split from
 // the seed by request order, so two same-seed servers fed the same request
-// sequence answer byte-for-byte identically — whatever their cache and
-// coalescing configuration. This is the serving-layer form of the library's
-// determinism guarantee, and it pins the singleton-group case: each request
-// here forms a coalesce group of size 1, which must match the uncoalesced
-// path exactly.
+// sequence answer byte-for-byte identically — whatever their cache
+// configuration. This is the serving-layer form of the library's
+// determinism guarantee: the cache reuses only the pre-noise stage.
 func TestSequentialServersBitIdentical(t *testing.T) {
 	g, err := socialrec.GenerateSocialGraph(400, 3000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(cacheSize int, window time.Duration) *Server {
+	mk := func(cacheSize int) *Server {
 		rec, err := socialrec.NewRecommender(g, socialrec.WithEpsilon(1), socialrec.WithSeed(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(Config{Recommender: rec, CacheSize: cacheSize, CoalesceWindow: window, Logf: t.Logf})
+		srv, err := New(Config{Recommender: rec, CacheSize: cacheSize, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return srv
 	}
-	coalesced, plain := mk(256, time.Microsecond), mk(0, 0)
-	for target := 0; target < 20; target++ {
-		for _, suffix := range []string{"", "&k=3"} {
-			path := "/v1/recommend?target=" + itoa(target) + suffix
-			var bodies [2]string
-			for i, srv := range []*Server{coalesced, plain} {
-				req := httptest.NewRequest(http.MethodGet, path, nil)
-				w := httptest.NewRecorder()
-				srv.ServeHTTP(w, req)
-				bodies[i] = w.Body.String()
-			}
-			if bodies[0] != bodies[1] {
-				t.Fatalf("%s: coalesced %s != plain %s", path, bodies[0], bodies[1])
+	cached, plain := mk(256), mk(0)
+	for round := 0; round < 2; round++ { // round 1 hits the cache
+		for target := 0; target < 20; target++ {
+			for _, suffix := range []string{"", "&k=3"} {
+				path := "/v1/recommend?target=" + itoa(target) + suffix
+				var bodies [2]string
+				for i, srv := range []*Server{cached, plain} {
+					req := httptest.NewRequest(http.MethodGet, path, nil)
+					w := httptest.NewRecorder()
+					srv.ServeHTTP(w, req)
+					bodies[i] = w.Body.String()
+				}
+				if bodies[0] != bodies[1] {
+					t.Fatalf("round %d %s: cached %s != plain %s", round, path, bodies[0], bodies[1])
+				}
 			}
 		}
 	}
+	if st, _ := cached.rec.CacheStats(); st.Hits == 0 {
+		t.Fatalf("cached server never hit its cache: %+v", st)
+	}
 }
 
-// TestHealthReportsCoalesceAndInflight: /healthz exposes the coalescer's
-// cumulative counters when coalescing is on (and omits them when off), plus
-// the requests_inflight gauge, which must read 0 from /healthz itself (the
-// health endpoint is excluded from the gauge) after traffic has drained.
-func TestHealthReportsCoalesceAndInflight(t *testing.T) {
-	g, err := socialrec.GenerateSocialGraph(200, 1200, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := socialrec.NewRecommender(g, socialrec.WithEpsilon(1), socialrec.WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Recommender: rec, CoalesceWindow: time.Microsecond, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get(t, srv, "/v1/recommend?target=0")
-	get(t, srv, "/v1/recommend?target=0")
+// TestHealthReportsInflight: /healthz exposes the requests_inflight gauge,
+// which must read 0 from /healthz itself (the health endpoint is excluded
+// from the gauge) after traffic has drained.
+func TestHealthReportsInflight(t *testing.T) {
+	srv, _, target := testServer(t, 100)
+	get(t, srv, "/v1/recommend?target="+itoa(target))
+	get(t, srv, "/v1/recommend?target="+itoa(target))
 	_, body := get(t, srv, "/healthz")
-	stats, ok := body["coalesce"].(map[string]any)
-	if !ok {
-		t.Fatalf("no coalesce stats on /healthz: %v", body)
-	}
-	if stats["requests"].(float64) < 2 || stats["groups"].(float64) < 2 {
-		t.Errorf("coalesce counters not advancing: %v", stats)
-	}
-	if stats["window_ns"].(float64) != float64(time.Microsecond) {
-		t.Errorf("window_ns = %v, want %d", stats["window_ns"], time.Microsecond)
-	}
 	if inflight, ok := body["requests_inflight"].(float64); !ok || inflight != 0 {
 		t.Errorf("requests_inflight = %v, want 0 at idle", body["requests_inflight"])
-	}
-
-	plain, _, _ := testServer(t, 100)
-	if _, body := get(t, plain, "/healthz"); body["coalesce"] != nil {
-		t.Errorf("uncoalesced server reports coalesce stats: %v", body)
 	}
 }
 
@@ -621,11 +596,11 @@ func TestInflightGaugeCountsActiveRequests(t *testing.T) {
 	_ = target
 }
 
-// TestBudgetChargedPerRequestUnderCoalescing: coalesced duplicates share
-// the pre-noise computation, but every one of them is its own privacy
-// release — the accountant must charge once per admitted request, never
-// once per group.
-func TestBudgetChargedPerRequestUnderCoalescing(t *testing.T) {
+// TestBudgetChargedPerConcurrentRequest: concurrent requests for one
+// target share the cached pre-noise stage, but every one of them is its
+// own privacy release — the accountant must charge once per admitted
+// request.
+func TestBudgetChargedPerConcurrentRequest(t *testing.T) {
 	g, err := socialrec.GenerateSocialGraph(200, 1200, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -635,10 +610,10 @@ func TestBudgetChargedPerRequestUnderCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Recommender:    rec,
-		TotalEpsilon:   1000,
-		CoalesceWindow: 2 * time.Millisecond,
-		Logf:           t.Logf,
+		Recommender:  rec,
+		TotalEpsilon: 1000,
+		CacheSize:    socialrec.DefaultCacheSize,
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -674,11 +649,8 @@ func TestBudgetChargedPerRequestUnderCoalescing(t *testing.T) {
 		t.Fatal("no request succeeded")
 	}
 	if spent := srv.acct.Spent(); spent != float64(ok2xx.Load()) {
-		t.Errorf("spent = %g after %d successful coalesced requests, want %d (one ε per request)",
+		t.Errorf("spent = %g after %d successful concurrent requests, want %d (one ε per request)",
 			spent, ok2xx.Load(), ok2xx.Load())
-	}
-	if st, okSt := rec.CoalesceStats(); !okSt || st.Requests == 0 {
-		t.Errorf("coalescer saw no traffic: %+v ok=%v", st, okSt)
 	}
 }
 

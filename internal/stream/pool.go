@@ -11,9 +11,9 @@ import (
 // every Get silently turns "pooled scratch" back into per-request garbage
 // without failing any test. Pool wraps sync.Pool with three counters (gets,
 // puts, news) and registers itself in a package-level registry, so serving
-// exposes pool effectiveness on /healthz next to the cache and coalescer
-// counters and a pool-miss regression is observable in production: healthy
-// steady state is news << gets and puts ≈ gets.
+// exposes pool effectiveness on /healthz next to the cache counters and a
+// pool-miss regression is observable in production: healthy steady state
+// is news << gets and puts ≈ gets.
 
 // PoolStat is a point-in-time snapshot of one pool's counters.
 type PoolStat struct {

@@ -26,10 +26,17 @@ import (
 // and (given an unchanged candidate count, Δf, and smoothing x) the CDF —
 // is bit-identical, because the kernels are deterministic scans of exactly
 // that ball. So the affected set is the reverse ρ-hop ball of the delta
-// endpoints, grown by following in-edges on BOTH stores: an edge add can
-// pull a node into a support that was previously empty (the new store's
-// in-edges find it), and an edge removal can orphan one (the old store's
-// in-edges find it).
+// endpoints.
+//
+// One store suffices to grow that ball, although an edge add can pull a
+// node into a support that was previously empty and an edge removal can
+// orphan one. Take a shortest out-path from r to its nearest delta
+// endpoint. Its first delta edge would start at a delta endpoint nearer to
+// r, so the path uses no delta edge. Every edge outside the batch is in G
+// exactly when it is in G', so the path exists in G, in G', and in every
+// intermediate graph. r's distance to the endpoint set is therefore the
+// same in all of them, and the reverse ball grown over G' alone equals the
+// one grown over G or over their union.
 //
 // Two conditions void the ball argument entirely and force a full flush:
 // node additions (the candidate count n-1-d(r) of EVERY target changes, and
@@ -46,10 +53,10 @@ import (
 
 // affectedSet is what one drained delta batch may have touched, handed to
 // vectorCache.advance at swap time: the batch's edge endpoints expanded by
-// radius reverse-BFS hops over the union of the pre- and post-patch
-// adjacency, held as a bitset over node IDs. advance drops every entry
-// whose target is in the set and re-keys the rest; by the argument above,
-// that alone keeps every retained entry bit-identical.
+// radius reverse-BFS hops over the post-patch adjacency, held as a bitset
+// over node IDs. advance drops every entry whose target is in the set and
+// re-keys the rest; by the argument above, that alone keeps every retained
+// entry bit-identical.
 //
 // A per-entry dependency test would add nothing. An entry's dependency
 // closure — its skip table: the target, its out-neighbors and its nonzero
@@ -106,8 +113,9 @@ func (r *Recommender) affectedByBatch(cur, next *snapState, deltas []graph.Delta
 			return nil
 		}
 	}
-	n := max(cur.snap.NumNodes(), next.snap.NumNodes())
-	aff := &affectedSet{touched: make([]uint64, (n+63)/64)}
+	// With node additions ruled out, cur and next have the same node count.
+	snap := next.snap
+	aff := &affectedSet{touched: make([]uint64, (snap.NumNodes()+63)/64)}
 	frontier := make([]int32, 0, 2*len(deltas))
 	mark := func(v int32) {
 		if !aff.has(int(v)) {
@@ -121,22 +129,15 @@ func (r *Recommender) affectedByBatch(cur, next *snapState, deltas []graph.Delta
 	}
 	// Reverse BFS: a target is affected when a delta endpoint lies within
 	// radius out-hops of it, so the touched set is grown by following
-	// in-edges from the endpoints. Expanding over both stores at every
-	// level covers any mix of pre-only and post-only edges — a superset of
-	// the two per-graph balls, conservative in the right direction. (On
-	// undirected graphs In == Out and this is the plain neighborhood ball.)
-	stores := [2]graph.Store{cur.snap, next.snap}
+	// in-edges from the endpoints. The post-patch store alone gives the same
+	// ball as the pre-patch one (see the file comment). (On undirected
+	// graphs In == Out and this is the plain neighborhood ball.)
 	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
 		level := frontier
 		frontier = nil
 		for _, v := range level {
-			for _, st := range stores {
-				if int(v) >= st.NumNodes() {
-					continue
-				}
-				for _, u := range st.In(int(v)) {
-					mark(u)
-				}
+			for _, u := range snap.In(int(v)) {
+				mark(u)
 			}
 		}
 	}

@@ -69,23 +69,6 @@ func WithCache(size int) Option {
 	}
 }
 
-// WithCoalescing enables deadline-based request coalescing of the
-// deterministic pre-noise stage (DefaultCoalesceWindow when window <= 0):
-// concurrent requests for the same target share one candidate scan, utility
-// vector, and sparse CDF, then each draws its own independent noise. Like
-// the cache, coalescing never changes any recommendation's distribution —
-// see Recommender.EnableCoalescing and the doc.go "Request coalescing"
-// section for the DP argument and the latency trade the window makes.
-func WithCoalescing(window time.Duration) Option {
-	return func(r *Recommender) error {
-		if window <= 0 {
-			window = DefaultCoalesceWindow
-		}
-		r.pendingCoalesce = window
-		return nil
-	}
-}
-
 // WithDeltaInvalidation makes snapshot swaps retain cached utility vectors
 // that the swap's delta batch provably did not touch, instead of flushing
 // the whole cache: each live Rebuild re-keys every entry whose target lies
@@ -234,10 +217,10 @@ func WithWALSync(mode FsyncMode) Option {
 
 // WithoutStreaming disables the fused streaming serving path and forces the
 // materialized per-request pipeline (gather support → skip table → draw)
-// even when no cache or coalescer is enabled. Streamed and materialized
-// serving are bit-identical for a fixed seed — the streaming property tests
-// pin this — so the option exists only as a diagnostic escape hatch and as
-// the control arm recbench's `streaming` section measures against.
+// even when no cache is enabled. Streamed and materialized serving are
+// bit-identical for a fixed seed — the streaming property tests pin this —
+// so the option exists only as a diagnostic escape hatch and as the
+// reference arm of the streaming tests and guardrails.
 func WithoutStreaming() Option {
 	return func(r *Recommender) error {
 		r.noStream = true

@@ -145,11 +145,6 @@ type Recommender struct {
 	state atomic.Pointer[snapState]
 	cache atomic.Pointer[vectorCache]
 
-	// coal, when non-nil, coalesces concurrent pre-noise computations for
-	// the same (epoch, target) behind a deadline window (WithCoalescing /
-	// EnableCoalescing); see cache.go and internal/coalesce.
-	coal atomic.Pointer[targetCoalescer]
-
 	// drawSeq numbers the per-request RNG streams RequestRNG hands out.
 	drawSeq atomic.Uint64
 
@@ -195,7 +190,6 @@ type Recommender struct {
 	// same for the live-mutation options, and pendingSnapshotFile/-Mode for
 	// WithSnapshotFile.
 	pendingCacheSize    int
-	pendingCoalesce     time.Duration
 	pendingLive         bool
 	pendingInterval     time.Duration
 	pendingMaxPending   int
@@ -346,9 +340,6 @@ func (r *Recommender) finishInit(st *snapState, mutableBase func() (*Graph, erro
 	r.state.Store(st)
 	if r.pendingCacheSize != 0 {
 		r.EnableCache(r.pendingCacheSize)
-	}
-	if r.pendingCoalesce != 0 {
-		r.EnableCoalescing(r.pendingCoalesce)
 	}
 	if r.pendingLive {
 		base, err := mutableBase()
@@ -522,10 +513,10 @@ func (r *Recommender) computeVector(st *snapState, target int) (*cachedVector, e
 		ncand: utility.CandidateCount(st.snap, target),
 	}
 	cv.skip = buildSkipTable(st.snap, target, idx)
-	// The CDF is only worth materializing when a cache or a coalesce group
-	// will amortize it; plain recommenders keep the mechanism's
-	// allocation-free pooled sampling path instead.
-	if cv.umax > 0 && (r.cache.Load() != nil || r.coal.Load() != nil) {
+	// The CDF is only worth materializing when a cache will amortize it;
+	// plain recommenders keep the mechanism's allocation-free pooled
+	// sampling path instead.
+	if cv.umax > 0 && r.cache.Load() != nil {
 		if e, ok := st.mech.(mechanism.Exponential); ok {
 			cdf, err := e.SparseCDF(cv.sparseVec())
 			if err != nil {
@@ -584,7 +575,7 @@ func (r *Recommender) vector(st *snapState, target int) (*cachedVector, error) {
 			return cv.check(target)
 		}
 	}
-	cv, err := r.computeShared(st, c, target, false)
+	cv, err := r.computeCached(st, c, target)
 	if err != nil {
 		return nil, err
 	}
@@ -598,9 +589,12 @@ func (cv *cachedVector) check(target int) (*cachedVector, error) {
 	return cv, nil
 }
 
-// Recommend returns one private recommendation for the target node. Each
-// call consumes fresh randomness; repeated calls for the same target release
-// additional information and compose their ε budgets additively.
+// Recommend returns one private recommendation for the target node. Its
+// randomness is a stream keyed by (seed, target), not fresh per call: on one
+// snapshot, repeating Recommend for a target returns the same pick. Callers
+// that need independent draws for one target — a serving layer answering
+// repeated requests — use RecommendWithRNG(target, r.RequestRNG()); each
+// such draw is a separate release, and ε composes additively across them.
 func (r *Recommender) Recommend(target int) (Recommendation, error) {
 	return r.recommend(target, distribution.SplitN(r.seed, "recommend", target))
 }
@@ -614,10 +608,10 @@ func (r *Recommender) RecommendWithRNG(target int, rng *rand.Rand) (Recommendati
 // RequestRNG returns a fresh RNG stream for one request. Unlike the
 // target-keyed stream Recommend uses internally, streams from successive
 // RequestRNG calls are mutually independent even for the same target, which
-// is what a serving layer needs when concurrent coalesced requests for one
-// hot target must each receive their own noise draw. Streams are split from
-// the Recommender's seed by a global sequence number, so a fixed seed plus a
-// fixed request order still reproduces exactly.
+// is what a serving layer needs: with Recommend, every request for a hot
+// target would get the same pick. Streams are split from the Recommender's
+// seed by a global sequence number, so a fixed seed plus a fixed request
+// order still reproduces exactly.
 func (r *Recommender) RequestRNG() *rand.Rand {
 	return distribution.SplitN(r.seed, "request", int(r.drawSeq.Add(1)))
 }

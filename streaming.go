@@ -12,11 +12,11 @@ import (
 	"socialrec/internal/utility"
 )
 
-// Streaming per-request pipeline. When no cache or coalescer is enabled
-// (nothing to share across requests), a request never materializes its
-// utility vector: the utility kernel's stream.Scorer feeds the mechanism's
-// streaming consumer directly, and the only per-request state beyond pooled
-// scratch is a handful of running scalars. The streamed draw is
+// Streaming per-request pipeline. When no cache is enabled (nothing to
+// share across requests), a request never materializes its utility vector:
+// the utility kernel's stream.Scorer feeds the mechanism's streaming
+// consumer directly, and the only per-request state beyond pooled scratch
+// is a handful of running scalars. The streamed draw is
 // bit-identical to the materialized one for a fixed seed — every stage
 // performs the same floating-point operations in the same order and
 // consumes the RNG in the same sequence — so this is purely a memory/alloc
@@ -24,11 +24,11 @@ import (
 // untouched (see the doc.go "Streaming pipeline" section).
 
 // streamingEligible reports whether requests can take the fused streaming
-// path: no cache and no coalescer (both amortize materialized vectors
-// across requests, which streaming by design never builds), streaming not
-// disabled, and both stages able to stream.
+// path: no cache (it amortizes materialized vectors across requests, which
+// streaming by design never builds), streaming not disabled, and both
+// stages able to stream.
 func (r *Recommender) streamingEligible(st *snapState) (utility.Streamer, mechanism.StreamMechanism, bool) {
-	if r.noStream || r.cache.Load() != nil || r.coal.Load() != nil {
+	if r.noStream || r.cache.Load() != nil {
 		return nil, nil, false
 	}
 	su, ok := r.util.(utility.Streamer)
@@ -44,10 +44,10 @@ func (r *Recommender) streamingEligible(st *snapState) (utility.Streamer, mechan
 
 // supportSlices gathers the target's nonzero support into fresh
 // caller-owned slices. It is the materialization point every shared
-// consumer (cache fill, coalesced computeShared, batch, Precompute) draws
-// from: the pairs come off the utility's streaming kernel — the same stage
-// graph fully streamed requests consume — counted first so the slices are
-// allocated exactly-sized. Utilities that do not stream (external
+// consumer (cache fill, batch, Precompute) draws from: the pairs come off
+// the utility's streaming kernel — the same stage graph fully streamed
+// requests consume — counted first so the slices are allocated
+// exactly-sized. Utilities that do not stream (external
 // implementations) fall back to their own Sparse gather.
 func (r *Recommender) supportSlices(st *snapState, target int) ([]int32, []float64, error) {
 	su, ok := r.util.(utility.Streamer)
@@ -246,7 +246,7 @@ type PoolStat = stream.PoolStat
 // accumulators, exclusion marks, scorers, mechanism scratch). A news count
 // that keeps growing under steady load means scratch is leaking past its
 // request instead of being returned — the serving layer exposes these next
-// to the cache and coalescer counters on /healthz for exactly that check.
+// to the cache counters on /healthz for exactly that check.
 func StreamPoolStats() []PoolStat {
 	return stream.Stats()
 }

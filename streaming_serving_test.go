@@ -6,8 +6,8 @@ package socialrec
 // arms must return the same recommendation and the same errors for every
 // target, across all utilities, mechanisms, directedness, and both the
 // single-draw and top-k APIs. The streamed arm is simply the default
-// recommender (no cache, no coalescer); the control arm is the identical
-// construction plus WithoutStreaming.
+// recommender (no cache); the control arm is the identical construction
+// plus WithoutStreaming.
 
 import (
 	"errors"

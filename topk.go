@@ -28,6 +28,10 @@ import (
 // The paper's Appendix A observes that multiple recommendations face
 // strictly harsher accuracy limits than single ones; expect noticeably
 // worse per-set accuracy as k grows.
+//
+// Like Recommend, the randomness is keyed by (seed, target, k), so a repeat
+// returns the same set; use RecommendTopKWithRNG with r.RequestRNG() for
+// independent draws.
 func (r *Recommender) RecommendTopK(target, k int) ([]Recommendation, error) {
 	return r.recommendTopK(target, k, distribution.SplitN(r.seed, "topk", target*1048576+k))
 }
