@@ -90,12 +90,10 @@ type cachedVector struct {
 	// umax is the maximum utility (R_best's score).
 	umax float64
 	// ncand is the total candidate-domain size: len(idx) nonzeros plus
-	// ncand-len(idx) implicit zero-utility candidates.
+	// ncand-len(idx) implicit zero-utility candidates. A zero-tail rank maps
+	// back to a node ID through the target's out-row and idx (see
+	// streamComplementSelect).
 	ncand int
-	// skip is the sorted union of the non-candidates (the target and its
-	// out-neighbors) and idx: the order-statistic table that maps a
-	// mechanism's zero-tail rank back to a node ID in O(log) time.
-	skip []int32
 	// cdf is the exponential mechanism's sparse cumulative-weight form
 	// (nil for other mechanisms); see mechanism.SparseCDF.
 	cdf *mechanism.SparseCDF
@@ -106,41 +104,23 @@ func (cv *cachedVector) sparseVec() mechanism.SparseVec {
 	return mechanism.SparseVec{Val: cv.val, N: cv.ncand}
 }
 
-// resolve maps a mechanism pick back to (node ID, raw utility): support
-// picks read the cached arrays, tail picks select the rank-th node not in
-// the skip table.
-func (cv *cachedVector) resolve(p mechanism.Pick) (int, float64) {
-	if !p.IsTail() {
-		return int(cv.idx[p.Support]), cv.val[p.Support]
+// streamPick converts a cached CDF draw into the streamed pick form, reading
+// a support pick's node ID and utility off the cached arrays.
+func (cv *cachedVector) streamPick(p mechanism.Pick) mechanism.StreamPick {
+	if p.IsTail() {
+		return mechanism.StreamPick{IsTail: true, Tail: p.Tail}
 	}
-	return complementSelect(cv.skip, p.Tail), 0
+	return mechanism.StreamPick{Node: cv.idx[p.Support], Util: cv.val[p.Support]}
 }
 
 // bytes approximates the entry's resident footprint, reported through
 // CacheStats for capacity planning.
 func (cv *cachedVector) bytes() int {
-	b := 64 + 4*len(cv.idx) + 8*len(cv.val) + 4*len(cv.skip)
+	b := 64 + 4*len(cv.idx) + 8*len(cv.val)
 	if cv.cdf != nil {
 		b += cv.cdf.Bytes()
 	}
 	return b
-}
-
-// complementSelect returns the k-th (0-based, ascending) node ID absent
-// from the sorted skip table: binary search for the first position i with
-// skip[i]-i > k — i is then the number of skipped IDs at or below the
-// answer k+i.
-func complementSelect(skip []int32, k int) int {
-	lo, hi := 0, len(skip)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(skip[mid])-mid > k {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return k + lo
 }
 
 type cacheKey struct {

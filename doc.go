@@ -61,13 +61,14 @@
 //
 // # Streaming pipeline
 //
-// Caching amortizes the pre-noise stage across requests; the streaming
-// pipeline removes its memory cost from requests that have nothing to
-// amortize against. When no cache is enabled, a request never materializes
-// its utility vector at all — the stages fuse into one pull-based graph:
+// Every draw reads the target's nonzero support through one interface, the
+// pull iterator stream.Scorer, and each mechanism has exactly one draw over
+// it — the one its ε-DP argument is checked against. Only the source
+// differs. When no cache is enabled, a request never materializes its
+// utility vector at all — the stages fuse into one pull-based graph:
 //
-//	candidates ──▶ utility kernel ──▶ stream.Scorer ──▶ mechanism consumer ──▶ top-k / pick
-//	               (pooled scratch)    Next()/Reset()    (running scalars,       (O(k) heap)
+//	candidates ──▶ utility kernel ──▶ stream.Scorer ──▶ mechanism draw ──▶ top-k / pick
+//	               (pooled scratch)    Next()/Reset()    (running scalars,   (O(k) heap)
 //	                                   ascending pairs    noise folded in)
 //
 // The utility kernel runs against pooled accumulators and exposes the
@@ -75,37 +76,40 @@
 // ascending by node ID, Reset() rewinds for multi-pass consumers, Close()
 // returns the scratch to its per-P pool. The mechanism consumes the stream
 // directly — the exponential mechanism folds the incremental CDF into a
-// running mass and finds the winning prefix crossing with the identical
-// arithmetic the materialized binary search performs; the noisy-max family
+// running mass and finds the winning prefix crossing; the noisy-max family
 // folds per-candidate noise into a running best; top-k offers noisy scores
 // straight into a bounded O(k) heap. The only per-request state beyond
 // pooled scratch is a handful of running scalars, so steady-state serving
-// is allocation-free (an escape-analysis guard in CI and an AllocsPerRun
-// test pin this), which is what keeps GC pauses out of the uncached p99.
+// is allocation-free (an escape-analysis guard in CI and AllocsPerRun
+// tests pin this), which is what keeps GC pauses out of the uncached p99.
+//
+// Through the cache, the source is instead a pooled stream.Slice over the
+// cached entry's support, and the same draws run over it. The one
+// exception is the cached exponential draw, which inverts the entry's
+// precomputed SparseCDF by binary search: it consumes the same single
+// uniform and finds the same candidate as the streamed draw. The smoothing
+// top-k release also reads the gathered entry, because its
+// without-replacement draws need the closed-form probabilities. A winning
+// zero-tail rank maps back to a node ID the same way for both sources: an
+// ascending merge over the target, its out-row and the support.
 //
 // Scratch ownership is strictly per request: a scorer owns its pooled
 // accumulators from StreamSparse until Close, the mechanism borrows the
 // scorer only within the call, and nothing pooled is ever reachable after
 // the request returns — the per-pool get/put/new counters are exported on
 // /healthz so a leak (news tracking gets) is observable in production.
-// Shared consumers still need vectors that outlive a request, so cache
-// fill, batch serving, and Precompute gather their support slices from the
-// same streaming kernels (one counting pass, one exact-size fill); there is
-// one stage graph, consumed lazily by plain requests and eagerly by shared
-// ones.
+// Cache fill and Precompute gather their support slices from the same
+// streaming kernels (one counting pass, one exact-size fill), so there is
+// one kernel per utility, consumed lazily by uncached requests and eagerly
+// by the cache.
 //
-// Streaming is DP-safe for the strongest possible reason: it is the same
-// computation. Every streamed stage performs the identical floating-point
-// operations in the identical order and consumes the RNG in the identical
-// sequence as its materialized counterpart, so for a fixed seed the served
-// bytes are bit-identical (property tests pin this across every utility,
-// mechanism, directedness, and both the single and top-k APIs). Fusion
-// reorganizes only the deterministic pre-noise stage — u_max, Δf, the
-// candidate domain, and the mechanism's output distribution are untouched,
-// and noise is still drawn from the request's RNG stream after the
-// pre-noise scan. WithoutStreaming forces the materialized path as a
-// diagnostic control; the streaming guardrail tests measure one against
-// the other.
+// The two sources are DP-equivalent for the strongest possible reason:
+// they yield the same pairs, and the draws depend on nothing else, so for a
+// fixed seed a cached and an uncached Recommender serve bit-identical bytes
+// (property tests pin this across every utility, mechanism, directedness,
+// and both the single and top-k APIs). u_max, Δf, the candidate domain and
+// the mechanism's output distribution are untouched, and noise is still
+// drawn from the request's RNG stream after the pre-noise scan.
 //
 // # Budget accounting
 //
@@ -165,13 +169,13 @@
 //	weighted paths (len ≤ L)     O(L·n)               O(L-hop frontier), dense once ≥ n/4
 //	rooted PageRank              O(iters·m)           O(iters·reached edges)
 //	degree                       O(n)                 O(n) scan, O(nnz) alloc
-//	candidate bookkeeping        O(n) list            O(1) count + O(d_r+nnz) table
+//	candidate bookkeeping        O(n) list            O(1) count
 //	Exponential draw             O(n)                 O(nnz); O(log nnz) cached
 //	Laplace / noisy-max draw     O(n) noise           O(nnz) + 1 closed-form tail max
 //	Smoothing draw               O(n)                 O(nnz)
 //	top-k release                O(n log k) / O(k·n)  O(nnz + k) / O(k·nnz)
 //	expected accuracy (audit)    O(n)                 O(nnz)
-//	cache entry memory           ~24n bytes           ~25·nnz + 4·d_r bytes
+//	cache entry memory           ~24n bytes           ~20·nnz bytes
 //
 // The weighted-paths walk tracks touched nodes only while a level stays
 // sparse. A level whose expansion bound (Σ out-degree over its frontier)
@@ -191,9 +195,10 @@
 // splits its single uniform between the support CDF and the closed-form
 // tail mass (n_cand-nnz)·e^{-(ε/Δf)·u_max}, and noisy-max mechanisms
 // sample the tail's maximum noise in one inverse-CDF draw (the max of m
-// Laplace variates via U^{1/m}, the max of m Gumbels via ln m + Gumbel). A
-// winning tail rank maps back to a node ID by an O(log) order-statistic
-// lookup over the target's exclusion table.
+// Laplace variates via U^{1/m}). A winning tail rank maps back to a node
+// ID by an O(d_r + nnz) merge over the target's out-row and the support;
+// tail picks are a small share of draws (about 5% on the benchmark's
+// cached workload).
 //
 // Why sparsification preserves the DP guarantee: it is a pure pre-noise
 // refactor. The sparse kernels return bit-identical nonzero values to the
@@ -268,11 +273,14 @@
 // both outcomes.
 //
 // The touched set is the whole test. An entry's dependency closure — the
-// target, its out-neighbors and its nonzero support, exactly the skip table
-// the entry carries — lies inside the target's ρ-out-ball on the pre-patch
+// target, its out-neighbors and its nonzero support, everything a tail
+// rank steps over — lies inside the target's ρ-out-ball on the pre-patch
 // graph. A delta endpoint inside the closure is therefore within ρ hops of
 // the target, which already puts the target in the touched set, so the
-// cache keeps no per-entry dependency index.
+// cache keeps no per-entry dependency index. A retained entry's tail picks
+// resolve through the target's out-row in the new snapshot, which is the
+// row the entry was computed from: a change to that row puts one of its
+// endpoints, the target, at distance 0.
 //
 // The conservative fallback: retention only happens when it is provably
 // bit-exact. The swap flushes everything when the utility declares no

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"socialrec/internal/stats"
+	"socialrec/internal/stream"
 )
 
 // DefaultLaplaceTrials is the Monte-Carlo trial count the paper uses for
@@ -53,6 +54,34 @@ func MonteCarloAccuracy(m Mechanism, u []float64, trials int, rng *rand.Rand) (f
 		s := sum + y
 		comp = (s - sum) - y
 		sum = s
+	}
+	return sum / (float64(trials) * umax), nil
+}
+
+// MonteCarloAccuracyStream is MonteCarloAccuracy over a stream of the
+// nonzero support with n candidates in all: trials streamed draws, tail
+// picks attaining utility 0.
+func MonteCarloAccuracyStream(m StreamMechanism, sc stream.Scorer, n, trials int, rng *rand.Rand) (float64, error) {
+	if trials < 1 {
+		trials = DefaultLaplaceTrials
+	}
+	_, umax, err := scanStream(sc, n)
+	if err != nil {
+		return 0, err
+	}
+	if umax == 0 {
+		return 0, ErrNoCandidates
+	}
+	var sum, comp float64
+	for t := 0; t < trials; t++ {
+		pick, err := m.RecommendStream(sc, n, rng)
+		if err != nil {
+			return 0, err
+		}
+		y := pick.Util - comp
+		acc := sum + y
+		comp = (acc - sum) - y
+		sum = acc
 	}
 	return sum / (float64(trials) * umax), nil
 }

@@ -3,11 +3,9 @@ package mechanism
 // Bounded-heap top-k selection. Serving returns small k over large candidate
 // domains, so selection cost should be O(n log k), not the O(n log n) of a
 // full sort or the O(n·k) of repeated scans. The incremental topHeap is the
-// single implementation behind both the materialized TopIndices and the
-// streaming top-k consumers (stream.go): feeding it the same (value,
-// sequence) pairs in the same order produces the same selection bit for
-// bit, which is how streamed top-k stays identical to the materialized
-// release by construction.
+// single implementation behind both the dense TopIndices and the streaming
+// top-k consumers (stream.go): feeding it the same (value, sequence) pairs
+// in the same order produces the same selection bit for bit.
 
 // topEntry is one scored candidate offered to a topHeap: v is the (noisy)
 // score, seq the candidate's position in the offer order — the tie-break

@@ -11,9 +11,9 @@ import (
 // Gumbel-max trick this is *exactly* the Exponential mechanism — the argmax
 // of (ε/Δf)·u_i + G_i is distributed as softmax((ε/Δf)·u) — so it inherits
 // Theorem 4's ε-differential privacy, while needing only a single pass and
-// no normalizing constant. It is included as the implementation ablation for
-// the Exponential mechanism; the property test in this package checks the
-// distributional equivalence empirically.
+// no normalizing constant. No serving path selects it: it exists only in
+// this dense form, as an oracle for the Gumbel-max identity that the
+// property tests in this package check empirically against Exponential.
 type GumbelMax struct {
 	// Epsilon is the privacy parameter ε > 0.
 	Epsilon float64

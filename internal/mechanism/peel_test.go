@@ -13,7 +13,7 @@ import (
 // recomputed only when the remaining maximum changes, and each round picks
 // by a linear scan instead of a binary search over a fresh CDF. The
 // reference is the peel as it stood before: every round a full
-// Exponential.RecommendSparse draw over the remaining support. For a fixed
+// Exponential.RecommendStream draw over the remaining support. For a fixed
 // seed both must release the identical sequence.
 
 func oraclePeel(eps, sens float64, s SparseVec, k int, rng *rand.Rand) ([]Pick, error) {
@@ -39,7 +39,7 @@ func oraclePeel(eps, sens float64, s SparseVec, k int, rng *rand.Rand) ([]Pick, 
 	var taken TailTracker
 	out := make([]Pick, 0, k)
 	for len(out) < k {
-		pick, err := round.RecommendSparse(SparseVec{Val: remaining, N: len(remaining) + m}, rng)
+		pick, err := drawStream(round, SparseVec{Val: remaining, N: len(remaining) + m}, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +101,7 @@ func TestPeelMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s k=%d oracle: %v", tc.name, k, err)
 				}
-				got, err := TopKPeelSparse(tc.eps, 1, tc.s, k, sparseRNG)
+				got, err := asPicks(TopKPeelStream(tc.eps, 1, supportStream(tc.s), tc.s.N, k, sparseRNG))
 				if err != nil {
 					t.Fatalf("%s k=%d sparse: %v", tc.name, k, err)
 				}
@@ -165,14 +165,14 @@ func TestPeelScratchReuse(t *testing.T) {
 	}
 	small := SparseVec{Val: []float64{2, 1}, N: 3}
 	for trial := 0; trial < 20; trial++ {
-		if _, err := TopKPeelSparse(1, 1, big, 10, rand.New(rand.NewSource(int64(trial)))); err != nil {
+		if _, err := TopKPeelStream(1, 1, supportStream(big), big.N, 10, rand.New(rand.NewSource(int64(trial)))); err != nil {
 			t.Fatal(err)
 		}
 		want, err := oraclePeel(1, 1, small, 3, rand.New(rand.NewSource(int64(trial))))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := TopKPeelSparse(1, 1, small, 3, rand.New(rand.NewSource(int64(trial))))
+		got, err := asPicks(TopKPeelStream(1, 1, supportStream(small), small.N, 3, rand.New(rand.NewSource(int64(trial)))))
 		if err != nil {
 			t.Fatal(err)
 		}

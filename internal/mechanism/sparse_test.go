@@ -4,14 +4,53 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"socialrec/internal/stream"
 )
 
-// Tests for the sparse serving entry points. The load-bearing claims are
-// (1) sparse closed-form probabilities equal the dense ones on the expanded
-// vector, (2) the two-stage sparse exponential draw — support CDF plus
-// closed-form zero tail — follows the dense law (chi-squared GOF, including
-// the all-tail and no-tail boundaries), and (3) with no tail the sparse
-// draw is bit-identical to the dense draw for a fixed seed.
+// Tests for the sparse form. The load-bearing claims are (1) sparse
+// closed-form probabilities equal the dense ones on the expanded vector,
+// (2) the two-stage exponential draw — support CDF plus closed-form zero
+// tail, streamed or from a cached SparseCDF — follows the dense law
+// (chi-squared GOF, including the all-tail and no-tail boundaries), and
+// (3) with no tail the draw is bit-identical to the dense draw for a fixed
+// seed. Draws run over supportStream, so a pick converts back to a Pick.
+
+// supportStream streams s's support with each entry's support index as its
+// node ID, so asPick turns a streamed pick back into a Pick.
+func supportStream(s SparseVec) stream.Scorer {
+	idx := make([]int32, len(s.Val))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return stream.NewSlice(idx, s.Val)
+}
+
+// asPick converts a pick drawn over supportStream into a Pick.
+func asPick(p StreamPick) Pick {
+	if p.IsTail {
+		return TailPick(p.Tail)
+	}
+	return Pick{Support: int(p.Node)}
+}
+
+// asPicks converts a top-k release drawn over supportStream into Picks.
+func asPicks(ps []StreamPick, err error) ([]Pick, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Pick, len(ps))
+	for i, p := range ps {
+		out[i] = asPick(p)
+	}
+	return out, nil
+}
+
+// drawStream is m.RecommendStream over s's support, as a Pick.
+func drawStream(m StreamMechanism, s SparseVec, rng *rand.Rand) (Pick, error) {
+	p, err := m.RecommendStream(supportStream(s), s.N, rng)
+	return asPick(p), err
+}
 
 // expandSparse scatters s.Val onto a dense vector of length s.N with the
 // support occupying positions pos (ascending); remaining positions are the
@@ -71,7 +110,6 @@ func TestSparseProbabilitiesMatchDense(t *testing.T) {
 		exact  bool
 	}{
 		{"exponential", Exponential{Epsilon: 1, Sensitivity: 2}, Exponential{Epsilon: 1, Sensitivity: 2}, false},
-		{"gumbel-max", GumbelMax{Epsilon: 0.5, Sensitivity: 2}, GumbelMax{Epsilon: 0.5, Sensitivity: 2}, false},
 		{"best", Best{}, Best{}, true},
 		{"uniform", Uniform{}, Uniform{}, true},
 		{"smoothing", Smoothing{X: 0.7, Base: Best{}}, Smoothing{X: 0.7, Base: Best{}}, true},
@@ -160,8 +198,8 @@ func TestExpectedAccuracySparseMatchesDense(t *testing.T) {
 // support CDF or uniform tail rank) must follow the dense closed-form law.
 // Cells are the individual support entries plus the tail aggregated; the
 // all-tail (single nonzero, umax > 0) and no-tail boundaries are included.
-// Both the direct RecommendSparse path and the cached SampleSparseCDF path
-// are checked.
+// Both the streamed RecommendStream path and the cached SampleSparseCDF
+// path are checked.
 func TestSparseExponentialTwoStageGOF(t *testing.T) {
 	const trials = 200000
 	e := Exponential{Epsilon: 1, Sensitivity: 1}
@@ -194,7 +232,7 @@ func TestSparseExponentialTwoStageGOF(t *testing.T) {
 			draw func(rng *rand.Rand) Pick
 		}{
 			{"direct", func(rng *rand.Rand) Pick {
-				p, err := e.RecommendSparse(tc.s, rng)
+				p, err := drawStream(e, tc.s, rng)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -242,7 +280,7 @@ func TestSparseExponentialTailRankUniform(t *testing.T) {
 	counts := make([]int, bins)
 	tails := 0
 	for i := 0; i < 400000 && tails < 120000; i++ {
-		p, err := e.RecommendSparse(s, rng)
+		p, err := drawStream(e, s, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +317,7 @@ func TestSparseNoTailBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := e.RecommendSparse(s, sparseRNG)
+		p, err := drawStream(e, s, sparseRNG)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +393,7 @@ func TestLaplaceSparseMatchesDenseEmpirically(t *testing.T) {
 	}
 	rng = rand.New(rand.NewSource(17))
 	for i := 0; i < trials; i++ {
-		p, err := l.RecommendSparse(s, rng)
+		p, err := drawStream(l, s, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,46 +413,13 @@ func TestLaplaceSparseMatchesDenseEmpirically(t *testing.T) {
 	}
 }
 
-// TestGumbelMaxSparseGOF: the sparse Gumbel-max draw (tail max = ln m +
-// Gumbel) must follow the exponential-mechanism law it implements.
-func TestGumbelMaxSparseGOF(t *testing.T) {
-	s := SparseVec{Val: []float64{3, 1}, N: 60}
-	pos := []int{10, 40}
-	u := expandSparse(t, s, pos)
-	g := GumbelMax{Epsilon: 1, Sensitivity: 1}
-	probs, err := g.Probabilities(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expected := []float64{probs[pos[0]], probs[pos[1]], 1 - probs[pos[0]] - probs[pos[1]]}
-	const trials = 150000
-	counts := make([]int, 3)
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < trials; i++ {
-		p, err := g.RecommendSparse(s, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.IsTail() {
-			counts[2]++
-		} else {
-			counts[p.Support]++
-		}
-	}
-	stat := chiSquared(t, counts, expected, trials)
-	if crit := chi2Critical999[2]; stat > crit {
-		t.Fatalf("sparse Gumbel-max off the exponential law: chi-squared %.3f > %.3f\ncounts: %v expected: %v",
-			stat, crit, counts, expected)
-	}
-}
-
 // TestSmoothingAndBestSparseDraws: GOF of the smoothing coin + uniform arm,
 // and Best's argmax/tie behavior, against the closed sparse form.
 func TestSmoothingAndBestSparseDraws(t *testing.T) {
 	s := SparseVec{Val: []float64{2, 2, 1}, N: 30}
 	const trials = 120000
 	for _, m := range []interface {
-		SparseMechanism
+		StreamMechanism
 		SparseDistribution
 	}{
 		Smoothing{X: 0.55, Base: Best{}},
@@ -428,7 +433,7 @@ func TestSmoothingAndBestSparseDraws(t *testing.T) {
 		counts := make([]int, len(expected))
 		rng := rand.New(rand.NewSource(31))
 		for i := 0; i < trials; i++ {
-			p, err := m.RecommendSparse(s, rng)
+			p, err := drawStream(m, s, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -467,8 +472,8 @@ func TestTopKSparseStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for k := 1; k <= s.N; k++ {
 		for name, run := range map[string]func() ([]Pick, error){
-			"laplace": func() ([]Pick, error) { return TopKLaplaceSparse(1, 1, s, k, rng) },
-			"peel":    func() ([]Pick, error) { return TopKPeelSparse(1, 1, s, k, rng) },
+			"laplace": func() ([]Pick, error) { return asPicks(TopKLaplaceStream(1, 1, supportStream(s), s.N, k, rng)) },
+			"peel":    func() ([]Pick, error) { return asPicks(TopKPeelStream(1, 1, supportStream(s), s.N, k, rng)) },
 		} {
 			picks, err := run()
 			if err != nil {
@@ -500,10 +505,10 @@ func TestTopKSparseStructure(t *testing.T) {
 			}
 		}
 	}
-	if _, err := TopKLaplaceSparse(1, 1, s, 0, rng); err == nil {
+	if _, err := TopKLaplaceStream(1, 1, supportStream(s), s.N, 0, rng); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := TopKPeelSparse(1, 1, s, s.N+1, rng); err == nil {
+	if _, err := TopKPeelStream(1, 1, supportStream(s), s.N, s.N+1, rng); err == nil {
 		t.Error("k>N accepted")
 	}
 }
@@ -531,7 +536,7 @@ func TestTopKSparseFirstPickMatchesDense(t *testing.T) {
 				return idx[0], nil
 			},
 			sparse: func(rng *rand.Rand) (Pick, error) {
-				picks, err := TopKLaplaceSparse(1, 1, s, k, rng)
+				picks, err := asPicks(TopKLaplaceStream(1, 1, supportStream(s), s.N, k, rng))
 				if err != nil {
 					return Pick{}, err
 				}
@@ -547,7 +552,7 @@ func TestTopKSparseFirstPickMatchesDense(t *testing.T) {
 				return idx[0], nil
 			},
 			sparse: func(rng *rand.Rand) (Pick, error) {
-				picks, err := TopKPeelSparse(1, 1, s, k, rng)
+				picks, err := asPicks(TopKPeelStream(1, 1, supportStream(s), s.N, k, rng))
 				if err != nil {
 					return Pick{}, err
 				}
@@ -596,16 +601,16 @@ func TestTopKSparseFirstPickMatchesDense(t *testing.T) {
 func TestSparseValidation(t *testing.T) {
 	e := Exponential{Epsilon: 1, Sensitivity: 1}
 	rng := rand.New(rand.NewSource(1))
-	if _, err := e.RecommendSparse(SparseVec{N: 0}, rng); err == nil {
+	if _, err := drawStream(e, SparseVec{N: 0}, rng); err == nil {
 		t.Error("empty sparse vector accepted")
 	}
-	if _, err := e.RecommendSparse(SparseVec{Val: []float64{1, 2}, N: 1}, rng); err == nil {
+	if _, err := drawStream(e, SparseVec{Val: []float64{1, 2}, N: 1}, rng); err == nil {
 		t.Error("oversized support accepted")
 	}
-	if _, err := e.RecommendSparse(SparseVec{Val: []float64{-1}, N: 4}, rng); err == nil {
+	if _, err := drawStream(e, SparseVec{Val: []float64{-1}, N: 4}, rng); err == nil {
 		t.Error("negative utility accepted")
 	}
-	if _, err := (Exponential{Epsilon: 0, Sensitivity: 1}).RecommendSparse(SparseVec{Val: []float64{1}, N: 2}, rng); err == nil {
+	if _, err := drawStream(Exponential{Epsilon: 0, Sensitivity: 1}, SparseVec{Val: []float64{1}, N: 2}, rng); err == nil {
 		t.Error("zero epsilon accepted")
 	}
 }

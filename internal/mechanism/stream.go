@@ -9,19 +9,18 @@ import (
 	"socialrec/internal/stream"
 )
 
-// Streaming consumers. Each mechanism can draw directly from a
-// stream.Scorer — the pull iterator the utility kernels expose — without
-// the support ever being materialized into a SparseVec. Consumers are
-// multi-pass where the materialized algorithm is (the exponential
-// mechanism's weight normalization needs the max before the weights, so it
-// scans the stream once for the max and once for the cumulative mass,
-// exactly mirroring appendCDF's two loops), and single-pass where it is
-// (noisy max folds the per-candidate noise into a running best). Every
-// consumer performs the identical floating-point operations in the
-// identical order and consumes the RNG in the identical sequence as its
-// RecommendSparse counterpart, so streamed draws are bit-identical to
-// materialized draws for a fixed seed — the property test in
-// stream_test.go pins this.
+// The draws. Every mechanism draws from a stream.Scorer — the pull
+// iterator the utility kernels expose, or a stream.Slice over a cached
+// support — so each private draw has exactly one implementation that its
+// ε-DP argument is checked against. Consumers are multi-pass where the
+// draw needs it (the exponential mechanism's weight normalization needs
+// the max before the weights, so it scans the stream once for the max and
+// once for the cumulative mass, the same arithmetic appendCDF performs) and
+// single-pass where it does not (noisy max folds the per-candidate noise
+// into a running best). The zero tail is never streamed: it is sampled in
+// closed form. The only other draws are the cached exponential CDF
+// (SampleSparseCDF), which is bit-identical to RecommendStream for a fixed
+// seed, and the dense reference forms.
 
 // StreamPick is a streamed draw's result. Support picks arrive resolved —
 // the winning candidate's node ID and raw utility were read off the stream
@@ -40,9 +39,8 @@ type StreamPick struct {
 
 // StreamMechanism is implemented by mechanisms that can draw from a
 // stream.Scorer over n total candidates (nonzero support streamed, the
-// rest implicit zeros). RecommendStream selects from the same distribution
-// — and, for a fixed seed, the same draw — as RecommendSparse on the
-// materialized vector.
+// rest implicit zeros). RecommendStream selects from the distribution the
+// dense Recommend gives the expanded vector.
 type StreamMechanism interface {
 	Mechanism
 	RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (StreamPick, error)
@@ -51,7 +49,6 @@ type StreamMechanism interface {
 // Compile-time checks that every built-in mechanism streams.
 var (
 	_ StreamMechanism = Exponential{}
-	_ StreamMechanism = GumbelMax{}
 	_ StreamMechanism = Laplace{}
 	_ StreamMechanism = Best{}
 	_ StreamMechanism = Uniform{}
@@ -62,8 +59,8 @@ var (
 // same invariants with the same error precedence, and returns the support
 // size and the maximum utility floored at zero (SparseVec.max semantics).
 // Running validation as a dedicated first pass — before any noise is drawn
-// — keeps the error paths RNG-silent exactly like the materialized
-// mechanisms, which validate before sampling.
+// — keeps the error paths RNG-silent, like the dense mechanisms, which
+// validate before sampling.
 func scanStream(sc stream.Scorer, n int) (nnz int, vmax float64, err error) {
 	if n < 1 {
 		return 0, 0, ErrEmpty
@@ -107,8 +104,8 @@ func streamAt(sc stream.Scorer, pos int) (int32, float64) {
 }
 
 // resolveUniform maps a uniform index over all n candidates onto a
-// StreamPick, identifying the first nnz candidates with the support — the
-// same bijection uniformPick uses.
+// StreamPick, identifying the first nnz candidates with the support. Any
+// fixed bijection yields the uniform distribution over candidates.
 func resolveUniform(sc stream.Scorer, j, nnz int) StreamPick {
 	if j < nnz {
 		idx, x := streamAt(sc, j)
@@ -124,7 +121,7 @@ func resolveUniform(sc stream.Scorer, j, nnz int) StreamPick {
 // the single uniform variate lands in the support mass — pass three re-runs
 // the identical prefix accumulation until it crosses the draw. The running
 // prefix reproduces SparseCDF.Support[i] bit for bit, so the linear
-// crossing finds the exact candidate the materialized binary search finds,
+// crossing finds the exact candidate SampleSparseCDF's binary search finds,
 // from the same rng.Float64().
 func (e Exponential) RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (StreamPick, error) {
 	if err := e.validate(); err != nil {
@@ -175,42 +172,6 @@ func (e Exponential) RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (S
 	return StreamPick{Node: lastIdx, Util: lastVal}, nil
 }
 
-// RecommendStream implements StreamMechanism for the Gumbel-max ablation:
-// one pass folds a Gumbel variate per support entry into a running best,
-// then the whole zero tail competes via its closed-form maximum.
-func (g GumbelMax) RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (StreamPick, error) {
-	if !(g.Epsilon > 0) {
-		return StreamPick{}, ErrBadEpsilon
-	}
-	if !(g.Sensitivity > 0) {
-		return StreamPick{}, ErrBadSens
-	}
-	nnz, _, err := scanStream(sc, n)
-	if err != nil {
-		return StreamPick{}, err
-	}
-	scale := g.Epsilon / g.Sensitivity
-	sc.Reset()
-	var best StreamPick
-	bestVal := math.Inf(-1)
-	for {
-		i, x, ok := sc.Next()
-		if !ok {
-			break
-		}
-		if v := scale*x + gumbel(rng); v > bestVal {
-			best = StreamPick{Node: i, Util: x}
-			bestVal = v
-		}
-	}
-	if m := n - nnz; m > 0 {
-		if v := math.Log(float64(m)) + gumbel(rng); v > bestVal {
-			return StreamPick{IsTail: true, Tail: rng.Intn(m)}, nil
-		}
-	}
-	return best, nil
-}
-
 // RecommendStream implements StreamMechanism for the Laplace mechanism:
 // one pass folds a Laplace variate per support entry into a running noisy
 // max, then the tail's closed-form maximum (SampleMax) competes once.
@@ -252,8 +213,7 @@ func (Best) RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (StreamPick
 		return StreamPick{}, err
 	}
 	if vmax == 0 {
-		// Every candidate ties at zero: uniform over all n, as the
-		// materialized path resolves via uniformPick.
+		// Every candidate ties at zero: uniform over all n.
 		j := 0
 		if rng != nil {
 			j = rng.Intn(n)
@@ -315,12 +275,16 @@ func (s Smoothing) RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (Str
 	return resolveUniform(sc, rng.Intn(n), nnz), nil
 }
 
-// TopKLaplaceStream is TopKLaplaceSparse over a stream: support entries are
-// noised in stream order and offered straight to the shared bounded heap,
-// then the tail's top-j order statistics join with the same sequence
-// numbers the materialized `all` slice would give them — so the heap
-// replays the exact comparison sequence TopIndices performs and the
-// released set is bit-identical. O(k) memory, nothing support-sized.
+// TopKLaplaceStream is TopKLaplace over a stream: the support is noised
+// individually while the zero tail contributes its top min(k, m) order
+// statistics in closed form — the j-th largest of m iid uniforms is sampled
+// sequentially as U_(j) = U_(j-1)·U^{1/(m-j+1)} in log space and pushed
+// through the Laplace quantile, and the ranks carrying those values are a
+// uniform distinct sample by exchangeability. Support entries are noised in
+// stream order and offered straight to the bounded heap, the tail's order
+// statistics after them, so the release costs O(nnz + k) time and O(k)
+// memory instead of O(n). Results are ordered by decreasing noisy utility,
+// exactly as the dense release.
 func TopKLaplaceStream(eps, sens float64, sc stream.Scorer, n, k int, rng *rand.Rand) ([]StreamPick, error) {
 	if !(eps > 0) {
 		return nil, ErrBadEpsilon
@@ -429,14 +393,14 @@ func (ps *peelScratch) remove(i int) (stale bool) {
 	return stale
 }
 
-// peel is the one exponential-mechanism peel behind TopKPeelSparse and
-// TopKPeelStream: k rounds at ε/k over the gathered support (ps.vals with
-// ps.ids) plus n - len(ps.vals) implicit zeros, each round a sparse
-// exponential draw without replacement. A round's weights depend only on
+// peel is the exponential-mechanism peel behind TopKPeelStream: k rounds
+// at ε/k over the gathered support (ps.vals with ps.ids) plus
+// n - len(ps.vals) implicit zeros, each round a sparse exponential draw
+// without replacement. A round's weights depend only on
 // the remaining maximum, so they are computed once and recomputed only
 // when that maximum changes; each round then costs two add-only passes —
 // the support mass, and a linear scan for the first cumulative weight
-// above the draw. The running sums are buildSparseCDF's prefix sums bit
+// above the draw. The running sums are SparseCDF.Support's prefix sums bit
 // for bit, so the scan finds the candidate SampleSparseCDF's binary search
 // finds from the same single rng.Float64(), and the tail and rounding
 // cases resolve as it does. The picks, in selection order with tail ranks
@@ -493,10 +457,13 @@ func (ps *peelScratch) peel(eps, sens float64, n, k int, rng *rand.Rand) error {
 	return nil
 }
 
-// TopKPeelStream is TopKPeelSparse over a stream: the support is gathered
-// once into pooled scratch (the k sequential ε/k draws remove winners
-// without replacement, which requires random access), then the shared
-// peel runs against it. The released sequence is bit-identical.
+// TopKPeelStream is TopKPeel over a stream: k sequential sparse
+// exponential draws without replacement at ε/k each. The support is
+// gathered once into pooled scratch (removing winners requires random
+// access), then the peel runs against it. Support picks are swap-removed;
+// tail picks shrink the implicit tail, with ranks remapped to the original
+// tail so the caller's candidate mapping stays fixed. Results are in
+// selection order.
 func TopKPeelStream(eps, sens float64, sc stream.Scorer, n, k int, rng *rand.Rand) ([]StreamPick, error) {
 	ps := getPeelScratch()
 	defer peelPool.Put(ps)
@@ -519,8 +486,8 @@ func TopKPeelStream(eps, sens float64, sc stream.Scorer, n, k int, rng *rand.Ran
 
 // BestTopKStream is the non-private exact top k over a stream: the shared
 // bounded heap selects the ks = min(k, nnz) best support entries (ties
-// toward the lower node ID, matching a stable descending sort), padded with
-// the lowest zero-tail ranks — the same picks bestTopK materializes.
+// toward the lower node ID, matching a stable descending sort of the dense
+// vector), padded with the lowest zero-tail ranks.
 func BestTopKStream(sc stream.Scorer, n, k int) ([]StreamPick, error) {
 	nnz, _, err := scanStream(sc, n)
 	if err != nil {

@@ -7,14 +7,16 @@ import (
 	"socialrec/internal/stream"
 )
 
-// Tests for the streaming consumers. The load-bearing claims are (1) every
-// RecommendStream draw is bit-identical to RecommendSparse on the
-// materialized vector for a fixed seed — same floats, same RNG sequence —
-// across all mechanisms and tail shapes, (2) the streamed top-k releases
-// are bit-identical to their sparse counterparts, and (3) the streamed
-// incremental-CDF exponential draw and streamed top-k still follow their
-// closed-form laws (chi-squared GOF), so the fusion did not bend any
-// distribution the privacy proof is about.
+// Tests for the streaming consumers. The load-bearing claims are (1) a
+// draw depends only on the streamed utilities, not on the node IDs they
+// carry: for a fixed seed, RecommendStream over a case's real node IDs and
+// over supportStream's positional IDs pick the same candidate, across all
+// mechanisms and tail shapes — which is what lets serving feed one draw
+// from a kernel's scorer or from a cached entry's slice; (2) the same
+// holds for the top-k releases; and (3) the streamed incremental-CDF
+// exponential draw and streamed top-k follow their closed-form laws
+// (chi-squared GOF), so no draw bends a distribution the privacy proof is
+// about.
 
 // sliceScorer builds a stream.Scorer over a sparse case, using the dense
 // positions as node IDs.
@@ -27,7 +29,7 @@ func sliceScorer(tc sparseCase) stream.Scorer {
 }
 
 // samePick reports whether a streamed pick names the same candidate as a
-// sparse pick over the same case.
+// pick drawn over supportStream of the same case.
 func samePick(tc sparseCase, sp StreamPick, p Pick) bool {
 	if sp.IsTail != p.IsTail() {
 		return false
@@ -41,11 +43,10 @@ func samePick(tc sparseCase, sp StreamPick, p Pick) bool {
 func TestStreamMatchesSparseBitIdentical(t *testing.T) {
 	mechs := []struct {
 		name   string
-		sparse SparseMechanism
+		sparse StreamMechanism
 		stream StreamMechanism
 	}{
 		{"exponential", Exponential{Epsilon: 1, Sensitivity: 2}, Exponential{Epsilon: 1, Sensitivity: 2}},
-		{"gumbel-max", GumbelMax{Epsilon: 0.5, Sensitivity: 2}, GumbelMax{Epsilon: 0.5, Sensitivity: 2}},
 		{"laplace", Laplace{Epsilon: 1, Sensitivity: 1}, Laplace{Epsilon: 1, Sensitivity: 1}},
 		{"best", Best{}, Best{}},
 		{"uniform", Uniform{}, Uniform{}},
@@ -57,7 +58,7 @@ func TestStreamMatchesSparseBitIdentical(t *testing.T) {
 			sparseRNG := rand.New(rand.NewSource(17))
 			streamRNG := rand.New(rand.NewSource(17))
 			for i := 0; i < 3000; i++ {
-				p, err := m.sparse.RecommendSparse(tc.s, sparseRNG)
+				p, err := drawStream(m.sparse, tc.s, sparseRNG)
 				if err != nil {
 					t.Fatalf("%s/%s sparse: %v", tc.name, m.name, err)
 				}
@@ -87,12 +88,16 @@ func TestTopKStreamMatchesSparse(t *testing.T) {
 				stream func(rng *rand.Rand) ([]StreamPick, error)
 			}{
 				{"laplace",
-					func(rng *rand.Rand) ([]Pick, error) { return TopKLaplaceSparse(eps, sens, tc.s, k, rng) },
+					func(rng *rand.Rand) ([]Pick, error) {
+						return asPicks(TopKLaplaceStream(eps, sens, supportStream(tc.s), tc.s.N, k, rng))
+					},
 					func(rng *rand.Rand) ([]StreamPick, error) {
 						return TopKLaplaceStream(eps, sens, sc, tc.s.N, k, rng)
 					}},
 				{"peel",
-					func(rng *rand.Rand) ([]Pick, error) { return TopKPeelSparse(eps, sens, tc.s, k, rng) },
+					func(rng *rand.Rand) ([]Pick, error) {
+						return asPicks(TopKPeelStream(eps, sens, supportStream(tc.s), tc.s.N, k, rng))
+					},
 					func(rng *rand.Rand) ([]StreamPick, error) {
 						return TopKPeelStream(eps, sens, sc, tc.s.N, k, rng)
 					}},
@@ -158,7 +163,7 @@ func TestBestTopKStreamMatchesTopIndices(t *testing.T) {
 // TestStreamedExponentialGOF is the incremental-CDF goodness-of-fit check:
 // the three-pass streamed exponential draw (running max, running mass,
 // linear prefix crossing) must follow the same closed-form law the
-// materialized two-stage draw does. Cells are the support entries plus the
+// cached two-stage draw does. Cells are the support entries plus the
 // aggregated tail.
 func TestStreamedExponentialGOF(t *testing.T) {
 	const trials = 200000

@@ -8,8 +8,8 @@ import "socialrec/internal/stream"
 // the serving path consumes the pairs in place and never materializes the
 // support. The Scorer owns the sparseScratch until Close; emitted pairs are
 // bit-identical to the Sparse output (same accumulation, same ascending
-// order, same per-entry arithmetic), which is what lets streamed serving
-// reproduce materialized serving draw-for-draw.
+// order, same per-entry arithmetic), which is what lets an uncached request
+// reproduce a cached entry's draws exactly.
 
 // Streamer is the optional interface a Function implements to expose its
 // kernel as a pull stream. Every built-in utility implements it.

@@ -22,8 +22,8 @@ import (
 // edge of the symmetric difference — a subset of the batch's edge deltas —
 // intersects that ball in G or in G'. Contrapositive: if no delta endpoint
 // is within ρ out-hops of r in either graph, the ball subgraphs are
-// identical edge-for-edge and the recomputed entry — idx, val, umax, skip,
-// and (given an unchanged candidate count, Δf, and smoothing x) the CDF —
+// identical edge-for-edge and the recomputed entry — idx, val, umax, and
+// (given an unchanged candidate count, Δf, and smoothing x) the CDF —
 // is bit-identical, because the kernels are deterministic scans of exactly
 // that ball. So the affected set is the reverse ρ-hop ball of the delta
 // endpoints.
@@ -59,11 +59,13 @@ import (
 // entry bit-identical.
 //
 // A per-entry dependency test would add nothing. An entry's dependency
-// closure — its skip table: the target, its out-neighbors and its nonzero
-// support — lies inside the target's ρ-out-ball on the pre-patch graph,
-// because the Localized contract confines the support to that ball. So a
-// delta endpoint in the closure is within ρ out-hops of the target, and the
-// target is already in the set. The set also catches entries whose support
+// closure — the target, its out-neighbors and its nonzero support, which a
+// served tail pick steps over — lies inside the target's ρ-out-ball on the
+// pre-patch graph, because the Localized contract confines the support to
+// that ball. So a delta endpoint in the closure is within ρ out-hops of the
+// target, and the target is already in the set. In particular a retained
+// target's own out-row is unchanged, so its tail picks resolve through the
+// new snapshot's row exactly as through the old one. The set also catches entries whose support
 // the batch created from nothing, which a closure test would miss.
 type affectedSet struct {
 	touched []uint64

@@ -18,7 +18,7 @@ func equalCachedVector(a, b *cachedVector) bool {
 	if a.umax != b.umax || a.ncand != b.ncand {
 		return false
 	}
-	if !slices.Equal(a.idx, b.idx) || !slices.Equal(a.val, b.val) || !slices.Equal(a.skip, b.skip) {
+	if !slices.Equal(a.idx, b.idx) || !slices.Equal(a.val, b.val) {
 		return false
 	}
 	if (a.cdf == nil) != (b.cdf == nil) {
@@ -35,6 +35,23 @@ func equalCachedVector(a, b *cachedVector) bool {
 	return true
 }
 
+// cachedAt returns the targets and entries cached at epoch.
+func cachedAt(rec *Recommender, epoch uint64) map[int]*cachedVector {
+	c := rec.cache.Load()
+	out := make(map[int]*cachedVector)
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for key, el := range s.entries {
+			if key.epoch == epoch {
+				out[key.target] = el.Value.(*cacheEntry).val
+			}
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
 // verifyRetainedEntries asserts that every cache entry keyed at the current
 // epoch equals a from-scratch recompute on the current snapshot. Safe to
 // run with concurrent readers (they only insert entries computed from the
@@ -42,32 +59,46 @@ func equalCachedVector(a, b *cachedVector) bool {
 func verifyRetainedEntries(t *testing.T, rec *Recommender) {
 	t.Helper()
 	st := rec.state.Load()
-	c := rec.cache.Load()
-	type cached struct {
-		target int
-		cv     *cachedVector
-	}
-	var entries []cached
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for key, el := range s.entries {
-			if key.epoch != st.epoch {
-				continue
-			}
-			entries = append(entries, cached{key.target, el.Value.(*cacheEntry).val})
-		}
-		s.mu.Unlock()
-	}
-	for _, e := range entries {
-		want, err := rec.computeVector(st, e.target)
+	for target, cv := range cachedAt(rec, st.epoch) {
+		want, err := rec.computeVector(st, target)
 		if err != nil {
-			t.Fatalf("recompute target %d: %v", e.target, err)
+			t.Fatalf("recompute target %d: %v", target, err)
 		}
-		if !equalCachedVector(e.cv, want) {
+		if !equalCachedVector(cv, want) {
 			t.Fatalf("target %d: cached entry diverges from fresh recompute after rebuild\ncached: idx=%v val=%v umax=%g ncand=%d\nwant:   idx=%v val=%v umax=%g ncand=%d",
-				e.target, e.cv.idx, e.cv.val, e.cv.umax, e.cv.ncand,
+				target, cv.idx, cv.val, cv.umax, cv.ncand,
 				want.idx, want.val, want.umax, want.ncand)
+		}
+	}
+}
+
+// verifyRetainedAnswers asserts that every target cached at the current
+// epoch answers fixed-RNG single and top-3 requests exactly as a fresh
+// uncached Recommender over the current graph does. A retained entry's
+// tail picks resolve through the live out-row, so this fails if a swap
+// retained an entry whose target's row changed.
+func verifyRetainedAnswers(t *testing.T, rec *Recommender, u UtilityFunction) {
+	t.Helper()
+	g, err := rec.CurrentGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewRecommender(g, WithUtility(u))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for target := range cachedAt(rec, rec.state.Load().epoch) {
+		seed := int64(target)
+		a, errA := rec.RecommendWithRNG(target, rand.New(rand.NewSource(seed)))
+		b, errB := fresh.RecommendWithRNG(target, rand.New(rand.NewSource(seed)))
+		if !sameError(errA, errB) || a != b {
+			t.Fatalf("target %d: retained %+v (err %v) vs fresh %+v (err %v)", target, a, errA, b, errB)
+		}
+		as, errA := rec.RecommendTopKWithRNG(target, 3, rand.New(rand.NewSource(seed)))
+		bs, errB := fresh.RecommendTopKWithRNG(target, 3, rand.New(rand.NewSource(seed)))
+		if !sameError(errA, errB) || !slices.Equal(as, bs) {
+			t.Fatalf("target %d top-3: retained %+v (err %v) vs fresh %+v (err %v)", target, as, errA, bs, errB)
 		}
 	}
 }
@@ -160,8 +191,9 @@ func TestAddNodeErrorReturnsInvalidID(t *testing.T) {
 // TestCacheRetentionAcrossRebuild is the deterministic retention property
 // test, run for every localized utility on an undirected and a directed
 // graph: warm the whole cache, churn edges, rebuild, and assert (a) every
-// entry at the new epoch is bit-identical to a fresh recompute and (b)
-// retention actually happens (the sweep is not just a disguised flush).
+// entry at the new epoch is bit-identical to a fresh recompute, (b) it
+// serves the answers a fresh uncached Recommender gives, and (c) retention
+// actually happens (the sweep is not just a disguised flush).
 func TestCacheRetentionAcrossRebuild(t *testing.T) {
 	const n = 3000
 	utilities := []struct {
@@ -210,6 +242,9 @@ func TestCacheRetentionAcrossRebuild(t *testing.T) {
 						t.Fatal(err)
 					}
 					verifyRetainedEntries(t, rec)
+					if round == 0 || round == 19 { // a full answer check costs a fresh kernel run per target
+						verifyRetainedAnswers(t, rec, uc.u)
+					}
 					for i := 0; i < 200; i++ { // keep the cache populated
 						_, _ = rec.Recommend(rng.Intn(n))
 					}

@@ -215,19 +215,6 @@ func WithWALSync(mode FsyncMode) Option {
 	}
 }
 
-// WithoutStreaming disables the fused streaming serving path and forces the
-// materialized per-request pipeline (gather support → skip table → draw)
-// even when no cache is enabled. Streamed and materialized serving are
-// bit-identical for a fixed seed — the streaming property tests pin this —
-// so the option exists only as a diagnostic escape hatch and as the
-// reference arm of the streaming tests and guardrails.
-func WithoutStreaming() Option {
-	return func(r *Recommender) error {
-		r.noStream = true
-		return nil
-	}
-}
-
 // NonPrivate disables privacy protection entirely (R_best). It exists so
 // that examples and benchmarks can report the non-private baseline; never
 // ship it to users whose graph edges are sensitive.

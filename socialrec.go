@@ -13,6 +13,7 @@ import (
 	"socialrec/internal/distribution"
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
+	"socialrec/internal/stream"
 	"socialrec/internal/utility"
 	"socialrec/internal/wal"
 )
@@ -120,7 +121,7 @@ type snapState struct {
 	epoch uint64
 	// mech is the mechanism instance for this state, built once so the
 	// serving hot path avoids a per-call interface allocation.
-	mech mechanism.Mechanism
+	mech mechanism.StreamMechanism
 	// walLSN is the newest WAL record folded into snap (0 when no WAL is
 	// configured or the log is empty). Persisting this state durably
 	// makes WAL records up to walLSN reclaimable; see persistSwapped.
@@ -151,10 +152,6 @@ type Recommender struct {
 	// deltaInval enables delta-aware cache invalidation across live
 	// snapshot swaps (WithDeltaInvalidation); see invalidate.go.
 	deltaInval bool
-
-	// noStream forces the materialized per-request pipeline
-	// (WithoutStreaming); see streaming.go.
-	noStream bool
 
 	// live is non-nil when the Recommender retains a mutable copy of its
 	// graph for streaming mutations; see live.go.
@@ -476,7 +473,7 @@ func (r *Recommender) Utility() UtilityFunction { return r.util }
 // Mechanism returns the configured mechanism kind.
 func (r *Recommender) Mechanism() MechanismKind { return r.kind }
 
-func (r *Recommender) buildMech(st *snapState) mechanism.Mechanism {
+func (r *Recommender) buildMech(st *snapState) mechanism.StreamMechanism {
 	switch r.kind {
 	case MechanismLaplace:
 		return mechanism.Laplace{Epsilon: r.epsilon, Sensitivity: st.sens}
@@ -491,16 +488,11 @@ func (r *Recommender) buildMech(st *snapState) mechanism.Mechanism {
 
 // computeVector runs the deterministic pre-processing stage for target: the
 // sparse utility kernel (nonzero support only — O(nnz) work and memory, no
-// length-n pass), the tail-rank mapping table, plus — for the exponential
-// mechanism — the sparse cumulative-weight form that turns each subsequent
-// draw into an O(log nnz) binary search. All of it is a pure function of
-// the snapshot and the public (ε, Δf), so precomputing it does not change
-// the mechanism's output distribution.
-//
-// The support comes off the utility's streaming kernel (the same stage
-// graph fully streamed requests consume; see streaming.go), gathered here
-// because a cache entry must outlive the request. Gathered and streamed
-// pairs are bit-identical by the Streamer contract.
+// length-n pass) plus — for the exponential mechanism behind a cache — the
+// sparse cumulative-weight form that turns each subsequent draw into an
+// O(log nnz) binary search. All of it is a pure function of the snapshot
+// and the public (ε, Δf), so precomputing it does not change the
+// mechanism's output distribution.
 func (r *Recommender) computeVector(st *snapState, target int) (*cachedVector, error) {
 	idx, val, err := r.supportSlices(st, target)
 	if err != nil {
@@ -512,10 +504,8 @@ func (r *Recommender) computeVector(st *snapState, target int) (*cachedVector, e
 		umax:  utility.Max(val),
 		ncand: utility.CandidateCount(st.snap, target),
 	}
-	cv.skip = buildSkipTable(st.snap, target, idx)
 	// The CDF is only worth materializing when a cache will amortize it;
-	// plain recommenders keep the mechanism's allocation-free pooled
-	// sampling path instead.
+	// otherwise the streaming draw does the same work once.
 	if cv.umax > 0 && r.cache.Load() != nil {
 		if e, ok := st.mech.(mechanism.Exponential); ok {
 			cdf, err := e.SparseCDF(cv.sparseVec())
@@ -528,43 +518,11 @@ func (r *Recommender) computeVector(st *snapState, target int) (*cachedVector, e
 	return cv, nil
 }
 
-// buildSkipTable returns the sorted union of target, target's
-// out-neighbors, and the nonzero support — every node a zero-tail rank must
-// step over. The three inputs are disjoint and already sorted, so a linear
-// merge produces the union without a sort.
-func buildSkipTable(snap graph.Store, target int, idx []int32) []int32 {
-	row := snap.Out(target)
-	skip := make([]int32, 0, len(row)+len(idx)+1)
-	tgt := int32(target)
-	i, j := 0, 0
-	for i < len(row) || j < len(idx) {
-		if i < len(row) && (j >= len(idx) || row[i] < idx[j]) {
-			if tgt >= 0 && tgt < row[i] {
-				skip = append(skip, tgt)
-				tgt = -1
-			}
-			skip = append(skip, row[i])
-			i++
-		} else {
-			if tgt >= 0 && tgt < idx[j] {
-				skip = append(skip, tgt)
-				tgt = -1
-			}
-			skip = append(skip, idx[j])
-			j++
-		}
-	}
-	if tgt >= 0 {
-		skip = append(skip, tgt)
-	}
-	return skip
-}
-
 // vector returns the sparse utility form over the candidate domain (all
 // nodes except the target and its existing out-neighbors): the nonzero
-// support, the candidate count, the tail-rank table, and the maximum
-// utility. Results come from the cache when one is enabled; the returned
-// slices are shared and must not be mutated.
+// support, the candidate count and the maximum utility. Results come from
+// the cache when one is enabled; the returned slices are shared and must
+// not be mutated.
 func (r *Recommender) vector(st *snapState, target int) (*cachedVector, error) {
 	if target < 0 || target >= st.snap.NumNodes() {
 		return nil, fmt.Errorf("%w: %d", ErrBadTarget, target)
@@ -618,31 +576,20 @@ func (r *Recommender) RequestRNG() *rand.Rand {
 
 func (r *Recommender) recommend(target int, rng *rand.Rand) (Recommendation, error) {
 	st := r.state.Load()
-	if rec, ok, err := r.recommendStreaming(st, target, rng); ok {
-		return rec, err
-	}
-	cv, err := r.vector(st, target)
+	src, err := r.openSource(st, target, false)
 	if err != nil {
 		return Recommendation{}, err
 	}
-	var pick mechanism.Pick
-	if cv.cdf != nil {
-		// Precomputed sparse CDF: same single rng.Float64() and the same
-		// two-stage inversion as Exponential.RecommendSparse, via binary
-		// search over the nonzero support instead of a linear weight pass.
-		pick = mechanism.SampleSparseCDF(cv.cdf, rng)
-	} else {
-		sm, ok := st.mech.(mechanism.SparseMechanism)
-		if !ok {
-			return Recommendation{}, fmt.Errorf("socialrec: mechanism %s has no sparse draw", st.mech.Name())
-		}
-		pick, err = sm.RecommendSparse(cv.sparseVec(), rng)
-		if err != nil {
-			return Recommendation{}, err
-		}
+	defer src.sc.Close()
+	var pick mechanism.StreamPick
+	if src.cv != nil && src.cv.cdf != nil {
+		// The cached exponential CDF: the same single rng.Float64() and
+		// inversion as Exponential.RecommendStream, by binary search.
+		pick = src.cv.streamPick(mechanism.SampleSparseCDF(src.cv.cdf, rng))
+	} else if pick, err = st.mech.RecommendStream(src.sc, src.ncand, rng); err != nil {
+		return Recommendation{}, err
 	}
-	node, util := cv.resolve(pick)
-	return Recommendation{Target: target, Node: node, Utility: util, MaxUtility: cv.umax}, nil
+	return src.recommendation(st.snap, target, pick), nil
 }
 
 // ExpectedAccuracy returns the expected accuracy (Definition 2: expected
@@ -658,12 +605,8 @@ func (r *Recommender) ExpectedAccuracy(target int) (float64, error) {
 	if d, ok := st.mech.(mechanism.SparseDistribution); ok {
 		return mechanism.ExpectedAccuracySparse(d, cv.sparseVec())
 	}
-	sm, ok := st.mech.(mechanism.SparseMechanism)
-	if !ok {
-		return 0, fmt.Errorf("socialrec: mechanism %s has no sparse draw", st.mech.Name())
-	}
 	rng := distribution.SplitN(r.seed, "accuracy", target)
-	return mechanism.MonteCarloAccuracySparse(sm, cv.sparseVec(), mechanism.DefaultLaplaceTrials, rng)
+	return mechanism.MonteCarloAccuracyStream(st.mech, stream.NewSlice(cv.idx, cv.val), cv.ncand, mechanism.DefaultLaplaceTrials, rng)
 }
 
 // AccuracyCeiling returns the Corollary 1 upper bound on the expected

@@ -1,9 +1,9 @@
 package socialrec
 
-// Property tests that the sparse serving pipeline (sparse kernels + sparse
-// mechanism draws + tail-rank mapping) is distribution-identical to the
-// dense reference pipeline (dense vector -> candidate list -> compact
-// vector -> dense mechanism) across every utility, mechanism, and
+// Property tests that the sparse serving pipeline (sparse kernels +
+// streaming mechanism draws + tail-rank mapping) is distribution-identical
+// to the dense reference pipeline (dense vector -> candidate list ->
+// compact vector -> dense mechanism) across every utility, mechanism, and
 // directedness: exact per-candidate probabilities for the closed-form
 // mechanisms (Exponential, Smoothing, Best), a seeded two-sample chi-squared
 // for Laplace (which has no closed form), and fixed-seed bit-identity where
@@ -16,6 +16,7 @@ import (
 
 	"socialrec/internal/gen"
 	"socialrec/internal/mechanism"
+	"socialrec/internal/stream"
 	"socialrec/internal/utility"
 )
 
@@ -89,8 +90,9 @@ func sparseServingProbs(t *testing.T, r *Recommender, sd mechanism.SparseDistrib
 	for i, node := range cv.idx {
 		out[int(node)] = support[i]
 	}
+	sc := stream.NewSlice(cv.idx, cv.val)
 	for rank := 0; rank < cv.ncand-len(cv.idx); rank++ {
-		out[complementSelect(cv.skip, rank)] = tailEach
+		out[streamComplementSelect(st.snap.Out(target), sc, target, rank)] = tailEach
 	}
 	return out
 }
@@ -226,8 +228,10 @@ func TestSparseTailMappingBijective(t *testing.T) {
 			for _, node := range cv.idx {
 				seen[int(node)] = true
 			}
+			src := source{sc: stream.NewSlice(cv.idx, cv.val), cv: cv, ncand: cv.ncand, umax: cv.umax}
 			for rank := 0; rank < cv.ncand-len(cv.idx); rank++ {
-				node, u := cv.resolve(mechanism.TailPick(rank))
+				got := src.recommendation(st.snap, target, mechanism.StreamPick{IsTail: true, Tail: rank})
+				node, u := got.Node, got.Utility
 				if u != 0 {
 					t.Fatalf("target %d rank %d: nonzero utility %v", target, rank, u)
 				}

@@ -3,8 +3,6 @@ package socialrec
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"slices"
 
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
@@ -12,43 +10,95 @@ import (
 	"socialrec/internal/utility"
 )
 
-// Streaming per-request pipeline. When no cache is enabled (nothing to
-// share across requests), a request never materializes its utility vector:
-// the utility kernel's stream.Scorer feeds the mechanism's streaming
-// consumer directly, and the only per-request state beyond pooled scratch
-// is a handful of running scalars. The streamed draw is
-// bit-identical to the materialized one for a fixed seed — every stage
-// performs the same floating-point operations in the same order and
-// consumes the RNG in the same sequence — so this is purely a memory/alloc
-// optimization of the pre-noise stage and leaves the ε-DP guarantee
-// untouched (see the doc.go "Streaming pipeline" section).
+// The per-request pipeline. A request reads its target's utility support
+// from one of two sources and then runs the same draw and the same tail
+// resolution over it:
+//
+//   - with no cache, the utility kernel's pooled stream.Scorer, so the
+//     vector is never materialized;
+//   - through the cache (or for a utility that does not stream), a pooled
+//     stream.Slice over the cached entry's idx/val.
+//
+// Both sources yield the same ascending (node, utility) pairs, and every
+// mechanism's streaming draw depends only on those pairs, so a cached and
+// an uncached Recommender return bit-identical answers for a fixed seed.
 
-// streamingEligible reports whether requests can take the fused streaming
-// path: no cache (it amortizes materialized vectors across requests, which
-// streaming by design never builds), streaming not disabled, and both
-// stages able to stream.
-func (r *Recommender) streamingEligible(st *snapState) (utility.Streamer, mechanism.StreamMechanism, bool) {
-	if r.noStream || r.cache.Load() != nil {
-		return nil, nil, false
+// source is one request's utility support as the mechanisms read it. cv is
+// the cache entry behind sc, or nil when sc streams from the kernel.
+type source struct {
+	sc    stream.Scorer
+	cv    *cachedVector
+	ncand int
+	umax  float64
+}
+
+// cachedScorer is the pooled Slice that feeds a cache entry to the
+// streaming mechanisms, so a cache hit allocates nothing.
+type cachedScorer struct{ stream.Slice }
+
+var cachedScorers = stream.NewPool("socialrec.cached", func() *cachedScorer { return new(cachedScorer) })
+
+// Close implements stream.Scorer by returning the scorer to its pool. A
+// served entry's support is never empty, so a nil Val marks a closed
+// scorer and keeps Close idempotent.
+func (c *cachedScorer) Close() {
+	if c.Val == nil {
+		return
 	}
+	c.Slice = stream.Slice{}
+	cachedScorers.Put(c)
+}
+
+// openSource checks the target and opens its support in the order the
+// errors are reported — target range, utility kernel, no positive-utility
+// candidate — all before any randomness is drawn. materialize forces the
+// cached-entry form (the smoothing top-k needs closed-form probabilities).
+// The caller closes src.sc.
+func (r *Recommender) openSource(st *snapState, target int, materialize bool) (source, error) {
 	su, ok := r.util.(utility.Streamer)
-	if !ok {
-		return nil, nil, false
+	if !ok || materialize || r.cache.Load() != nil {
+		cv, err := r.vector(st, target)
+		if err != nil {
+			return source{}, err
+		}
+		sc := cachedScorers.Get()
+		sc.Slice = stream.Slice{Idx: cv.idx, Val: cv.val}
+		return source{sc: sc, cv: cv, ncand: cv.ncand, umax: cv.umax}, nil
 	}
-	sm, ok := st.mech.(mechanism.StreamMechanism)
-	if !ok {
-		return nil, nil, false
+	if target < 0 || target >= st.snap.NumNodes() {
+		return source{}, fmt.Errorf("%w: %d", ErrBadTarget, target)
 	}
-	return su, sm, true
+	sc, err := su.StreamSparse(st.snap, target)
+	if err != nil {
+		return source{}, err
+	}
+	umax := streamMax(sc)
+	if umax == 0 {
+		sc.Close()
+		return source{}, fmt.Errorf("%w: node %d", ErrNoCandidates, target)
+	}
+	return source{sc: sc, ncand: utility.CandidateCount(st.snap, target), umax: umax}, nil
+}
+
+// recommendation resolves a pick to the released Recommendation. Support
+// picks arrive resolved; a tail pick walks the complement merge against
+// the target's current out-row. That row is the one the source was
+// computed from: a cache entry is only ever served at an epoch whose
+// snapshot leaves its target's row unchanged (a delta endpoint at
+// distance 0 always lands in the touched set; see invalidate.go).
+func (src source) recommendation(snap graph.Store, target int, p mechanism.StreamPick) Recommendation {
+	node, util := int(p.Node), p.Util
+	if p.IsTail {
+		node, util = streamComplementSelect(snap.Out(target), src.sc, target, p.Tail), 0
+	}
+	return Recommendation{Target: target, Node: node, Utility: util, MaxUtility: src.umax}
 }
 
 // supportSlices gathers the target's nonzero support into fresh
-// caller-owned slices. It is the materialization point every shared
-// consumer (cache fill, batch, Precompute) draws from: the pairs come off
-// the utility's streaming kernel — the same stage graph fully streamed
-// requests consume — counted first so the slices are allocated
-// exactly-sized. Utilities that do not stream (external
-// implementations) fall back to their own Sparse gather.
+// caller-owned slices for a cache entry: the pairs come off the utility's
+// streaming kernel — the same kernel uncached requests read — counted first
+// so the slices are allocated exactly-sized. Utilities that do not stream
+// (external implementations) fall back to their own Sparse gather.
 func (r *Recommender) supportSlices(st *snapState, target int) ([]int32, []float64, error) {
 	su, ok := r.util.(utility.Streamer)
 	if !ok {
@@ -97,12 +147,12 @@ func streamMax(sc stream.Scorer) float64 {
 	}
 }
 
-// streamComplementSelect resolves a mechanism's zero-tail rank to a node ID
-// without materializing the skip table: a three-way ascending merge of the
-// target, its out-neighbor row, and the stream's support indices (the
-// disjoint sorted sets whose union buildSkipTable gathers) feeds the linear
-// form of complementSelect — each skipped ID at or below the running answer
-// shifts it up by one; the first above it ends the walk.
+// streamComplementSelect resolves a mechanism's zero-tail rank to a node
+// ID: the rank-th (0-based, ascending) node that is neither the target,
+// nor one of its out-neighbors (row), nor in the stream's support. A
+// three-way ascending merge of those disjoint sorted sets walks the
+// answer up: each skipped ID at or below the running answer shifts it up
+// by one; the first above it ends the walk.
 func streamComplementSelect(row []int32, sc stream.Scorer, target, rank int) int {
 	sc.Reset()
 	ans := int32(rank)
@@ -134,107 +184,6 @@ func streamComplementSelect(row []int32, sc stream.Scorer, target, rank int) int
 			sIdx, _, sOK = sc.Next()
 		}
 	}
-}
-
-// resolveStreamPick maps a streamed pick to (node ID, raw utility).
-// Support picks arrived resolved during the mechanism's pass; tail picks
-// walk the complement merge.
-func resolveStreamPick(snap graph.Store, sc stream.Scorer, target int, p mechanism.StreamPick) (int, float64) {
-	if !p.IsTail {
-		return int(p.Node), p.Util
-	}
-	return streamComplementSelect(snap.Out(target), sc, target, p.Tail), 0
-}
-
-// recommendStreaming is the fused per-request path behind Recommend. The
-// bool reports whether streaming was eligible; when true the result is
-// final (success or error). Stage order mirrors the materialized path
-// exactly: target range check, utility kernel, u_max == 0 negative-result
-// check — all RNG-silent — then the mechanism's draw, then tail
-// resolution.
-func (r *Recommender) recommendStreaming(st *snapState, target int, rng *rand.Rand) (Recommendation, bool, error) {
-	su, sm, ok := r.streamingEligible(st)
-	if !ok {
-		return Recommendation{}, false, nil
-	}
-	if target < 0 || target >= st.snap.NumNodes() {
-		return Recommendation{}, true, fmt.Errorf("%w: %d", ErrBadTarget, target)
-	}
-	sc, err := su.StreamSparse(st.snap, target)
-	if err != nil {
-		return Recommendation{}, true, err
-	}
-	defer sc.Close()
-	umax := streamMax(sc)
-	if umax == 0 {
-		return Recommendation{}, true, fmt.Errorf("%w: node %d", ErrNoCandidates, target)
-	}
-	pick, err := sm.RecommendStream(sc, utility.CandidateCount(st.snap, target), rng)
-	if err != nil {
-		return Recommendation{}, true, err
-	}
-	node, util := resolveStreamPick(st.snap, sc, target, pick)
-	return Recommendation{Target: target, Node: node, Utility: util, MaxUtility: umax}, true, nil
-}
-
-// recommendTopKStreaming is the fused path behind RecommendTopK for the
-// Laplace (one-pass noisy histogram into the shared bounded heap),
-// exponential (peel over pooled gather), and non-private arms. The
-// smoothing arm's without-replacement conditional draws need the full
-// A_S(x') probability vector, so it stays materialized.
-func (r *Recommender) recommendTopKStreaming(st *snapState, target, k int, rng *rand.Rand) ([]Recommendation, bool, error) {
-	su, _, ok := r.streamingEligible(st)
-	if !ok || r.kind == MechanismSmoothing {
-		return nil, false, nil
-	}
-	if target < 0 || target >= st.snap.NumNodes() {
-		return nil, true, fmt.Errorf("%w: %d", ErrBadTarget, target)
-	}
-	sc, err := su.StreamSparse(st.snap, target)
-	if err != nil {
-		return nil, true, err
-	}
-	defer sc.Close()
-	umax := streamMax(sc)
-	if umax == 0 {
-		return nil, true, fmt.Errorf("%w: node %d", ErrNoCandidates, target)
-	}
-	ncand := utility.CandidateCount(st.snap, target)
-	if k < 1 || k > ncand {
-		return nil, true, fmt.Errorf("socialrec: k=%d outside [1, %d] for node %d", k, ncand, target)
-	}
-	var picks []mechanism.StreamPick
-	switch r.kind {
-	case MechanismLaplace:
-		picks, err = mechanism.TopKLaplaceStream(r.epsilon, st.sens, sc, ncand, k, rng)
-	case MechanismExponential:
-		picks, err = mechanism.TopKPeelStream(r.epsilon, st.sens, sc, ncand, k, rng)
-	default: // MechanismNone
-		picks, err = mechanism.BestTopKStream(sc, ncand, k)
-	}
-	if err != nil {
-		return nil, true, err
-	}
-	out := make([]Recommendation, len(picks))
-	row := st.snap.Out(target)
-	for i, p := range picks {
-		node, util := int(p.Node), p.Util
-		if p.IsTail {
-			node, util = streamComplementSelect(row, sc, target, p.Tail), 0
-		}
-		out[i] = Recommendation{Target: target, Node: node, Utility: util, MaxUtility: umax}
-	}
-	slices.SortStableFunc(out, func(a, b Recommendation) int {
-		switch {
-		case a.Utility > b.Utility:
-			return -1
-		case a.Utility < b.Utility:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return out, true, nil
 }
 
 // PoolStat is one pooled-scratch pool's lifetime counters; see

@@ -1,13 +1,13 @@
 package socialrec
 
-// Property tests that the fused streaming pipeline (utility kernel ->
-// mechanism consumer, nothing materialized) is bit-identical to the
-// materialized pipeline it replaced: same seed, same graph, and the two
-// arms must return the same recommendation and the same errors for every
-// target, across all utilities, mechanisms, directedness, and both the
-// single-draw and top-k APIs. The streamed arm is simply the default
-// recommender (no cache); the control arm is the identical construction
-// plus WithoutStreaming.
+// Property tests that the two sources of a request's support — the utility
+// kernel's stream (no cache) and a cached entry — give bit-identical
+// answers: same seed, same graph, and the two arms must return the same
+// recommendation and the same errors for every target, across all
+// utilities, mechanisms, directedness, and both the single-draw and top-k
+// APIs. The streamed arm is simply the default recommender (no cache); the
+// control arm is the identical construction plus WithCache, whose
+// exponential draws go through the cached CDF.
 
 import (
 	"errors"
@@ -21,9 +21,8 @@ func streamingMechanisms() []MechanismKind {
 	return []MechanismKind{MechanismExponential, MechanismLaplace, MechanismSmoothing, MechanismNone}
 }
 
-// sameError demands the same outcome down to the message: the streaming
-// pipeline must reproduce the materialized error strings, not just the
-// sentinels.
+// sameError demands the same outcome down to the message: the streamed
+// source must reproduce the cached error strings, not just the sentinels.
 func sameError(a, b error) bool {
 	if (a == nil) != (b == nil) {
 		return false
@@ -41,24 +40,24 @@ func TestStreamingBitIdenticalToMaterialized(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				materialized, err := NewRecommender(g, append(opts, WithoutStreaming())...)
+				cached, err := NewRecommender(g, append(opts, WithCache(0))...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for target := 0; target < g.NumNodes(); target++ {
 					a, err1 := streamed.Recommend(target)
-					b, err2 := materialized.Recommend(target)
+					b, err2 := cached.Recommend(target)
 					if !sameError(err1, err2) {
-						t.Fatalf("%s/%v directed=%v target %d: streamed err %v vs materialized err %v",
+						t.Fatalf("%s/%v directed=%v target %d: streamed err %v vs cached err %v",
 							u.Name(), kind, directed, target, err1, err2)
 					}
 					if a != b {
-						t.Fatalf("%s/%v directed=%v target %d: streamed %+v vs materialized %+v",
+						t.Fatalf("%s/%v directed=%v target %d: streamed %+v vs cached %+v",
 							u.Name(), kind, directed, target, a, b)
 					}
 				}
 				streamed.Close()
-				materialized.Close()
+				cached.Close()
 			}
 		}
 	}
@@ -74,32 +73,32 @@ func TestStreamingTopKBitIdenticalToMaterialized(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				materialized, err := NewRecommender(g, append(opts, WithoutStreaming())...)
+				cached, err := NewRecommender(g, append(opts, WithCache(0))...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for target := 0; target < g.NumNodes(); target++ {
 					for _, k := range []int{1, 3, 7} {
 						a, err1 := streamed.RecommendTopK(target, k)
-						b, err2 := materialized.RecommendTopK(target, k)
+						b, err2 := cached.RecommendTopK(target, k)
 						if !sameError(err1, err2) {
-							t.Fatalf("%s/%v directed=%v target %d k=%d: streamed err %v vs materialized err %v",
+							t.Fatalf("%s/%v directed=%v target %d k=%d: streamed err %v vs cached err %v",
 								u.Name(), kind, directed, target, k, err1, err2)
 						}
 						if len(a) != len(b) {
-							t.Fatalf("%s/%v directed=%v target %d k=%d: streamed %d picks vs materialized %d",
+							t.Fatalf("%s/%v directed=%v target %d k=%d: streamed %d picks vs cached %d",
 								u.Name(), kind, directed, target, k, len(a), len(b))
 						}
 						for i := range a {
 							if a[i] != b[i] {
-								t.Fatalf("%s/%v directed=%v target %d k=%d: pick %d streamed %+v vs materialized %+v",
+								t.Fatalf("%s/%v directed=%v target %d k=%d: pick %d streamed %+v vs cached %+v",
 									u.Name(), kind, directed, target, k, i, a[i], b[i])
 							}
 						}
 					}
 				}
 				streamed.Close()
-				materialized.Close()
+				cached.Close()
 			}
 		}
 	}
@@ -107,7 +106,7 @@ func TestStreamingTopKBitIdenticalToMaterialized(t *testing.T) {
 
 // TestStreamingErrorsMatchMaterialized pins the RNG-silent error paths: a
 // bad target and a hopeless (no-candidate) target must produce the same
-// sentinel through both pipelines.
+// sentinel through both sources.
 func TestStreamingErrorsMatchMaterialized(t *testing.T) {
 	g := NewGraph(4)
 	if err := g.AddEdge(0, 1); err != nil {
@@ -118,11 +117,11 @@ func TestStreamingErrorsMatchMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer streamed.Close()
-	materialized, err := NewRecommender(g, WithEpsilon(1), WithSeed(1), WithoutStreaming())
+	cached, err := NewRecommender(g, WithEpsilon(1), WithSeed(1), WithCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer materialized.Close()
+	defer cached.Close()
 	for _, target := range []int{-1, 4} {
 		if _, err := streamed.Recommend(target); !errors.Is(err, ErrBadTarget) {
 			t.Fatalf("streamed Recommend(%d): %v, want ErrBadTarget", target, err)
@@ -133,7 +132,7 @@ func TestStreamingErrorsMatchMaterialized(t *testing.T) {
 	}
 	// Node 3 is isolated: no common neighbors with anyone, so no candidate
 	// has positive utility.
-	for _, rec := range []*Recommender{streamed, materialized} {
+	for _, rec := range []*Recommender{streamed, cached} {
 		if _, err := rec.Recommend(3); !errors.Is(err, ErrNoCandidates) {
 			t.Fatalf("Recommend(3): %v, want ErrNoCandidates", err)
 		}
@@ -169,6 +168,57 @@ func TestStreamingSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("streamed Recommend allocates %.2f/op in steady state; want <= 1", allocs)
+	}
+}
+
+// TestCachedSteadyStateAllocs pins cache-hit allocations: once the cache
+// and the pools are warm, a single draw allocates nothing under any
+// mechanism — the cached entry reaches the streaming draw through a pooled
+// scorer — and a top-3 release allocates no more than its result slices
+// and per-mechanism scratch need.
+func TestCachedSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are meaningless")
+	}
+	g := servingTestGraph(t, false, 47)
+	topKMax := map[MechanismKind]float64{
+		MechanismExponential: 2,
+		MechanismLaplace:     7,
+		MechanismSmoothing:   5,
+		MechanismNone:        4,
+	}
+	for _, kind := range streamingMechanisms() {
+		rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(1), WithMechanism(kind), WithCache(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets := serveableTargets(t, rec, g, 8)
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 100; i++ { // warm the cache and every pool
+			if _, err := rec.RecommendWithRNG(targets[i%len(targets)], rng); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rec.RecommendTopKWithRNG(targets[i%len(targets)], 3, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		single := testing.AllocsPerRun(500, func() {
+			_, _ = rec.RecommendWithRNG(targets[i%len(targets)], rng)
+			i++
+		})
+		topK := testing.AllocsPerRun(500, func() {
+			_, _ = rec.RecommendTopKWithRNG(targets[i%len(targets)], 3, rng)
+			i++
+		})
+		rec.Close()
+		t.Logf("%v: Recommend %.0f allocs/op, RecommendTopK(3) %.0f allocs/op", kind, single, topK)
+		if single != 0 {
+			t.Errorf("%v: cached Recommend allocates %.0f/op; want 0", kind, single)
+		}
+		if topK > topKMax[kind] {
+			t.Errorf("%v: cached RecommendTopK(3) allocates %.0f/op; want <= %.0f", kind, topK, topKMax[kind])
+		}
 	}
 }
 

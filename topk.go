@@ -21,9 +21,12 @@ import (
 //     costs k·ln(1+nx/(1-x)), so the per-construction x is derated to ε/k.
 //   - MechanismNone returns the exact top k (no privacy).
 //
-// Every arm runs over the sparse utility form: the zero tail is sampled in
-// closed form (mechanism.TopKLaplaceSparse, TopKPeelSparse), so a k-set
-// costs O(nnz + k) instead of O(n) per release.
+// The Laplace, exponential and non-private arms run the streaming
+// releases (mechanism.TopKLaplaceStream, TopKPeelStream, BestTopKStream)
+// over the same source a single Recommend reads: the utility kernel, or
+// the cached entry. The zero tail is sampled in closed form, so a k-set
+// costs O(nnz + k) instead of O(n) per release. The smoothing arm needs
+// the closed-form probabilities, so it always reads the gathered entry.
 //
 // The paper's Appendix A observes that multiple recommendations face
 // strictly harsher accuracy limits than single ones; expect noticeably
@@ -43,27 +46,25 @@ func (r *Recommender) RecommendTopKWithRNG(target, k int, rng *rand.Rand) ([]Rec
 
 func (r *Recommender) recommendTopK(target, k int, rng *rand.Rand) ([]Recommendation, error) {
 	st := r.state.Load()
-	if out, ok, err := r.recommendTopKStreaming(st, target, k, rng); ok {
-		return out, err
-	}
-	cv, err := r.vector(st, target)
+	src, err := r.openSource(st, target, r.kind == MechanismSmoothing)
 	if err != nil {
 		return nil, err
 	}
-	if k < 1 || k > cv.ncand {
-		return nil, fmt.Errorf("socialrec: k=%d outside [1, %d] for node %d", k, cv.ncand, target)
+	defer src.sc.Close()
+	if k < 1 || k > src.ncand {
+		return nil, fmt.Errorf("socialrec: k=%d outside [1, %d] for node %d", k, src.ncand, target)
 	}
 
-	var picks []mechanism.Pick
+	var picks []mechanism.StreamPick
 	switch r.kind {
 	case MechanismLaplace:
-		picks, err = mechanism.TopKLaplaceSparse(r.epsilon, st.sens, cv.sparseVec(), k, rng)
+		picks, err = mechanism.TopKLaplaceStream(r.epsilon, st.sens, src.sc, src.ncand, k, rng)
 	case MechanismExponential:
-		picks, err = mechanism.TopKPeelSparse(r.epsilon, st.sens, cv.sparseVec(), k, rng)
+		picks, err = mechanism.TopKPeelStream(r.epsilon, st.sens, src.sc, src.ncand, k, rng)
 	case MechanismSmoothing:
-		picks, err = r.smoothingTopK(cv, k, rng)
+		picks, err = r.smoothingTopK(src.cv, k, rng)
 	default: // MechanismNone
-		picks = bestTopK(cv, k)
+		picks, err = mechanism.BestTopKStream(src.sc, src.ncand, k)
 	}
 	if err != nil {
 		return nil, err
@@ -71,8 +72,7 @@ func (r *Recommender) recommendTopK(target, k int, rng *rand.Rand) ([]Recommenda
 
 	out := make([]Recommendation, len(picks))
 	for i, p := range picks {
-		node, util := cv.resolve(p)
-		out[i] = Recommendation{Target: target, Node: node, Utility: util, MaxUtility: cv.umax}
+		out[i] = src.recommendation(st.snap, target, p)
 	}
 	slices.SortStableFunc(out, func(a, b Recommendation) int {
 		switch {
@@ -87,24 +87,6 @@ func (r *Recommender) recommendTopK(target, k int, rng *rand.Rand) ([]Recommenda
 	return out, nil
 }
 
-// bestTopK is the non-private exact top k over the sparse form: the largest
-// support entries (ties toward the lower node ID, as a stable descending
-// sort of the dense vector would order them), padded with the
-// lowest-ranked zero-tail candidates when k exceeds the support.
-func bestTopK(cv *cachedVector, k int) []mechanism.Pick {
-	picks := make([]mechanism.Pick, 0, k)
-	ks := min(k, len(cv.val))
-	if ks > 0 {
-		for _, i := range mechanism.TopIndices(cv.val, ks) {
-			picks = append(picks, mechanism.Pick{Support: i})
-		}
-	}
-	for rank := 0; len(picks) < k; rank++ {
-		picks = append(picks, mechanism.TailPick(rank))
-	}
-	return picks
-}
-
 // smoothingTopK draws k distinct candidates from A_S(x') without
 // replacement, where x' is derated so that k-fold composition stays within
 // the Recommender's ε. It computes the closed-form A_S(x') probabilities
@@ -113,7 +95,7 @@ func bestTopK(cv *cachedVector, k int) []mechanism.Pick {
 // would converge to — in guaranteed O(k·nnz): the zero tail's candidates
 // are exchangeable and share one probability, so the tail needs a mass
 // comparison plus a uniform rank, never an O(n) scan.
-func (r *Recommender) smoothingTopK(cv *cachedVector, k int, rng *rand.Rand) ([]mechanism.Pick, error) {
+func (r *Recommender) smoothingTopK(cv *cachedVector, k int, rng *rand.Rand) ([]mechanism.StreamPick, error) {
 	x, err := mechanism.SmoothingXForEpsilon(r.epsilon/float64(k), cv.ncand)
 	if err != nil {
 		return nil, err
@@ -128,7 +110,7 @@ func (r *Recommender) smoothingTopK(cv *cachedVector, k int, rng *rand.Rand) ([]
 	var taken mechanism.TailTracker
 	m := cv.ncand - len(support) // tail candidates still unchosen
 	remaining := 1.0             // total probability mass of the unchosen candidates
-	picks := make([]mechanism.Pick, 0, k)
+	picks := make([]mechanism.StreamPick, 0, k)
 	for len(picks) < k {
 		t := rng.Float64() * remaining
 		supportPick := -1
@@ -154,7 +136,7 @@ func (r *Recommender) smoothingTopK(cv *cachedVector, k int, rng *rand.Rand) ([]
 			if rank < 0 {
 				rank = 0
 			}
-			picks = append(picks, mechanism.TailPick(taken.Take(rank)))
+			picks = append(picks, mechanism.StreamPick{IsTail: true, Tail: taken.Take(rank)})
 			m--
 			remaining -= tailEach
 			continue
@@ -164,7 +146,7 @@ func (r *Recommender) smoothingTopK(cv *cachedVector, k int, rng *rand.Rand) ([]
 		// accumulated mass.
 		chosen.set(supportPick)
 		remaining -= support[supportPick]
-		picks = append(picks, mechanism.Pick{Support: supportPick})
+		picks = append(picks, mechanism.StreamPick{Node: cv.idx[supportPick], Util: cv.val[supportPick]})
 	}
 	return picks, nil
 }
