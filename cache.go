@@ -62,7 +62,9 @@ type CacheStats struct {
 	// Capacity is the configured entry cap.
 	Capacity int `json:"capacity"`
 	// Bytes approximates the resident size of all cached entries. Sparse
-	// entries cost O(nonzeros), not O(n).
+	// entries cost O(nonzeros), not O(n): 12 B per nonzero (4 B node ID,
+	// 8 B utility), plus 0.25 B under the exponential mechanism for the
+	// CDF's one 8 B prefix sum per 32 nonzeros.
 	Bytes int64 `json:"approx_bytes"`
 	// Retained counts entries carried across snapshot swaps by delta-aware
 	// invalidation (re-keyed to the new epoch instead of discarded).
@@ -95,7 +97,8 @@ type cachedVector struct {
 	// streamComplementSelect).
 	ncand int
 	// cdf is the exponential mechanism's sparse cumulative-weight form
-	// (nil for other mechanisms); see mechanism.SparseCDF.
+	// (nil for other mechanisms): one prefix sum per 32 support entries,
+	// with its Val aliasing val; see mechanism.SparseCDF.
 	cdf *mechanism.SparseCDF
 }
 
@@ -114,7 +117,8 @@ func (cv *cachedVector) streamPick(p mechanism.Pick) mechanism.StreamPick {
 }
 
 // bytes approximates the entry's resident footprint, reported through
-// CacheStats for capacity planning.
+// CacheStats for capacity planning. val is counted once: the CDF aliases
+// it, and cdf.Bytes counts only the block sums.
 func (cv *cachedVector) bytes() int {
 	b := 64 + 4*len(cv.idx) + 8*len(cv.val)
 	if cv.cdf != nil {

@@ -46,7 +46,8 @@
 // sense, the mechanism's output distribution is bit-for-bit the same with
 // and without it, and the cached raw utilities never leave the process.
 // Repeated-target serving then costs O(log nnz) per request — a binary
-// search over the cached sparse CDF — instead of a graph scan, and each
+// search over the cached sparse CDF's per-block prefix sums plus a
+// re-accumulation of at most 32 weights — instead of a graph scan, and each
 // entry holds only the nonzero support (see "Serving complexity" below).
 //
 // BatchRecommend and Precompute fan work for many targets across a
@@ -86,12 +87,14 @@
 // Through the cache, the source is instead a pooled stream.Slice over the
 // cached entry's support, and the same draws run over it. The one
 // exception is the cached exponential draw, which inverts the entry's
-// precomputed SparseCDF by binary search: it consumes the same single
-// uniform and finds the same candidate as the streamed draw. The smoothing
-// top-k release also reads the gathered entry, because its
-// without-replacement draws need the closed-form probabilities. A winning
-// zero-tail rank maps back to a node ID the same way for both sources: an
-// ascending merge over the target, its out-row and the support.
+// precomputed SparseCDF: a binary search over prefix sums kept once per 32
+// support entries, then the same prefix accumulation as the streamed draw
+// inside the chosen block. It consumes the same single uniform and finds
+// the same candidate as the streamed draw. The smoothing top-k release also
+// reads the gathered entry, because its without-replacement draws need the
+// closed-form probabilities. A winning zero-tail rank maps back to a node
+// ID the same way for both sources: an ascending merge over the target, its
+// out-row and the support.
 //
 // Scratch ownership is strictly per request: a scorer owns its pooled
 // accumulators from StreamSparse until Close, the mechanism borrows the
@@ -170,12 +173,12 @@
 //	rooted PageRank              O(iters·m)           O(iters·reached edges)
 //	degree                       O(n)                 O(n) scan, O(nnz) alloc
 //	candidate bookkeeping        O(n) list            O(1) count
-//	Exponential draw             O(n)                 O(nnz); O(log nnz) cached
+//	Exponential draw             O(n)                 O(nnz); O(log nnz + 32) cached
 //	Laplace / noisy-max draw     O(n) noise           O(nnz) + 1 closed-form tail max
 //	Smoothing draw               O(n)                 O(nnz)
 //	top-k release                O(n log k) / O(k·n)  O(nnz + k) / O(k·nnz)
 //	expected accuracy (audit)    O(n)                 O(nnz)
-//	cache entry memory           ~24n bytes           ~20·nnz bytes
+//	cache entry memory           ~24n bytes           ~12.25·nnz bytes
 //
 // The weighted-paths walk tracks touched nodes only while a level stays
 // sparse. A level whose expansion bound (Σ out-degree over its frontier)

@@ -126,3 +126,24 @@ func BenchmarkTopKPeelStream(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSampleSparseCDF times one cached exponential draw (ε = 1,
+// Δf = 2) from a SparseCDF over a 5,000-entry support of integer
+// utilities in [1, 20], common-neighbour counts in shape, plus a
+// 15,000-candidate zero tail: the per-request mechanism cost of a cache
+// hit, without HTTP.
+func BenchmarkSampleSparseCDF(b *testing.B) {
+	rng := distribution.NewRNG(6)
+	val := make([]float64, 5000)
+	for i := range val {
+		val[i] = float64(1 + rng.Intn(20))
+	}
+	cdf, err := Exponential{Epsilon: 1, Sensitivity: 2}.SparseCDF(SparseVec{Val: val, N: 20000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		SampleSparseCDF(cdf, rng)
+	}
+}

@@ -17,12 +17,12 @@ import (
 // themselves live in stream.go and read the support through a
 // stream.Scorer; this file keeps what needs the support as a slice: the
 // closed-form probabilities (SparseDistribution) behind exact expected
-// accuracy, and the cacheable exponential CDF (SparseCDF) whose O(log nnz)
-// binary search serves cached draws. Each selects from exactly the
-// distribution its dense counterpart gives the expanded vector — the split
-// into "support" and "tail" is pure bookkeeping, which is why the ε-DP
-// guarantee carries over unchanged (the property and chi-squared tests in
-// this package pin the equivalence).
+// accuracy. The cacheable exponential CDF that serves cached draws
+// (SparseCDF, a binary search over per-block prefix sums) is in cdf.go.
+// Each selects from exactly the distribution its dense counterpart gives
+// the expanded vector — the split into "support" and "tail" is pure
+// bookkeeping, which is why the ε-DP guarantee carries over unchanged (the
+// property and chi-squared tests in this package pin the equivalence).
 
 // SparseVec is a utility vector in sparse form: Val holds the nonzero
 // utilities (the serving layer orders them by ascending candidate node ID,
@@ -91,84 +91,6 @@ var (
 	_ SparseDistribution = Uniform{}
 	_ SparseDistribution = Smoothing{}
 )
-
-// SparseCDF is the cacheable sparse analogue of Exponential.CDF: the
-// cumulative unnormalized weights of the support plus the closed-form mass
-// of the zero tail. A cached draw costs O(log nnz) instead of the O(n)
-// dense weight pass.
-type SparseCDF struct {
-	// Support[i] = Σ_{j<=i} exp(scale·(Val_j - u_max)).
-	Support []float64
-	// TailWeight = exp(-scale·u_max), the weight shared by every
-	// zero-utility candidate.
-	TailWeight float64
-	// Tail is the number of zero-utility candidates.
-	Tail int
-	// Total = Support mass + Tail·TailWeight.
-	Total float64
-}
-
-// Bytes returns the approximate memory footprint of the cached CDF.
-func (c *SparseCDF) Bytes() int { return 8*len(c.Support) + 24 }
-
-// SparseCDF returns the cacheable two-part CDF for the sparse vector.
-func (e Exponential) SparseCDF(s SparseVec) (*SparseCDF, error) {
-	if err := e.validate(); err != nil {
-		return nil, err
-	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	scale := e.Epsilon / e.Sensitivity
-	c := &SparseCDF{Tail: s.tail()}
-	var zs float64
-	if len(s.Val) > 0 {
-		c.Support = appendCDF(make([]float64, 0, len(s.Val)), s.Val, scale)
-		zs = c.Support[len(c.Support)-1]
-	}
-	c.TailWeight = math.Exp(-scale * s.max())
-	c.Total = zs + float64(c.Tail)*c.TailWeight
-	return c, nil
-}
-
-// SampleSparseCDF draws a candidate from a precomputed sparse CDF with a
-// single uniform variate, the two-stage draw of the sparse exponential
-// mechanism: the variate first lands in either the support mass or the
-// closed-form tail mass, then resolves by binary search over the support
-// CDF or by a uniform rank among the tail's interchangeable zero-utility
-// candidates. When the tail is empty this is bit-identical to SampleCDF on
-// the dense CDF (same accumulated weights, same single rng.Float64(), same
-// inversion), so cached sparse serving reproduces cached dense serving
-// draw-for-draw.
-func SampleSparseCDF(c *SparseCDF, rng *rand.Rand) Pick {
-	target := rng.Float64() * c.Total
-	var zs float64
-	if len(c.Support) > 0 {
-		zs = c.Support[len(c.Support)-1]
-	}
-	if target < zs {
-		lo, hi := 0, len(c.Support)-1
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if c.Support[mid] > target {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return Pick{Support: lo}
-	}
-	if c.Tail == 0 {
-		// Rounding fell through the support mass; mirror SampleCDF by
-		// resolving to the last candidate.
-		return Pick{Support: len(c.Support) - 1}
-	}
-	rank := int((target - zs) / c.TailWeight)
-	if rank >= c.Tail {
-		rank = c.Tail - 1 // rounding falls through to the last tail slot
-	}
-	return TailPick(rank)
-}
 
 // ProbabilitiesSparse implements SparseDistribution: the Definition 5 law
 // exp((ε/Δf)·u_i)/Z with the zero tail's shared probability in closed form.

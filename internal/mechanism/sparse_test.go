@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -325,22 +326,118 @@ func TestSparseNoTailBitIdentical(t *testing.T) {
 			t.Fatalf("draw %d: dense %d vs sparse %+v", i, d, p)
 		}
 	}
-	// Cached path: SampleSparseCDF vs SampleCDF.
-	cdf, err := e.CDF(u)
-	if err != nil {
-		t.Fatal(err)
+	// Cached path: SampleSparseCDF vs SampleCDF, the per-entry prefix-sum
+	// oracle, over supports from one block to many.
+	for _, tc := range cdfBlockCases(u) {
+		t.Run(tc.name, func(t *testing.T) {
+			cdf, err := e.CDF(tc.val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scdf, err := e.SparseCDF(SparseVec{Val: tc.val, N: len(tc.val)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "underflow-plateau" && (scdf.Blocks[0] != scdf.Blocks[1] || scdf.Blocks[1] == scdf.Blocks[2]) {
+				t.Fatalf("fixture no longer plateaus across blocks 0-1: %v", scdf.Blocks)
+			}
+			denseRNG := rand.New(rand.NewSource(3))
+			sparseRNG := rand.New(rand.NewSource(3))
+			for i := 0; i < 5000; i++ {
+				d := SampleCDF(cdf, denseRNG)
+				p := SampleSparseCDF(scdf, sparseRNG)
+				if p.IsTail() || p.Support != d {
+					t.Fatalf("cached draw %d: dense %d vs sparse %+v", i, d, p)
+				}
+			}
+		})
 	}
-	scdf, err := e.SparseCDF(s)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// cdfBlockCase is one support for the block-layout pins of SparseCDF.
+type cdfBlockCase struct {
+	name string
+	val  []float64
+}
+
+// cdfBlockCases returns supports that fill exactly one block, end one entry
+// short of or past a block boundary, and span many blocks, led by base.
+// Utilities are a mix of integers (ties) and continuous values, with some
+// zeros. The last case puts entries whose weights underflow to 0 between
+// two groups of large utilities, so the prefix sums plateau across the
+// block boundaries at 32 and 64.
+func cdfBlockCases(base []float64) []cdfBlockCase {
+	cases := []cdfBlockCase{{"base", base}}
+	for _, n := range []int{1, 31, 32, 33, 64, 1000, 5000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		val := make([]float64, n)
+		for i := range val {
+			switch rng.Intn(4) {
+			case 0:
+				val[i] = float64(1 + rng.Intn(20))
+			case 1:
+				val[i] = 0
+			default:
+				val[i] = 20 * rng.Float64()
+			}
+		}
+		cases = append(cases, cdfBlockCase{fmt.Sprintf("nnz=%d", n), val})
 	}
-	denseRNG = rand.New(rand.NewSource(3))
-	sparseRNG = rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		d := SampleCDF(cdf, denseRNG)
-		p := SampleSparseCDF(scdf, sparseRNG)
-		if p.IsTail() || p.Support != d {
-			t.Fatalf("cached draw %d: dense %d vs sparse %+v", i, d, p)
+	plateau := make([]float64, 130)
+	for i := range plateau {
+		switch {
+		case i <= 10:
+			plateau[i] = 1495 + float64(i)/2
+		case i <= 80:
+			plateau[i] = float64(i % 5)
+		default:
+			plateau[i] = 1490 + float64(i%11)
+		}
+	}
+	return append(cases, cdfBlockCase{"underflow-plateau", plateau})
+}
+
+// TestSparseCDFMatchesStream pins the cached draw against the streamed one
+// when the support has a zero tail: SampleSparseCDF and
+// Exponential.RecommendStream consume the same single uniform, so a fixed
+// seed yields the same support index or the same tail rank, draw for draw,
+// over supports of one block to many.
+func TestSparseCDFMatchesStream(t *testing.T) {
+	e := Exponential{Epsilon: 1.3, Sensitivity: 2}
+	for _, tc := range cdfBlockCases([]float64{0, 1, 2, 3, 5, 2.5, 0.25}) {
+		noTail, err := e.SparseCDF(SparseVec{Val: tc.val, N: len(tc.val)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A tail whose mass about equals the support's, so both stages of
+		// the draw are exercised (capped where the tail weight underflows).
+		balanced := int(min(noTail.Total/noTail.TailWeight, 1e9))
+		for _, tail := range []int{3, balanced} {
+			t.Run(fmt.Sprintf("%s/tail=%d", tc.name, tail), func(t *testing.T) {
+				s := SparseVec{Val: tc.val, N: len(tc.val) + tail}
+				scdf, err := e.SparseCDF(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamRNG := rand.New(rand.NewSource(5))
+				cachedRNG := rand.New(rand.NewSource(5))
+				tails := 0
+				for i := 0; i < 1000; i++ {
+					want, err := drawStream(e, s, streamRNG)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := SampleSparseCDF(scdf, cachedRNG); got != want {
+						t.Fatalf("draw %d: streamed %+v vs cached %+v", i, want, got)
+					}
+					if want.IsTail() {
+						tails++
+					}
+				}
+				if tail == balanced && scdf.TailWeight > 0 && tails == 0 {
+					t.Fatalf("no tail picks in 1000 draws; the balanced tail no longer balances")
+				}
+			})
 		}
 	}
 }

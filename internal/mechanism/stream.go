@@ -120,8 +120,9 @@ func resolveUniform(sc stream.Scorer, j, nnz int) StreamPick {
 // Σ exp(scale·(u_i - u_max)) into a single running float, and — only when
 // the single uniform variate lands in the support mass — pass three re-runs
 // the identical prefix accumulation until it crosses the draw. The running
-// prefix reproduces SparseCDF.Support[i] bit for bit, so the linear
-// crossing finds the exact candidate SampleSparseCDF's binary search finds,
+// prefix reproduces appendCDF's prefix sums, and so SparseCDF's block sums
+// and its in-block re-accumulation, bit for bit. The linear crossing
+// therefore finds the exact candidate SampleSparseCDF's block search finds,
 // from the same rng.Float64().
 func (e Exponential) RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (StreamPick, error) {
 	if err := e.validate(); err != nil {
@@ -400,11 +401,12 @@ func (ps *peelScratch) remove(i int) (stale bool) {
 // the remaining maximum, so they are computed once and recomputed only
 // when that maximum changes; each round then costs two add-only passes —
 // the support mass, and a linear scan for the first cumulative weight
-// above the draw. The running sums are SparseCDF.Support's prefix sums bit
-// for bit, so the scan finds the candidate SampleSparseCDF's binary search
-// finds from the same single rng.Float64(), and the tail and rounding
-// cases resolve as it does. The picks, in selection order with tail ranks
-// remapped to the original tail, are left in ps.picks.
+// above the draw. The running sums are appendCDF's prefix sums bit for bit,
+// which SparseCDF keeps one per block and re-accumulates within a block, so
+// the scan finds the candidate SampleSparseCDF finds from the same single
+// rng.Float64(), and the tail and rounding cases resolve as it does. The
+// picks, in selection order with tail ranks remapped to the original tail,
+// are left in ps.picks.
 func (ps *peelScratch) peel(eps, sens float64, n, k int, rng *rand.Rand) error {
 	if !(eps > 0) {
 		return ErrBadEpsilon

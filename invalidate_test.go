@@ -25,7 +25,10 @@ func equalCachedVector(a, b *cachedVector) bool {
 		return false
 	}
 	if a.cdf != nil {
-		if !slices.Equal(a.cdf.Support, b.cdf.Support) ||
+		if !slices.Equal(a.cdf.Val, b.cdf.Val) ||
+			!slices.Equal(a.cdf.Blocks, b.cdf.Blocks) ||
+			a.cdf.Scale != b.cdf.Scale ||
+			a.cdf.UMax != b.cdf.UMax ||
 			a.cdf.TailWeight != b.cdf.TailWeight ||
 			a.cdf.Tail != b.cdf.Tail ||
 			a.cdf.Total != b.cdf.Total {

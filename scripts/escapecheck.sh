@@ -4,11 +4,13 @@
 # The streaming pipeline's zero-alloc claim rests on the compiler keeping
 # per-request state on the stack or in pooled scratch. This script compiles
 # the three pipeline packages with -gcflags=-m and fails if any heap escape
-# appears in the streaming hot-path files beyond the known-benign
-# allowlist:
+# appears in the streaming hot-path files (and the cached exponential draw's
+# file, mechanism/cdf.go) beyond the known-benign allowlist:
 #
 #   - pool New constructors (&T{} / func literal): run once per pool miss,
 #     not per request;
+#   - the cached exponential CDF's constructor (Exponential.SparseCDF):
+#     runs once per cache miss, and the entry it builds serves every hit;
 #   - error-path boxing (fmt.Errorf arguments): requests that fail
 #     validation may allocate;
 #   - intentional O(k) result slices of the top-k entry points and the
@@ -35,13 +37,14 @@ while getopts 'v' opt; do
     esac
 done
 
-HOT_FILES='internal/(stream/(stream|pool)|utility/stream|mechanism/(stream|heap|pool))\.go'
+HOT_FILES='internal/(stream/(stream|pool)|utility/stream|mechanism/(stream|heap|pool|cdf))\.go'
 
 # The allowlist is a list of "name<TAB>regexp" rules so that -v can report
 # which rule matched a given escape line. Order matters only for -v
 # attribution (first match wins); any match waives the line.
 ALLOW_RULES=(
     $'pool-constructor\t&(Slice|accScorer|degreeScorer|peelScratch)\\{(\\.\\.\\.)?\\} escapes|&stream\\.Pool\\[.* escapes|func literal escapes'
+    $'cdf-constructor\tmechanism/cdf\\.go:[0-9:]+ (&SparseCDF\\{\\.\\.\\.\\}|make\\(\\[\\]float64, 0, .*\\)) escapes'
     $'cold-result-slice\tmake\\(\\[\\](PoolStat|topEntry|StreamPick|uint64|int|float64)'
     $'errorpath-boxing\t: (out|nnz|n|k|s\\.Base\\.Name\\(\\)) escapes'
     $'stats-receiver\tmoved to heap: s$'

@@ -489,10 +489,12 @@ func (r *Recommender) buildMech(st *snapState) mechanism.StreamMechanism {
 // computeVector runs the deterministic pre-processing stage for target: the
 // sparse utility kernel (nonzero support only — O(nnz) work and memory, no
 // length-n pass) plus — for the exponential mechanism behind a cache — the
-// sparse cumulative-weight form that turns each subsequent draw into an
-// O(log nnz) binary search. All of it is a pure function of the snapshot
-// and the public (ε, Δf), so precomputing it does not change the
-// mechanism's output distribution.
+// sparse cumulative-weight form that turns each subsequent draw into a
+// binary search over per-block prefix sums and a re-accumulation of at most
+// one block. The CDF aliases the entry's val and stores one prefix sum per
+// 32 support entries, so it adds 0.25 B per nonzero to the entry. All of it
+// is a pure function of the snapshot and the public (ε, Δf), so
+// precomputing it does not change the mechanism's output distribution.
 func (r *Recommender) computeVector(st *snapState, target int) (*cachedVector, error) {
 	idx, val, err := r.supportSlices(st, target)
 	if err != nil {
@@ -584,7 +586,8 @@ func (r *Recommender) recommend(target int, rng *rand.Rand) (Recommendation, err
 	var pick mechanism.StreamPick
 	if src.cv != nil && src.cv.cdf != nil {
 		// The cached exponential CDF: the same single rng.Float64() and
-		// inversion as Exponential.RecommendStream, by binary search.
+		// inversion as Exponential.RecommendStream, by binary search over
+		// the block sums and a re-accumulation inside one block.
 		pick = src.cv.streamPick(mechanism.SampleSparseCDF(src.cv.cdf, rng))
 	} else if pick, err = st.mech.RecommendStream(src.sc, src.ncand, rng); err != nil {
 		return Recommendation{}, err
