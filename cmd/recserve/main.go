@@ -69,12 +69,14 @@
 // targets reuse the cached pre-noise stage; the noise is never reused.
 //
 // Robustness: handler panics are recovered to 500s (counted on
-// /healthz), each request gets a -request-timeout deadline, and beyond
-// -max-inflight concurrent requests the server sheds load with immediate
-// 503 + Retry-After instead of queueing without bound. When a subsystem
-// (WAL, snapshot persistence, rebuilds) fails persistently the server
-// degrades instead of dying: /healthz reports status "degraded" with the
-// failing subsystem, and reads keep serving from the last good snapshot.
+// /healthz), each request runs under a -request-timeout deadline (a
+// recommendation drawn after it is answered with 503; a late mutation
+// reports its real status), and beyond -max-inflight concurrent requests
+// the server sheds load with immediate 503 + Retry-After instead of
+// queueing without bound. When a subsystem (WAL, snapshot persistence,
+// rebuilds) fails persistently the server degrades instead of dying:
+// /healthz reports status "degraded" with the failing subsystem, and reads
+// keep serving from the last good snapshot.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: the listener closes,
 // in-flight requests drain (up to -drain-timeout), the live rebuilder stops,
@@ -122,7 +124,7 @@ func main() {
 		walDir    = flag.String("wal-dir", "", "journal every mutation to a write-ahead log in this directory before acknowledging; replayed on restart (implies -live)")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy: always (survives power loss), interval (survives process crash), off (with -wal-dir)")
 		drain     = flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests")
-		reqTO     = flag.Duration("request-timeout", 10*time.Second, "per-request handler deadline; exceeded requests get 503 (0 disables)")
+		reqTO     = flag.Duration("request-timeout", 10*time.Second, "per-request deadline; a recommendation drawn after it gets 503, a late mutation keeps its status (0 disables)")
 		maxInFly  = flag.Int("max-inflight", 256, "max concurrently handled requests before shedding with 503 (0 disables)")
 		pprofFlag = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof (expose only to operators)")
 	)

@@ -47,6 +47,14 @@
 // across the epoch bump instead of flushing the cache, and these gauges
 // show how much of the working set each swap preserved.
 //
+// Deadlines: with Config.HandlerTimeout set, a request runs on its
+// connection's goroutine under a context that expires at the deadline.
+// /v1/recommend checks it after the draw and answers 503 instead of a late
+// recommendation; the draw's ε stays charged. Any handler that returns
+// without answering once the deadline has passed gets the same 503. Nothing
+// is interrupted mid-stage, and a mutation that completes late reports its
+// real status.
+//
 // Randomness: every recommend request draws its noise from its own
 // Recommender.RequestRNG stream, so repeated requests for one target are
 // independent draws, each charged as its own release. The cache reuses only
@@ -70,6 +78,7 @@
 package recserver
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -77,6 +86,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime/debug"
 	"strconv"
 	"sync/atomic"
@@ -120,10 +130,14 @@ type Config struct {
 	EnablePprof bool
 	// Logf receives request logs; nil means log.Printf.
 	Logf func(format string, args ...any)
-	// HandlerTimeout bounds each request's handling time: a request still
-	// running when it elapses gets 503 and its context is canceled, so a
-	// single stuck request cannot pin a connection forever. Zero disables
-	// the deadline (recserve's -request-timeout flag default is 10s).
+	// HandlerTimeout is each request's deadline. The handler runs on the
+	// connection's own goroutine under a context that is canceled when it
+	// elapses; a handler that returns without answering after the deadline
+	// passed gets 503, and /v1/recommend answers 503 instead of a draw that
+	// finished late. A handler that ignores its context is not cut off
+	// early, and a mutation that completes after the deadline reports its
+	// real status. Zero disables the deadline (recserve's -request-timeout
+	// flag default is 10s).
 	HandlerTimeout time.Duration
 	// MaxInFlight caps concurrently handled requests. Excess requests are
 	// shed immediately with 503 + Retry-After instead of queueing without
@@ -141,10 +155,11 @@ type Server struct {
 	maxK   int
 	logf   func(format string, args ...any)
 	routes *http.ServeMux
-	// handler is routes wrapped in the per-request deadline (when
-	// configured); ServeHTTP adds panic recovery and load shedding
-	// outside it.
-	handler http.Handler
+	// timeout is Config.HandlerTimeout; ServeHTTP applies it.
+	timeout time.Duration
+	// epsJSON is the JSON encoding of the Recommender's ε, which is fixed
+	// at construction; /v1/recommend copies it into every answer.
+	epsJSON []byte
 	// inflight is the load-shedding gate (nil when MaxInFlight is 0):
 	// a buffered channel used as a counting semaphore.
 	inflight chan struct{}
@@ -161,10 +176,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Recommender == nil {
 		return nil, errors.New("recserver: recommender is required")
 	}
+	epsJSON, err := json.Marshal(cfg.Recommender.Epsilon())
+	if err != nil {
+		return nil, fmt.Errorf("recserver: encoding epsilon: %w", err)
+	}
 	s := &Server{
-		rec:  cfg.Recommender,
-		maxK: cfg.MaxK,
-		logf: cfg.Logf,
+		rec:     cfg.Recommender,
+		maxK:    cfg.MaxK,
+		logf:    cfg.Logf,
+		timeout: cfg.HandlerTimeout,
+		epsJSON: epsJSON,
 	}
 	if s.maxK == 0 {
 		s.maxK = 10
@@ -216,13 +237,6 @@ func New(cfg Config) (*Server, error) {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	s.routes = mux
-	s.handler = mux
-	if cfg.HandlerTimeout > 0 {
-		// TimeoutHandler cancels the request context at the deadline and
-		// answers 503; panics in the handler goroutine are re-raised in the
-		// caller, so the recovery in ServeHTTP still sees them.
-		s.handler = http.TimeoutHandler(mux, cfg.HandlerTimeout, `{"error":"request deadline exceeded"}`)
-	}
 	if cfg.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInFlight)
 	}
@@ -231,7 +245,10 @@ func New(cfg Config) (*Server, error) {
 
 // ServeHTTP implements http.Handler: panic recovery outermost (a bug in
 // one request must never take down the process), then the load-shedding
-// gate, then the per-request deadline, then routing.
+// gate, then the per-request deadline, then routing. Routing runs on the
+// calling goroutine, under the deadline's context when HandlerTimeout is
+// set; a handler that returns without writing after the deadline passed
+// gets 503.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -257,7 +274,41 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.inflightNow.Add(1)
 		defer s.inflightNow.Add(-1)
 	}
-	s.handler.ServeHTTP(w, r)
+	if s.timeout <= 0 {
+		s.routes.ServeHTTP(w, r)
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+	defer cancel()
+	tw := &trackingWriter{ResponseWriter: w}
+	s.routes.ServeHTTP(tw, r.WithContext(ctx))
+	if !tw.wrote && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		s.writeDeadlineExceeded(w)
+	}
+}
+
+// trackingWriter records whether the handler wrote anything, so ServeHTTP
+// can answer a handler that gave up at the deadline without writing.
+type trackingWriter struct {
+	http.ResponseWriter
+	wrote bool
+}
+
+func (w *trackingWriter) WriteHeader(code int) {
+	w.wrote = true
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *trackingWriter) Write(b []byte) (int, error) {
+	w.wrote = true
+	return w.ResponseWriter.Write(b)
+}
+
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (w *trackingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+func (s *Server) writeDeadlineExceeded(w http.ResponseWriter) {
+	s.writeError(w, http.StatusServiceUnavailable, "request deadline exceeded")
 }
 
 type errorBody struct {
@@ -343,8 +394,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) targetParam(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("target")
+func targetParam(q url.Values) (int, error) {
+	raw := q.Get("target")
 	if raw == "" {
 		return 0, errors.New("missing ?target parameter")
 	}
@@ -355,22 +406,28 @@ func (s *Server) targetParam(r *http.Request) (int, error) {
 	return target, nil
 }
 
-// recommendResponse deliberately excludes utilities; see the package
-// comment.
+// recommendResponse is the shape of a /v1/recommend answer, which
+// appendRecommendBody writes without reflection. It deliberately excludes
+// utilities; see the package comment.
 type recommendResponse struct {
 	Target  int     `json:"target"`
 	Nodes   []int   `json:"nodes"`
 	Epsilon float64 `json:"epsilon_spent"`
 }
 
+// jsonContentType is assigned to the header map directly, skipping the
+// key canonicalization of Header.Set on the hot path. net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	target, err := s.targetParam(r)
+	q := r.URL.Query()
+	target, err := targetParam(q)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	k := 1
-	if raw := r.URL.Query().Get("k"); raw != "" {
+	if raw := q.Get("k"); raw != "" {
 		k, err = strconv.Atoi(raw)
 		if err != nil || k < 1 {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid k %q", raw))
@@ -382,25 +439,55 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var nodes []int
+	var one [1]socialrec.Recommendation
+	var recs []socialrec.Recommendation
 	if k == 1 {
-		rec, err := s.recommendOne(target)
-		if err != nil {
-			s.writeRecommendError(w, err)
-			return
-		}
-		nodes = []int{rec.Node}
+		one[0], err = s.recommendOne(target)
+		recs = one[:]
 	} else {
-		recs, err := s.recommendTopK(target, k)
-		if err != nil {
-			s.writeRecommendError(w, err)
-			return
-		}
-		for _, rec := range recs {
-			nodes = append(nodes, rec.Node)
-		}
+		recs, err = s.recommendTopK(target, k)
 	}
-	s.writeJSON(w, http.StatusOK, recommendResponse{Target: target, Nodes: nodes, Epsilon: s.rec.Epsilon()})
+	if err != nil {
+		s.writeRecommendError(w, err)
+		return
+	}
+	// The draw is done and its ε charged; a late answer is still withheld.
+	if r.Context().Err() != nil {
+		s.writeDeadlineExceeded(w)
+		return
+	}
+	var buf [256]byte
+	body := appendRecommendBody(buf[:0], target, recs, s.epsJSON)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		s.logf("recserver: writing response: %v", err)
+	}
+}
+
+// appendRecommendBody appends the JSON encoding of recommendResponse{target,
+// the recs' nodes, ε} with its trailing newline, byte for byte what
+// json.Encoder writes; epsJSON is ε already encoded.
+func appendRecommendBody(b []byte, target int, recs []socialrec.Recommendation, epsJSON []byte) []byte {
+	b = append(b, `{"target":`...)
+	b = strconv.AppendInt(b, int64(target), 10)
+	b = append(b, `,"nodes":`...)
+	if len(recs) == 0 {
+		b = append(b, "null"...)
+	} else {
+		for i, rec := range recs {
+			if i == 0 {
+				b = append(b, '[')
+			} else {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(rec.Node), 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"epsilon_spent":`...)
+	b = append(b, epsJSON...)
+	return append(b, "}\n"...)
 }
 
 // recommendOne and recommendTopK draw from a per-request RNG stream rather
@@ -567,7 +654,7 @@ type auditResponse struct {
 }
 
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	target, err := s.targetParam(r)
+	target, err := targetParam(r.URL.Query())
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -641,8 +728,8 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "budgeting disabled")
 		return
 	}
-	if r.URL.Query().Has("target") {
-		target, err := s.targetParam(r)
+	if q := r.URL.Query(); q.Has("target") {
+		target, err := targetParam(q)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, err.Error())
 			return
