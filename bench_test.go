@@ -290,7 +290,7 @@ func BenchmarkAblationPathLen(b *testing.B) {
 		b.Run(map[int]string{2: "len2", 3: "len3", 4: "len4"}[maxLen], func(b *testing.B) {
 			u := utility.WeightedPaths{Gamma: 0.005, MaxLen: maxLen}
 			for i := 0; i < b.N; i++ {
-				if _, err := u.Vector(snap, i%snap.NumNodes()); err != nil {
+				if _, err := utility.Vector(u, snap, i%snap.NumNodes()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -307,14 +307,14 @@ func BenchmarkAblationCSR(b *testing.B) {
 	cn := utility.CommonNeighbors{}
 	b.Run("map", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cn.Vector(wiki, i%wiki.NumNodes()); err != nil {
+			if _, err := utility.Vector(cn, wiki, i%wiki.NumNodes()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("csr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cn.Vector(snap, i%snap.NumNodes()); err != nil {
+			if _, err := utility.Vector(cn, snap, i%snap.NumNodes()); err != nil {
 				b.Fatal(err)
 			}
 		}

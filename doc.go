@@ -101,10 +101,11 @@
 // scorer only within the call, and nothing pooled is ever reachable after
 // the request returns — the per-pool get/put/new counters are exported on
 // /healthz so a leak (news tracking gets) is observable in production.
-// Cache fill and Precompute gather their support slices from the same
-// streaming kernels (one counting pass, one exact-size fill), so there is
-// one kernel per utility, consumed lazily by uncached requests and eagerly
-// by the cache.
+// There is one kernel per utility: StreamSparse, which utility.Function
+// embeds. Uncached requests consume it lazily. The utility's Sparse gathers
+// it (one counting pass, one exact-size fill) for cache fill and
+// Precompute, and utility.Vector scatters it into the dense vector the
+// experiments and DP audits read.
 //
 // The two sources are DP-equivalent for the strongest possible reason:
 // they yield the same pairs, and the draws depend on nothing else, so for a
@@ -163,9 +164,10 @@
 // The paper's utilities are zero outside a target's 2-3-hop out-
 // neighborhood, so on sparse graphs the utility vector has nnz ≈ a few
 // hundred nonzeros out of n candidates. Serving exploits this end to end:
-// utility kernels (utility.Function.Sparse) walk the adjacency spans and
-// return only the nonzero support, and the mechanisms sample over (support
-// + implicit uniform zero tail) in closed form. Per uncached request:
+// utility kernels (utility.Function's StreamSparse) walk the adjacency
+// spans and yield only the nonzero support, and the mechanisms sample over
+// (support + implicit uniform zero tail) in closed form. Per uncached
+// request:
 //
 //	stage                        dense (pre-sparse)   sparse
 //	common neighbors / Jaccard   O(n)                 O(Σ_{a∈out(r)} d_a)

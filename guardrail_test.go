@@ -143,7 +143,7 @@ func TestGuardrailSparseUncachedVsDense(t *testing.T) {
 		func() float64 {
 			return nsPerOp(100, func(i int) {
 				target := targets[i%len(targets)]
-				full, err := cn.Vector(snap, target)
+				full, err := utility.Vector(cn, snap, target)
 				if err != nil {
 					t.Fatal(err)
 				}

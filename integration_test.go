@@ -160,7 +160,7 @@ func TestUtilityViewsAgreeUnderPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := cn.Vector(g, target)
+		full, err := utility.Vector(cn, g, target)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func SensitiveCommonNeighborsCeiling(g utility.View, r int, eps float64, policy 
 	if policy == nil {
 		policy = AllEdgesSensitive
 	}
-	full, err := (utility.CommonNeighbors{}).Vector(g, r)
+	full, err := utility.Vector(utility.CommonNeighbors{}, g, r)
 	if err != nil {
 		return SensitiveCeilingResult{}, err
 	}

@@ -45,7 +45,7 @@ func TestSensitiveCeilingAllSensitiveMatchesStandardBound(t *testing.T) {
 	}
 
 	// Compare against the standard pipeline with the §7.1 t.
-	full, err := (utility.CommonNeighbors{}).Vector(g, r)
+	full, err := utility.Vector(utility.CommonNeighbors{}, g, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func toggle(g *graph.Graph, u, v int) {
 }
 
 func probsFor(g *graph.Graph, f utility.Function, mech mechanism.Distribution, r int, candidates []int) ([]float64, error) {
-	full, err := f.Vector(g, r)
+	full, err := utility.Vector(f, g, r)
 	if err != nil {
 		return nil, err
 	}

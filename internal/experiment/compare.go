@@ -74,7 +74,7 @@ func RunMechanismComparison(g *graph.Graph, cfg CompareConfig) (CompareSummary, 
 	lapMech := mechanism.Laplace{Epsilon: cfg.Epsilon, Sensitivity: sens}
 
 	for _, r := range targets {
-		full, err := cfg.Utility.Vector(snap, r)
+		full, err := utility.Vector(cfg.Utility, snap, r)
 		if err != nil {
 			return CompareSummary{}, err
 		}

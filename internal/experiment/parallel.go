@@ -25,7 +25,7 @@ type targetVector struct {
 // parallel.
 func computeVectors(snap utility.View, u utility.Function, targets []int) []targetVector {
 	return par.Map(len(targets), func(i int) targetVector {
-		full, err := u.Vector(snap, targets[i])
+		full, err := utility.Vector(u, snap, targets[i])
 		if err != nil {
 			return targetVector{err: err}
 		}

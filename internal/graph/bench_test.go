@@ -55,27 +55,10 @@ func BenchmarkCommonNeighborsFrom(b *testing.B) {
 	}
 }
 
-func BenchmarkWalkCountsFromLen3(b *testing.B) {
-	g := benchGraph(b, 5000, 50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.WalkCountsFrom(i%5000, 3)
-	}
-}
-
 func BenchmarkSnapshot(b *testing.B) {
 	g := benchGraph(b, 5000, 50000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Snapshot()
-	}
-}
-
-func BenchmarkCSRCommonNeighborsFrom(b *testing.B) {
-	g := benchGraph(b, 5000, 50000)
-	c := g.Snapshot()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.CommonNeighborsFrom(i % 5000)
 	}
 }

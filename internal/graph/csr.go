@@ -118,48 +118,3 @@ func (c *CSR) HasEdge(u, v int) bool {
 	}
 	return lo < len(row) && row[lo] == t
 }
-
-// CommonNeighborsFrom mirrors Graph.CommonNeighborsFrom on the snapshot:
-// counts[i] = number of length-2 out-walks r -> a -> i with a != i, and
-// counts[r] = 0.
-func (c *CSR) CommonNeighborsFrom(r int) []int {
-	counts := make([]int, c.NumNodes())
-	for _, a := range c.Out(r) {
-		for _, i := range c.Out(int(a)) {
-			if int(i) == r || i == a {
-				continue
-			}
-			counts[i]++
-		}
-	}
-	counts[r] = 0
-	return counts
-}
-
-// WalkCountsFrom mirrors Graph.WalkCountsFrom on the snapshot.
-func (c *CSR) WalkCountsFrom(r int, maxLen int) [][]float64 {
-	if maxLen < 2 {
-		panic("graph: WalkCountsFrom requires maxLen >= 2")
-	}
-	n := c.NumNodes()
-	walks := make([][]float64, maxLen+1)
-	frontier := make([]float64, n)
-	for _, a := range c.Out(r) {
-		frontier[a] = 1
-	}
-	for l := 2; l <= maxLen; l++ {
-		next := make([]float64, n)
-		for a, cnt := range frontier {
-			if cnt == 0 {
-				continue
-			}
-			for _, i := range c.Out(a) {
-				next[i] += cnt
-			}
-		}
-		next[r] = 0
-		walks[l] = next
-		frontier = next
-	}
-	return walks
-}

@@ -1,8 +1,8 @@
 // Package graph implements the social-graph substrate for the private
 // social recommendation library: a mutable directed or undirected simple
-// graph over dense integer node IDs, with the neighborhood queries (common
-// neighbors, bounded-length walk counts) that the paper's utility functions
-// are built from, the edge-mutation operations used by the lower-bound
+// graph over dense integer node IDs, with the adjacency and degree queries
+// the paper's utility functions read, pairwise common-neighbor counts, the
+// edge-mutation operations used by the lower-bound
 // rewiring arguments (the parameter t in Lemmas 1-2), relabeling under a node
 // isomorphism (the exchangeability axiom), and an immutable CSR snapshot for
 // read-heavy scans.

@@ -56,40 +56,6 @@ func (g *Graph) CommonNeighborsFrom(r int) []int {
 	return counts
 }
 
-// WalkCountsFrom returns, for target r, the number of out-walks of each
-// length 2..maxLen from r to every node: walks[l][i] for l in [2, maxLen].
-// Index 0 and 1 of the outer slice are nil so that walks[l] reads naturally.
-// Walks may revisit intermediate nodes (Katz semantics) but never terminate
-// at r. maxLen must be >= 2; the paper's experiments truncate the weighted
-// paths utility at maxLen = 3.
-func (g *Graph) WalkCountsFrom(r int, maxLen int) [][]float64 {
-	if maxLen < 2 {
-		panic("graph: WalkCountsFrom requires maxLen >= 2")
-	}
-	n := len(g.out)
-	walks := make([][]float64, maxLen+1)
-	// frontier[i] = number of walks of the current length from r ending at i.
-	frontier := make([]float64, n)
-	for a := range g.out[r] {
-		frontier[a] = 1
-	}
-	for l := 2; l <= maxLen; l++ {
-		next := make([]float64, n)
-		for a, c := range frontier {
-			if c == 0 {
-				continue
-			}
-			for i := range g.out[a] {
-				next[i] += c
-			}
-		}
-		next[r] = 0 // walks terminating back at the target are not candidates
-		walks[l] = next
-		frontier = next
-	}
-	return walks
-}
-
 // TwoHopNeighborhood returns the set of nodes reachable from r by exactly
 // two out-hops (excluding r itself), in ascending order. These are the nodes
 // with non-zero common-neighbor utility: the V_hi candidates in the paper's

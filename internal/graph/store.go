@@ -2,9 +2,9 @@ package graph
 
 // Store is the read-only snapshot interface every layer above the graph
 // package serves from. It is the narrow contract between the storage layer
-// and the recommendation engine: degree and neighbor-span queries, the two
-// neighborhood scans the utility functions are built from, and an
-// incremental Patch producing a writable copy-on-write overlay.
+// and the recommendation engine: degree and neighbor-span queries (the
+// utility kernels walk the Out spans directly) and an incremental Patch
+// producing a writable copy-on-write overlay.
 //
 // Two interchangeable backends implement it: the heap-resident *CSR built
 // by Graph.Snapshot or decoded from a snapshot file, and the zero-copy
@@ -42,10 +42,6 @@ type Store interface {
 	MaxDegree() int
 	// HasEdge reports whether u->v is present.
 	HasEdge(u, v int) bool
-	// CommonNeighborsFrom counts length-2 out-walks from r; see CSR.
-	CommonNeighborsFrom(r int) []int
-	// WalkCountsFrom counts bounded-length out-walks from r; see CSR.
-	WalkCountsFrom(r int, maxLen int) [][]float64
 	// ForEachOutNeighbor calls fn for every out-neighbor of v in ascending
 	// order.
 	ForEachOutNeighbor(v int, fn func(u int))

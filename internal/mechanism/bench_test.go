@@ -56,18 +56,6 @@ func BenchmarkLaplaceRecommend(b *testing.B) {
 	}
 }
 
-func BenchmarkGumbelMaxRecommend(b *testing.B) {
-	u := benchVector(10000)
-	g := GumbelMax{Epsilon: 1, Sensitivity: 2}
-	rng := distribution.NewRNG(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Recommend(u, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTopKLaplace(b *testing.B) {
 	u := benchVector(10000)
 	rng := distribution.NewRNG(5)

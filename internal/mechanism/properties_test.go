@@ -139,7 +139,6 @@ func TestProbabilityVectorsValidProperty(t *testing.T) {
 		Best{},
 		Uniform{},
 		Exponential{Epsilon: 1.3, Sensitivity: 2},
-		GumbelMax{Epsilon: 1.3, Sensitivity: 2},
 		Smoothing{X: 0.4, Base: Best{}},
 	}
 	err := quick.Check(func(seed int64) bool {

@@ -1,7 +1,5 @@
 package utility
 
-import "fmt"
-
 // CommonNeighbors is the number-of-common-neighbors utility (the paper's
 // running example, §4.1): u_i = C(i, r), the number of two-hop
 // intermediaries between the target and i (following out-edges on directed
@@ -11,27 +9,9 @@ type CommonNeighbors struct{}
 // Name implements Function.
 func (CommonNeighbors) Name() string { return "common-neighbors" }
 
-// Sparse implements Function by walking the two-hop out-neighborhood of r:
-// every node with a nonzero count is reachable in exactly two out-steps, so
-// the kernel costs O(Σ_{a∈out(r)} d_a), independent of n.
-func (CommonNeighbors) Sparse(v View, r int) ([]int32, []float64, error) {
-	if r < 0 || r >= v.NumNodes() {
-		return nil, nil, fmt.Errorf("%w: %d", ErrTarget, r)
-	}
-	s := getSparseScratch()
-	defer putSparseScratch(s)
-	twoHopWalk(v, r, s)
-	idx, val := collectSparse(v, r, &s.a)
-	return idx, val, nil
-}
-
-// Vector implements Function as a dense scatter of Sparse.
-func (cn CommonNeighbors) Vector(v View, r int) ([]float64, error) {
-	idx, val, err := cn.Sparse(v, r)
-	if err != nil {
-		return nil, err
-	}
-	return Scatter(v.NumNodes(), idx, val), nil
+// Sparse implements Function by gathering StreamSparse.
+func (cn CommonNeighbors) Sparse(v View, r int) ([]int32, []float64, error) {
+	return gather(cn.StreamSparse(v, r))
 }
 
 // Sensitivity implements Function. Adding or removing one edge (x, y) not

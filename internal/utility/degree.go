@@ -1,7 +1,5 @@
 package utility
 
-import "fmt"
-
 // Degree is the preferential-attachment utility from the link-prediction
 // literature the paper draws its axioms from (Liben-Nowell & Kleinberg):
 // u_i = out-degree(i) for candidates at distance >= 2 from the target. It
@@ -14,39 +12,9 @@ type Degree struct{}
 // Name implements Function.
 func (Degree) Name() string { return "degree" }
 
-// Sparse implements Function. Degree is the one utility whose support is
-// inherently global (every non-isolated candidate scores), so the kernel is
-// an O(n) degree scan — but it allocates only the support and needs no
-// length-n scratch, using the pooled exclusion bitset for the candidate
-// check.
-func (Degree) Sparse(v View, r int) ([]int32, []float64, error) {
-	n := v.NumNodes()
-	if r < 0 || r >= n {
-		return nil, nil, fmt.Errorf("%w: %d", ErrTarget, r)
-	}
-	excluded := getExclusions(v, r)
-	defer putExclusions(excluded)
-	idx := make([]int32, 0, n)
-	val := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		if excluded.has(i) {
-			continue
-		}
-		if d := v.OutDegree(i); d > 0 {
-			idx = append(idx, int32(i))
-			val = append(val, float64(d))
-		}
-	}
-	return idx, val, nil
-}
-
-// Vector implements Function as a dense scatter of Sparse.
-func (d Degree) Vector(v View, r int) ([]float64, error) {
-	idx, val, err := d.Sparse(v, r)
-	if err != nil {
-		return nil, err
-	}
-	return Scatter(v.NumNodes(), idx, val), nil
+// Sparse implements Function by gathering StreamSparse.
+func (d Degree) Sparse(v View, r int) ([]int32, []float64, error) {
+	return gather(d.StreamSparse(v, r))
 }
 
 // Sensitivity implements Function: one edge changes the out-degree of at

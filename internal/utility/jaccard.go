@@ -1,7 +1,5 @@
 package utility
 
-import "fmt"
-
 // Jaccard is the Jaccard-coefficient utility from the link-prediction suite
 // the paper draws on (Liben-Nowell & Kleinberg):
 //
@@ -16,45 +14,9 @@ type Jaccard struct{}
 // Name implements Function.
 func (Jaccard) Name() string { return "jaccard" }
 
-// Sparse implements Function: the support is exactly the nonzero-
-// intersection set of the CommonNeighbors walk, and each score is a
-// per-entry normalization, so the kernel shares its two-hop cost.
-func (Jaccard) Sparse(v View, r int) ([]int32, []float64, error) {
-	if r < 0 || r >= v.NumNodes() {
-		return nil, nil, fmt.Errorf("%w: %d", ErrTarget, r)
-	}
-	s := getSparseScratch()
-	defer putSparseScratch(s)
-	twoHopWalk(v, r, s)
-	dr := v.OutDegree(r)
-	s.a.zero(int32(r))
-	v.ForEachOutNeighbor(r, func(u int) { s.a.zero(int32(u)) })
-	touched := s.a.ascending(v.NumNodes())
-	idx := make([]int32, 0, len(touched))
-	val := make([]float64, 0, len(touched))
-	for _, i := range touched {
-		c := s.a.val[i]
-		if c == 0 {
-			continue
-		}
-		// The intersection is out(r) ∩ in(i), so the union pairs out(r)
-		// with in(i) — identical sets to the CommonNeighbors convention.
-		union := dr + v.InDegree(int(i)) - int(c)
-		if union > 0 {
-			idx = append(idx, i)
-			val = append(val, c/float64(union))
-		}
-	}
-	return idx, val, nil
-}
-
-// Vector implements Function as a dense scatter of Sparse.
-func (j Jaccard) Vector(v View, r int) ([]float64, error) {
-	idx, val, err := j.Sparse(v, r)
-	if err != nil {
-		return nil, err
-	}
-	return Scatter(v.NumNodes(), idx, val), nil
+// Sparse implements Function by gathering StreamSparse.
+func (j Jaccard) Sparse(v View, r int) ([]int32, []float64, error) {
+	return gather(j.StreamSparse(v, r))
 }
 
 // Sensitivity implements Function. Flipping one edge (x, y) not incident to

@@ -45,29 +45,22 @@ func (p PageRank) tolerance() float64 {
 	return p.Tolerance
 }
 
-// Sparse implements Function with a frontier-propagating power iteration:
-// each sweep redistributes only the nodes currently holding mass, so early
-// iterations cost the size of the growing reachable set rather than n.
-// Frontiers are swept in ascending node order and the convergence delta is
-// accumulated over the merged frontier, making every float — and the
-// iteration count — bit-identical to the dense power iteration.
+// Sparse implements Function by gathering StreamSparse.
 func (p PageRank) Sparse(v View, r int) ([]int32, []float64, error) {
-	s := getSparseScratch()
-	defer putSparseScratch(s)
-	cur, err := p.accumulate(v, r, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	idx, val := collectSparse(v, r, cur)
-	return idx, val, nil
+	return gather(p.StreamSparse(v, r))
 }
 
 // accumulate runs the power iteration into s and returns the accumulator
 // holding the converged mass (one of s.a/s.b, depending on iteration
-// parity). It is the shared kernel behind Sparse and StreamSparse.
+// parity); StreamSparse streams it. Each sweep redistributes only the nodes
+// currently holding mass, so early iterations cost the size of the growing
+// reachable set rather than n. Frontiers are swept in ascending node order
+// and the convergence delta is accumulated over the merged frontier, making
+// every float — and the iteration count — bit-identical to the dense power
+// iteration.
 func (p PageRank) accumulate(v View, r int, s *sparseScratch) (*accumulator, error) {
-	if r < 0 || r >= v.NumNodes() {
-		return nil, fmt.Errorf("%w: %d", ErrTarget, r)
+	if err := checkTarget(v, r); err != nil {
+		return nil, err
 	}
 	alpha := p.alpha()
 	if !(alpha > 0 && alpha < 1) {
@@ -130,15 +123,6 @@ func mergedAbsDiff(a, b *accumulator) float64 {
 		}
 	}
 	return delta
-}
-
-// Vector implements Function as a dense scatter of Sparse.
-func (p PageRank) Vector(v View, r int) ([]float64, error) {
-	idx, val, err := p.Sparse(v, r)
-	if err != nil {
-		return nil, err
-	}
-	return Scatter(v.NumNodes(), idx, val), nil
 }
 
 // Sensitivity implements Function with the conservative L1 bound

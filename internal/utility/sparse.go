@@ -24,7 +24,9 @@ func checkTarget(v View, r int) error {
 // the O(n) a dense vector costs. Every kernel accumulates floating-point
 // contributions in the same (ascending-index) order as the dense reference
 // computation, so the nonzero values are bit-identical to the dense
-// vector's; Function.Vector is a thin scatter wrapper over the kernel.
+// vector's. Each utility exposes its accumulation once, as StreamSparse
+// (stream.go); gather and Vector below turn that stream into the sparse
+// and dense forms.
 
 // spanner is the fast-path neighbor access every snapshot store (CSR,
 // Mapped, graph.Store) provides; the mutable *graph.Graph falls back to a
@@ -220,28 +222,54 @@ func twoHopWalk(v View, r int, s *sparseScratch) {
 	}
 }
 
-// collectSparse masks the candidate-convention exclusions (r itself and r's
-// out-neighbors) in acc and gathers the remaining nonzero entries into
-// caller-owned idx/val slices, ascending by node ID.
-func collectSparse(v View, r int, acc *accumulator) ([]int32, []float64) {
-	acc.zero(int32(r))
-	v.ForEachOutNeighbor(r, func(u int) { acc.zero(int32(u)) })
-	touched := acc.ascending(v.NumNodes())
+// gather drains a kernel's stream into caller-owned idx/val slices: one
+// counting pass, then an exact-size fill. Cache entries alias these slices
+// and account for them by length, so slack capacity would be heap the cache
+// cannot see. Every built-in Sparse is gather over its own StreamSparse.
+func gather(sc stream.Scorer, err error) ([]int32, []float64, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	defer sc.Close()
 	nnz := 0
-	for _, i := range touched {
-		if acc.val[i] != 0 {
-			nnz++
+	for {
+		if _, _, ok := sc.Next(); !ok {
+			break
 		}
+		nnz++
 	}
 	idx := make([]int32, 0, nnz)
 	val := make([]float64, 0, nnz)
-	for _, i := range touched {
-		if x := acc.val[i]; x != 0 {
-			idx = append(idx, i)
-			val = append(val, x)
+	sc.Reset()
+	for {
+		i, x, ok := sc.Next()
+		if !ok {
+			return idx, val, nil
 		}
+		idx = append(idx, i)
+		val = append(val, x)
 	}
-	return idx, val
+}
+
+// Vector returns f's utility for recommending every node to target r as a
+// dense length-v.NumNodes() slice owned by the caller: the kernel's stream
+// scattered over zeros, so existing neighbors of r and r itself read 0.
+// It serves exhaustive evaluation (experiments, DP audits, bounds); the
+// serving paths read the stream or Sparse.
+func Vector(f Function, v View, r int) ([]float64, error) {
+	sc, err := f.StreamSparse(v, r)
+	if err != nil {
+		return nil, err
+	}
+	defer sc.Close()
+	vec := make([]float64, v.NumNodes())
+	for {
+		i, x, ok := sc.Next()
+		if !ok {
+			return vec, nil
+		}
+		vec[i] = x
+	}
 }
 
 // CandidateCount returns the size of target r's candidate domain: every
@@ -250,16 +278,6 @@ func collectSparse(v View, r int, acc *accumulator) ([]int32, []float64) {
 // n_cand - nnz candidates implicitly hold utility 0).
 func CandidateCount(v View, r int) int {
 	return v.NumNodes() - 1 - v.OutDegree(r)
-}
-
-// Scatter expands a sparse kernel result to the dense length-n utility
-// vector Function.Vector returns.
-func Scatter(n int, idx []int32, val []float64) []float64 {
-	vec := make([]float64, n)
-	for i, id := range idx {
-		vec[id] = val[i]
-	}
-	return vec
 }
 
 // nodeMark is a pooled bitset over node IDs with O(marked) clearing, used

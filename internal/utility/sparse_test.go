@@ -45,11 +45,13 @@ func sparseTestGraph(t *testing.T, n, m int, directed bool, seed int64) *graph.G
 	return g
 }
 
-// referenceDense recomputes the utility vector the slow, obvious way: the
-// dense Vector (a scatter of Sparse) must match entry-for-entry what the
-// sparse kernel claims, and the sparse kernel must list exactly the
-// nonzero, non-excluded entries.
-func checkSparseMatchesDense(t *testing.T, f Function, v View, r int) {
+// checkSparseMatchesDense checks f's forms for target r on v, a view of g.
+// Sparse and the dense Vector both read f's kernel stream, so they must
+// agree entry for entry and Sparse must list exactly the nonzero,
+// non-excluded entries. That alone cannot catch a wrong kernel, so the
+// utilities with a closed pairwise form are also checked against a
+// reference computed one candidate at a time on g (pairwiseReference).
+func checkSparseMatchesDense(t *testing.T, f Function, g *graph.Graph, v View, r int) {
 	t.Helper()
 	idx, val, err := f.Sparse(v, r)
 	if err != nil {
@@ -58,7 +60,7 @@ func checkSparseMatchesDense(t *testing.T, f Function, v View, r int) {
 	if len(idx) != len(val) {
 		t.Fatalf("%s Sparse(%d): len(idx)=%d len(val)=%d", f.Name(), r, len(idx), len(val))
 	}
-	dense, err := f.Vector(v, r)
+	dense, err := Vector(f, v, r)
 	if err != nil {
 		t.Fatalf("%s Vector(%d): %v", f.Name(), r, err)
 	}
@@ -87,6 +89,55 @@ func checkSparseMatchesDense(t *testing.T, f Function, v View, r int) {
 	if nnz != len(idx) {
 		t.Fatalf("%s Sparse(%d): dense has %d nonzeros, sparse lists %d", f.Name(), r, nnz, len(idx))
 	}
+	if want := pairwiseReference(f, g, r); want != nil {
+		for i := range want {
+			if dense[i] != want[i] {
+				t.Fatalf("%s Vector(%d): node %d kernel %v, pairwise reference %v", f.Name(), r, i, dense[i], want[i])
+			}
+		}
+	}
+}
+
+// pairwiseReference returns f's utility vector for target r computed one
+// candidate at a time on g, or nil when f has no pairwise form: common
+// neighbors from Graph.CommonNeighbors, Jaccard from the explicit
+// intersection and union of out(r) and in(i), degree from OutDegree. The
+// candidate mask is applied independently too: r and r's out-neighbors
+// read 0.
+func pairwiseReference(f Function, g *graph.Graph, r int) []float64 {
+	switch f.(type) {
+	case CommonNeighbors, Jaccard, Degree:
+	default:
+		return nil
+	}
+	want := make([]float64, g.NumNodes())
+	for i := range want {
+		if i == r || g.HasEdge(r, i) {
+			continue
+		}
+		switch f.(type) {
+		case CommonNeighbors:
+			want[i] = float64(g.CommonNeighbors(r, i))
+		case Jaccard:
+			union := map[int]bool{}
+			for _, a := range g.OutNeighbors(r) {
+				union[a] = true
+			}
+			inter := 0
+			for _, a := range g.InNeighbors(i) {
+				if union[a] {
+					inter++
+				}
+				union[a] = true
+			}
+			if inter > 0 {
+				want[i] = float64(inter) / float64(len(union))
+			}
+		case Degree:
+			want[i] = float64(g.OutDegree(i))
+		}
+	}
+	return want
 }
 
 func TestSparseMatchesDenseAllKernels(t *testing.T) {
@@ -95,8 +146,8 @@ func TestSparseMatchesDenseAllKernels(t *testing.T) {
 		views := map[string]View{"graph": g, "csr": g.Snapshot()}
 		for name, v := range views {
 			for _, f := range allFunctions() {
-				for r := 0; r < 40; r++ {
-					checkSparseMatchesDense(t, f, v, r)
+				for r := 0; r < v.NumNodes(); r++ {
+					checkSparseMatchesDense(t, f, g, v, r)
 				}
 			}
 			_ = name
@@ -170,7 +221,7 @@ func TestScratchPoolReuseIsClean(t *testing.T) {
 	want := map[int][]float64{}
 	cn := CommonNeighbors{}
 	for r := 0; r < 30; r++ {
-		vec, err := cn.Vector(snap, r)
+		vec, err := Vector(cn, snap, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +235,7 @@ func TestScratchPoolReuseIsClean(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := cn.Vector(snap, r)
+			got, err := Vector(cn, snap, r)
 			if err != nil {
 				t.Fatal(err)
 			}

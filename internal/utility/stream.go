@@ -2,37 +2,27 @@ package utility
 
 import "socialrec/internal/stream"
 
-// Streaming kernels. StreamSparse runs the same pooled accumulation as
-// Sparse but hands the result out as a stream.Scorer over the accumulator
-// itself instead of gathering it into freshly allocated idx/val slices —
-// the serving path consumes the pairs in place and never materializes the
-// support. The Scorer owns the sparseScratch until Close; emitted pairs are
-// bit-identical to the Sparse output (same accumulation, same ascending
-// order, same per-entry arithmetic), which is what lets an uncached request
-// reproduce a cached entry's draws exactly.
+// Streaming kernels. StreamSparse is each utility's one kernel: it runs
+// the utility's pooled accumulation and hands the result out as a
+// stream.Scorer over the accumulator itself, so the serving path consumes
+// the pairs in place and never materializes the support. The Scorer owns
+// the sparseScratch until Close. Sparse (gather) and Vector read the same
+// stream, so every form of a utility's output carries identical pairs,
+// which is what lets an uncached request reproduce a cached entry's draws
+// exactly.
 
-// Streamer is the optional interface a Function implements to expose its
-// kernel as a pull stream. Every built-in utility implements it.
+// Streamer is the kernel contract every Function embeds.
 type Streamer interface {
 	// StreamSparse returns a Scorer yielding the target's nonzero support
-	// in ascending node order. The caller must Close it (also on error-free
-	// early exit); the emitted (idx, val) pairs match Sparse exactly.
+	// in ascending node order; r itself and r's out-neighbors are never
+	// emitted. The caller must Close it (also on error-free early exit).
 	StreamSparse(v View, r int) (stream.Scorer, error)
 }
 
-// Compile-time checks that every built-in utility streams.
-var (
-	_ Streamer = CommonNeighbors{}
-	_ Streamer = Jaccard{}
-	_ Streamer = WeightedPaths{}
-	_ Streamer = PageRank{}
-	_ Streamer = Degree{}
-)
-
-// maskExclusions zeroes r and r's out-neighbors in acc — the same exclusion
-// masking collectSparse applies, but over outRow spans instead of the
-// ForEachOutNeighbor closure, which would escape to the heap through the
-// interface call on the serving hot path.
+// maskExclusions zeroes r and r's out-neighbors in acc — the candidate
+// convention — over outRow spans rather than the ForEachOutNeighbor
+// closure, which would escape to the heap through the interface call on
+// the serving hot path.
 func maskExclusions(v View, r int, acc *accumulator, rowBuf *[]int32) {
 	acc.zero(int32(r))
 	for _, u := range outRow(v, r, rowBuf) {
@@ -42,8 +32,7 @@ func maskExclusions(v View, r int, acc *accumulator, rowBuf *[]int32) {
 
 // accScorer streams the nonzero entries of a finished accumulator in
 // ascending index order, holding the backing sparseScratch until Close.
-// With jaccard set, each count c is normalized to c/|union| on emission —
-// the identical per-entry arithmetic Jaccard.Sparse applies at gather time.
+// With jaccard set, each count c is normalized to c/|union| on emission.
 type accScorer struct {
 	s       *sparseScratch
 	acc     *accumulator
@@ -57,8 +46,8 @@ type accScorer struct {
 
 var accScorerPool = stream.NewPool("utility.scorer", func() *accScorer { return &accScorer{} })
 
-// newAccScorer masks the exclusions in acc (matching collectSparse) and
-// wraps it in a pooled scorer that owns s.
+// newAccScorer masks the exclusions in acc and wraps it in a pooled scorer
+// that owns s.
 func newAccScorer(v View, r int, s *sparseScratch, acc *accumulator) *accScorer {
 	maskExclusions(v, r, acc, &s.rowA)
 	sc := accScorerPool.Get()
@@ -80,6 +69,8 @@ func (sc *accScorer) Next() (int32, float64, bool) {
 			continue // masked exclusion retained by the sort path
 		}
 		if sc.jaccard {
+			// The intersection is out(r) ∩ in(i), so the union pairs
+			// out(r) with in(i).
 			union := sc.dr + sc.v.InDegree(int(i)) - int(x)
 			if union <= 0 {
 				continue
@@ -105,7 +96,9 @@ func (sc *accScorer) Close() {
 	accScorerPool.Put(sc)
 }
 
-// StreamSparse implements Streamer via the shared two-hop walk.
+// StreamSparse implements Streamer by walking the two-hop out-neighborhood
+// of r: every node with a nonzero count is reachable in exactly two
+// out-steps, so the kernel costs O(Σ_{a∈out(r)} d_a), independent of n.
 func (CommonNeighbors) StreamSparse(v View, r int) (stream.Scorer, error) {
 	if err := checkTarget(v, r); err != nil {
 		return nil, err
@@ -115,8 +108,10 @@ func (CommonNeighbors) StreamSparse(v View, r int) (stream.Scorer, error) {
 	return newAccScorer(v, r, s, &s.a), nil
 }
 
-// StreamSparse implements Streamer: the two-hop counts stream through the
-// per-emit union normalization.
+// StreamSparse implements Streamer: the support is exactly the
+// nonzero-intersection set of the CommonNeighbors walk, and each count
+// streams through the per-emit union normalization, so the kernel shares
+// its two-hop cost.
 func (Jaccard) StreamSparse(v View, r int) (stream.Scorer, error) {
 	if err := checkTarget(v, r); err != nil {
 		return nil, err
@@ -153,7 +148,9 @@ func (p PageRank) StreamSparse(v View, r int) (stream.Scorer, error) {
 
 // degreeScorer streams the degree utility truly lazily: a node cursor plus
 // the pooled exclusion bitset, O(1) memory beyond the bitset and no
-// accumulation pass at all.
+// accumulation pass at all. Degree is the one utility whose support is
+// inherently global (every non-isolated candidate scores), so a full drain
+// is an O(n) degree scan.
 type degreeScorer struct {
 	v    View
 	excl *nodeMark

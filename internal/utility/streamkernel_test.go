@@ -13,19 +13,6 @@ import (
 // consumers' own bit-identity tests. Reset must rewind to an identical
 // replay (consumers are multi-pass), and Close must be idempotent.
 
-// allStreamers returns the kernel matrix as Streamers; every built-in
-// Function must implement the interface.
-func allStreamers(t *testing.T) []Function {
-	t.Helper()
-	fns := allFunctions()
-	for _, f := range fns {
-		if _, ok := f.(Streamer); !ok {
-			t.Fatalf("%s does not implement Streamer", f.Name())
-		}
-	}
-	return fns
-}
-
 func drain(t *testing.T, sc stream.Scorer) ([]int32, []float64) {
 	t.Helper()
 	var idx []int32
@@ -44,13 +31,13 @@ func TestStreamSparseMatchesSparse(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		g := sparseTestGraph(t, 60, 150, directed, 31)
 		snap := g.Snapshot()
-		for _, f := range allStreamers(t) {
+		for _, f := range allFunctions() {
 			for r := 0; r < snap.NumNodes(); r++ {
 				wantIdx, wantVal, err := f.Sparse(snap, r)
 				if err != nil {
 					t.Fatalf("%s Sparse(%d): %v", f.Name(), r, err)
 				}
-				sc, err := f.(Streamer).StreamSparse(snap, r)
+				sc, err := f.StreamSparse(snap, r)
 				if err != nil {
 					t.Fatalf("%s StreamSparse(%d): %v", f.Name(), r, err)
 				}
@@ -91,9 +78,9 @@ func TestStreamSparseMatchesSparse(t *testing.T) {
 func TestStreamSparseTargetValidation(t *testing.T) {
 	g := sparseTestGraph(t, 10, 20, false, 5)
 	snap := g.Snapshot()
-	for _, f := range allStreamers(t) {
+	for _, f := range allFunctions() {
 		for _, r := range []int{-1, snap.NumNodes()} {
-			if _, err := f.(Streamer).StreamSparse(snap, r); err == nil {
+			if _, err := f.StreamSparse(snap, r); err == nil {
 				t.Fatalf("%s StreamSparse(%d): expected range error", f.Name(), r)
 			}
 		}

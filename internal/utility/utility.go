@@ -27,8 +27,6 @@ type View interface {
 	InDegree(v int) int
 	MaxDegree() int
 	HasEdge(u, v int) bool
-	CommonNeighborsFrom(r int) []int
-	WalkCountsFrom(r int, maxLen int) [][]float64
 	ForEachOutNeighbor(v int, fn func(u int))
 }
 
@@ -46,25 +44,26 @@ var (
 // ErrTarget is returned when the target node is out of range.
 var ErrTarget = errors.New("utility: target node out of range")
 
-// Function is one graph link-analysis utility measure.
+// Function is one graph link-analysis utility measure. Its one kernel is
+// StreamSparse, from the embedded Streamer: a pooled accumulation that
+// streams the target's nonzero support. Sparse gathers that stream into
+// caller-owned slices, and the package-level Vector scatters it into a
+// dense vector, so every form of a utility's output comes from the same
+// accumulation. A utility defined outside this package must stream too.
 type Function interface {
 	// Name returns a short stable identifier ("common-neighbors", ...).
 	Name() string
 
-	// Vector returns the utility of recommending every node to target r.
-	// Existing neighbors of r and r itself have utility 0. The returned
-	// slice has length v.NumNodes() and is owned by the caller. It is a
-	// dense scatter of Sparse, kept for exhaustive evaluation (experiments,
-	// DP audits); serving paths use Sparse.
-	Vector(v View, r int) ([]float64, error)
+	// Streamer supplies the kernel, StreamSparse.
+	Streamer
 
 	// Sparse returns the nonzero support of the utility vector for target
 	// r: idx holds candidate node IDs ascending, val the matching positive
-	// utilities, bit-identical to the corresponding Vector entries. Nodes
-	// absent from idx — including r itself and r's existing out-neighbors —
-	// have utility 0. Kernels walk adjacency spans directly and cost
-	// O(support) work via pooled scratch, never a length-n allocation. The
-	// returned slices are owned by the caller.
+	// utilities — exactly the pairs StreamSparse emits, gathered into
+	// exact-size caller-owned slices. Nodes absent from idx — including r
+	// itself and r's existing out-neighbors — have utility 0. The built-in
+	// utilities implement it as a one-line gather of their own
+	// StreamSparse.
 	Sparse(v View, r int) (idx []int32, val []float64, err error)
 
 	// Sensitivity returns the Δf plugged into the Exponential and Laplace
@@ -129,17 +128,6 @@ func Max(vec []float64) float64 {
 		}
 	}
 	return max
-}
-
-// AllZero reports whether every entry of vec is zero — the "no non-zero
-// utility recommendations available" targets that §7.1 omits.
-func AllZero(vec []float64) bool {
-	for _, x := range vec {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Candidates returns the valid candidate nodes for target r in ascending

@@ -46,23 +46,17 @@ func (w WeightedPaths) validate() error {
 	return nil
 }
 
-// Sparse implements Function with a frontier-propagating walk count: each
-// level expands only the nodes reached at the previous level, so the cost is
-// the size of the MaxLen-hop out-neighborhood, not n. Frontiers are swept in
-// ascending node order, making every accumulated float bit-identical to the
-// dense walk-matrix computation.
+// Sparse implements Function by gathering StreamSparse.
 func (w WeightedPaths) Sparse(v View, r int) ([]int32, []float64, error) {
-	s := getSparseScratch()
-	defer putSparseScratch(s)
-	if err := w.accumulate(v, r, s); err != nil {
-		return nil, nil, err
-	}
-	idx, val := collectSparse(v, r, &s.a)
-	return idx, val, nil
+	return gather(w.StreamSparse(v, r))
 }
 
-// accumulate runs the frontier walk, leaving the discounted scores in s.a.
-// It is the shared kernel behind Sparse and StreamSparse. Each level first
+// accumulate runs the frontier walk, leaving the discounted scores in s.a;
+// StreamSparse streams them. Each level expands only the nodes reached at
+// the previous level, so the cost is the size of the MaxLen-hop
+// out-neighborhood, not n. Frontiers are swept in ascending node order,
+// making every accumulated float bit-identical to the dense walk-matrix
+// computation. Each level first
 // bounds its expansion by Σ out-degree over the frontier and lets the
 // accumulator's density rule pick touch-tracked or direct accumulation —
 // on small-world graphs the length-3 frontier already covers most nodes.
@@ -72,8 +66,8 @@ func (w WeightedPaths) accumulate(v View, r int, s *sparseScratch) error {
 	if err := w.validate(); err != nil {
 		return err
 	}
-	if r < 0 || r >= v.NumNodes() {
-		return fmt.Errorf("%w: %d", ErrTarget, r)
+	if err := checkTarget(v, r); err != nil {
+		return err
 	}
 	// s.a accumulates the discounted score, s.b holds the current frontier's
 	// walk counts, s.c the next level's.
@@ -113,15 +107,6 @@ func (w WeightedPaths) accumulate(v View, r int, s *sparseScratch) error {
 		level = reached
 	}
 	return nil
-}
-
-// Vector implements Function as a dense scatter of Sparse.
-func (w WeightedPaths) Vector(v View, r int) ([]float64, error) {
-	idx, val, err := w.Sparse(v, r)
-	if err != nil {
-		return nil, err
-	}
-	return Scatter(v.NumNodes(), idx, val), nil
 }
 
 // Sensitivity implements Function. Adding one edge (x, y) away from the

@@ -46,7 +46,16 @@ func oracleWeightedPaths(w WeightedPaths, v View, r int) ([]int32, []float64) {
 		frontier.reset()
 		frontier, next = next, frontier
 	}
-	return collectSparse(v, r, &s.a)
+	maskExclusions(v, r, &s.a, &s.rowA)
+	var idx []int32
+	var val []float64
+	for _, i := range s.a.ascending(n) {
+		if x := s.a.val[i]; x != 0 {
+			idx = append(idx, i)
+			val = append(val, x)
+		}
+	}
+	return idx, val
 }
 
 // levelBounds returns, for each level l = 2..maxLen, the sum of out-degrees
@@ -251,7 +260,8 @@ func TestWeightedPathsScratchZeroAfterClose(t *testing.T) {
 		if err := w.accumulate(tc.v, tc.r, s); err != nil {
 			t.Fatal(err)
 		}
-		collectSparse(tc.v, tc.r, &s.a)
+		maskExclusions(tc.v, tc.r, &s.a, &s.rowA)
+		s.a.ascending(tc.v.NumNodes())
 		s.reset()
 		assertZero(t, fmt.Sprintf("after n=%d target %d", tc.v.NumNodes(), tc.r), s)
 		if len(s.a.val) < big.NumNodes() {

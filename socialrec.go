@@ -487,8 +487,8 @@ func (r *Recommender) buildMech(st *snapState) mechanism.StreamMechanism {
 }
 
 // computeVector runs the deterministic pre-processing stage for target: the
-// sparse utility kernel (nonzero support only — O(nnz) work and memory, no
-// length-n pass) plus — for the exponential mechanism behind a cache — the
+// utility's Sparse gather of its kernel (nonzero support only — O(nnz) work
+// and memory, no length-n pass) plus — for the exponential mechanism behind a cache — the
 // sparse cumulative-weight form that turns each subsequent draw into a
 // binary search over per-block prefix sums and a re-accumulation of at most
 // one block. The CDF aliases the entry's val and stores one prefix sum per
@@ -496,7 +496,7 @@ func (r *Recommender) buildMech(st *snapState) mechanism.StreamMechanism {
 // is a pure function of the snapshot and the public (ε, Δf), so
 // precomputing it does not change the mechanism's output distribution.
 func (r *Recommender) computeVector(st *snapState, target int) (*cachedVector, error) {
-	idx, val, err := r.supportSlices(st, target)
+	idx, val, err := r.util.Sparse(st.snap, target)
 	if err != nil {
 		return nil, err
 	}

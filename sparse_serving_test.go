@@ -53,7 +53,7 @@ func servingUtilities() []UtilityFunction {
 func denseServingProbs(t *testing.T, g *Graph, u UtilityFunction, d mechanism.Distribution, target int) map[int]float64 {
 	t.Helper()
 	snap := g.Snapshot()
-	full, err := u.Vector(snap, target)
+	full, err := utility.Vector(u, snap, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSparseServingExpectedAccuracyMatchesDense(t *testing.T) {
 					continue
 				}
 				checked++
-				full, err := u.Vector(snap, target)
+				full, err := utility.Vector(u, snap, target)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,7 +295,7 @@ func TestSparseServingLaplaceGOF(t *testing.T) {
 			t.Fatal("no target with a small support found")
 		}
 		snap := g.Snapshot()
-		full, verr := rec.util.Vector(snap, target)
+		full, verr := utility.Vector(rec.util, snap, target)
 		if verr != nil {
 			t.Fatal(verr)
 		}
@@ -371,7 +371,7 @@ func TestSparseServingNoTailBitIdentical(t *testing.T) {
 		snap := g.Snapshot()
 		e := mechanism.Exponential{Epsilon: 1, Sensitivity: u.Sensitivity(snap)}
 		for target := 0; target < 25; target++ {
-			full, err := u.Vector(snap, target)
+			full, err := utility.Vector(u, snap, target)
 			if err != nil {
 				t.Fatal(err)
 			}

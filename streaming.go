@@ -16,8 +16,8 @@ import (
 //
 //   - with no cache, the utility kernel's pooled stream.Scorer, so the
 //     vector is never materialized;
-//   - through the cache (or for a utility that does not stream), a pooled
-//     stream.Slice over the cached entry's idx/val.
+//   - through the cache, a pooled stream.Slice over the cached entry's
+//     idx/val, which the utility's Sparse gathered from that same kernel.
 //
 // Both sources yield the same ascending (node, utility) pairs, and every
 // mechanism's streaming draw depends only on those pairs, so a cached and
@@ -55,8 +55,7 @@ func (c *cachedScorer) Close() {
 // cached-entry form (the smoothing top-k needs closed-form probabilities).
 // The caller closes src.sc.
 func (r *Recommender) openSource(st *snapState, target int, materialize bool) (source, error) {
-	su, ok := r.util.(utility.Streamer)
-	if !ok || materialize || r.cache.Load() != nil {
+	if materialize || r.cache.Load() != nil {
 		cv, err := r.vector(st, target)
 		if err != nil {
 			return source{}, err
@@ -68,7 +67,7 @@ func (r *Recommender) openSource(st *snapState, target int, materialize bool) (s
 	if target < 0 || target >= st.snap.NumNodes() {
 		return source{}, fmt.Errorf("%w: %d", ErrBadTarget, target)
 	}
-	sc, err := su.StreamSparse(st.snap, target)
+	sc, err := r.util.StreamSparse(st.snap, target)
 	if err != nil {
 		return source{}, err
 	}
@@ -92,42 +91,6 @@ func (src source) recommendation(snap graph.Store, target int, p mechanism.Strea
 		node, util = streamComplementSelect(snap.Out(target), src.sc, target, p.Tail), 0
 	}
 	return Recommendation{Target: target, Node: node, Utility: util, MaxUtility: src.umax}
-}
-
-// supportSlices gathers the target's nonzero support into fresh
-// caller-owned slices for a cache entry: the pairs come off the utility's
-// streaming kernel — the same kernel uncached requests read — counted first
-// so the slices are allocated exactly-sized. Utilities that do not stream
-// (external implementations) fall back to their own Sparse gather.
-func (r *Recommender) supportSlices(st *snapState, target int) ([]int32, []float64, error) {
-	su, ok := r.util.(utility.Streamer)
-	if !ok {
-		return r.util.Sparse(st.snap, target)
-	}
-	sc, err := su.StreamSparse(st.snap, target)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer sc.Close()
-	nnz := 0
-	for {
-		if _, _, ok := sc.Next(); !ok {
-			break
-		}
-		nnz++
-	}
-	idx := make([]int32, 0, nnz)
-	val := make([]float64, 0, nnz)
-	sc.Reset()
-	for {
-		i, x, ok := sc.Next()
-		if !ok {
-			break
-		}
-		idx = append(idx, i)
-		val = append(val, x)
-	}
-	return idx, val, nil
 }
 
 // streamMax returns the maximum streamed value floored at zero (the
