@@ -239,9 +239,9 @@ func (a *Accountant) BatchRecommendTopK(targets []int, k int) []BatchTopKResult 
 // serving traffic only. The return value is the number of targets now
 // cached, counting each distinct target once and counting negative entries
 // for hopeless targets; it is 0 when no cache is enabled (enable one with
-// WithCache or EnableCache first).
+// WithCache first).
 func (r *Recommender) Precompute(targets []int) int {
-	c := r.cache.Load()
+	c := r.cache
 	if c == nil {
 		return 0
 	}

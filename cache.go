@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"socialrec/internal/mechanism"
+	"socialrec/internal/stream"
 )
 
 // The utility-vector cache memoizes the deterministic pre-processing stage
@@ -30,7 +31,7 @@ import (
 // degenerates to a full flush. The cache is sharded to keep lock contention
 // negligible under concurrent serving.
 
-// DefaultCacheSize is the entry cap EnableCache uses when given a
+// DefaultCacheSize is the entry cap WithCache uses when given a
 // non-positive size.
 const DefaultCacheSize = 4096
 
@@ -62,9 +63,12 @@ type CacheStats struct {
 	// Capacity is the configured entry cap.
 	Capacity int `json:"capacity"`
 	// Bytes approximates the resident size of all cached entries. Sparse
-	// entries cost O(nonzeros), not O(n): 12 B per nonzero (4 B node ID,
-	// 8 B utility), plus 0.25 B under the exponential mechanism for the
-	// CDF's one 8 B prefix sum per 32 nonzeros.
+	// entries cost O(nonzeros), not O(n). An entry with at most 256
+	// distinct utilities — every common-neighbour entry on the bundled
+	// graphs — costs 5 B per nonzero (4 B node ID, 1 B level code) plus
+	// 8 B per distinct utility; one with more keeps 12 B per nonzero
+	// (4 B node ID, 8 B utility). The exponential mechanism adds 0.25 B
+	// per nonzero for the CDF's one 8 B prefix sum per 32 nonzeros.
 	Bytes int64 `json:"approx_bytes"`
 	// Retained counts entries carried across snapshot swaps by delta-aware
 	// invalidation (re-keyed to the new epoch instead of discarded).
@@ -79,16 +83,25 @@ type CacheStats struct {
 // cachedVector is the immutable per-target pre-processing result, held in
 // sparse form: on sparse graphs a target's utility vector has a few hundred
 // nonzeros out of n, so an entry costs O(nnz) bytes instead of the O(n) a
-// dense vector + candidate list would. The slices are shared between the
-// cache and all readers and must never be mutated after insertion.
+// dense vector + candidate list would. The utilities are level-coded when
+// they take at most 256 distinct values: the paper's path-count utilities
+// are small integers (a common-neighbour support of ~1,000 nodes has ~16
+// distinct counts), so a one-byte code into a short table of levels
+// replaces the 8 B float64 per node, and decoding returns the very
+// float64 the kernel produced. The slices are shared between the cache and
+// all readers and must never be mutated after insertion.
 // umax == 0 records a negative result (the target has no positive-utility
 // candidate), so repeated requests for hopeless targets are served without
 // a graph scan too.
 type cachedVector struct {
-	// idx holds the candidate node IDs with nonzero utility, ascending; val
-	// the matching utilities (utility.Function.Sparse output).
-	idx []int32
-	val []float64
+	// idx holds the candidate node IDs with nonzero utility, ascending;
+	// (code, val) the matching utilities under package stream's convention,
+	// as stream.Encode gathered them from the utility's kernel: with code
+	// non-nil, val holds the at most 256 ascending distinct utilities and
+	// node idx[j]'s is val[code[j]]; with code nil, val holds one per node.
+	idx  []int32
+	code []uint8
+	val  []float64
 	// umax is the maximum utility (R_best's score).
 	umax float64
 	// ncand is the total candidate-domain size: len(idx) nonzeros plus
@@ -98,13 +111,34 @@ type cachedVector struct {
 	ncand int
 	// cdf is the exponential mechanism's sparse cumulative-weight form
 	// (nil for other mechanisms): one prefix sum per 32 support entries,
-	// with its Val aliasing val; see mechanism.SparseCDF.
+	// with its Code and Val aliasing code and val; see mechanism.SparseCDF.
 	cdf *mechanism.SparseCDF
 }
 
 // sparseVec is the mechanism-facing view of the cached entry.
 func (cv *cachedVector) sparseVec() mechanism.SparseVec {
-	return mechanism.SparseVec{Val: cv.val, N: cv.ncand}
+	return mechanism.SparseVec{Code: cv.code, Val: cv.val, N: cv.ncand}
+}
+
+// slice is the entry's support as a Scorer.
+func (cv *cachedVector) slice() stream.Slice {
+	return stream.Slice{Idx: cv.idx, Code: cv.code, Val: cv.val}
+}
+
+// at returns support entry j's utility.
+func (cv *cachedVector) at(j int) float64 { return stream.At(cv.code, cv.val, j) }
+
+// values returns the support's utilities decoded, one per node, for the
+// cold readers that take a plain slice.
+func (cv *cachedVector) values() []float64 {
+	if cv.code == nil {
+		return cv.val
+	}
+	out := make([]float64, len(cv.code))
+	for j, c := range cv.code {
+		out[j] = cv.val[c]
+	}
+	return out
 }
 
 // streamPick converts a cached CDF draw into the streamed pick form, reading
@@ -113,14 +147,16 @@ func (cv *cachedVector) streamPick(p mechanism.Pick) mechanism.StreamPick {
 	if p.IsTail() {
 		return mechanism.StreamPick{IsTail: true, Tail: p.Tail}
 	}
-	return mechanism.StreamPick{Node: cv.idx[p.Support], Util: cv.val[p.Support]}
+	return mechanism.StreamPick{Node: cv.idx[p.Support], Util: cv.at(p.Support)}
 }
 
 // bytes approximates the entry's resident footprint, reported through
-// CacheStats for capacity planning. val is counted once: the CDF aliases
-// it, and cdf.Bytes counts only the block sums.
+// CacheStats for capacity planning: the struct (three slice headers and
+// three 8-byte fields), node IDs, codes, levels or per-node utilities, and
+// the CDF. code and val are counted once: the CDF aliases them, and
+// cdf.Bytes counts only the block sums.
 func (cv *cachedVector) bytes() int {
-	b := 64 + 4*len(cv.idx) + 8*len(cv.val)
+	b := 96 + 4*len(cv.idx) + len(cv.code) + 8*len(cv.val)
 	if cv.cdf != nil {
 		b += cv.cdf.Bytes()
 	}
@@ -170,7 +206,7 @@ type vectorCache struct {
 
 // newVectorCache builds a cache honoring exactly the requested entry cap:
 // the cap is distributed across the 16 shards with the remainder spread one
-// entry each over the first size%16 shards, so EnableCache(100) admits 100
+// entry each over the first size%16 shards, so WithCache(100) admits 100
 // entries, not 112. Caps below the shard count leave some shards at zero —
 // targets hashing there are simply never cached.
 func newVectorCache(size int) *vectorCache {

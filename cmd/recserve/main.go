@@ -115,7 +115,7 @@ func main() {
 		mech      = flag.String("mechanism", "exponential", "mechanism: exponential, laplace, smoothing")
 		addr      = flag.String("addr", ":8080", "listen address")
 		seed      = flag.Int64("seed", 0, "seed (0 = time-based; use non-zero only for testing)")
-		cache     = flag.Int("cache", socialrec.DefaultCacheSize, "utility-vector cache entries (0 disables caching)")
+		cache     = flag.Int("cache", socialrec.DefaultCacheSize, "utility-vector cache entries (0 disables caching, negative selects the default)")
 		live      = flag.Bool("live", false, "accept streaming graph mutations (POST /edges, DELETE /edges, POST /nodes)")
 		deltaInv  = flag.Bool("delta-invalidation", false, "retain cached utility vectors a rebuild's delta batch provably did not touch, instead of flushing the cache at every snapshot swap (with -live and -cache)")
 		interval  = flag.Duration("rebuild-interval", socialrec.DefaultRebuildInterval, "debounce interval for folding mutations into the serving snapshot (with -live)")
@@ -162,6 +162,9 @@ func main() {
 		socialrec.WithEpsilon(*epsilon),
 		socialrec.WithMechanism(kind),
 		socialrec.WithSeed(s),
+	}
+	if *cache != 0 {
+		opts = append(opts, socialrec.WithCache(*cache)) // negative: the default size
 	}
 	if *walDir != "" {
 		*live = true // journaled mutations require the mutation API
@@ -217,7 +220,6 @@ func main() {
 		Recommender:         rec,
 		TotalEpsilon:        *budget,
 		PerPrincipalEpsilon: *perUser,
-		CacheSize:           *cache,
 		EnablePprof:         *pprofFlag,
 		HandlerTimeout:      *reqTO,
 		MaxInFlight:         *maxInFly,

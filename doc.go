@@ -41,7 +41,7 @@
 // immutable graph snapshot — followed by a randomized mechanism draw. Only
 // the draw carries the privacy guarantee, and its noise never comes from
 // the cache. The Recommender can therefore memoize the pre-processing stage
-// in a sharded LRU cache (WithCache, EnableCache) without touching the ε-DP
+// in a sharded LRU cache (WithCache) without touching the ε-DP
 // analysis: caching is pure pre-processing in the differential privacy
 // sense, the mechanism's output distribution is bit-for-bit the same with
 // and without it, and the cached raw utilities never leave the process.
@@ -49,6 +49,12 @@
 // search over the cached sparse CDF's per-block prefix sums plus a
 // re-accumulation of at most 32 weights — instead of a graph scan, and each
 // entry holds only the nonzero support (see "Serving complexity" below).
+// The paper's path-count utilities are small integers, so an entry whose
+// support takes at most 256 distinct utilities — every common-neighbour
+// entry on the bundled graphs — stores them level-coded: a table of the
+// distinct values plus a one-byte code per node, about 5.25 B per node in
+// all instead of 12.25 B. Decoding returns the very float64 the kernel
+// produced, so every draw reads the same numbers either way.
 //
 // BatchRecommend and Precompute fan work for many targets across a
 // runtime.NumCPU() worker pool, and RefreshSnapshot swaps in a new graph
@@ -85,11 +91,14 @@
 // tests pin this), which is what keeps GC pauses out of the uncached p99.
 //
 // Through the cache, the source is instead a pooled stream.Slice over the
-// cached entry's support, and the same draws run over it. The one
+// cached entry's support, and the same draws run over it. The Slice reads
+// a level-coded entry through its code (one branch in Next), so it yields
+// the same (node, utility) pairs as the kernel did. The one
 // exception is the cached exponential draw, which inverts the entry's
 // precomputed SparseCDF: a binary search over prefix sums kept once per 32
 // support entries, then the same prefix accumulation as the streamed draw
-// inside the chosen block. It consumes the same single uniform and finds
+// inside the chosen block, with the weights read through the entry's code
+// when it is level-coded. It consumes the same single uniform and finds
 // the same candidate as the streamed draw. The smoothing top-k release also
 // reads the gathered entry, because its without-replacement draws need the
 // closed-form probabilities. A winning zero-tail rank maps back to a node
@@ -102,10 +111,11 @@
 // the request returns — the per-pool get/put/new counters are exported on
 // /healthz so a leak (news tracking gets) is observable in production.
 // There is one kernel per utility: StreamSparse, which utility.Function
-// embeds. Uncached requests consume it lazily. The utility's Sparse gathers
-// it (one counting pass, one exact-size fill) for cache fill and
-// Precompute, and utility.Vector scatters it into the dense vector the
-// experiments and DP audits read.
+// embeds. Uncached requests consume it lazily. stream.Encode drains it for
+// cache fill and Precompute (one pass that counts and collects the distinct
+// values, one exact-size fill of node IDs and codes or values), the
+// utility's Sparse gathers it into plain slices, and utility.Vector scatters
+// it into the dense vector the experiments and DP audits read.
 //
 // The two sources are DP-equivalent for the strongest possible reason:
 // they yield the same pairs, and the draws depend on nothing else, so for a
@@ -180,7 +190,7 @@
 //	Smoothing draw               O(n)                 O(nnz)
 //	top-k release                O(n log k) / O(k·n)  O(nnz + k) / O(k·nnz)
 //	expected accuracy (audit)    O(n)                 O(nnz)
-//	cache entry memory           ~24n bytes           ~12.25·nnz bytes
+//	cache entry memory           ~24n bytes           ~5.25·nnz + 8·levels B; ~12.25·nnz past 256 levels
 //
 // The weighted-paths walk tracks touched nodes only while a level stays
 // sparse. A level whose expansion bound (Σ out-degree over its frontier)

@@ -119,19 +119,34 @@ func BenchmarkTopKPeelStream(b *testing.B) {
 // Δf = 2) from a SparseCDF over a 5,000-entry support of integer
 // utilities in [1, 20], common-neighbour counts in shape, plus a
 // 15,000-candidate zero tail: the per-request mechanism cost of a cache
-// hit, without HTTP.
+// hit, without HTTP. The support is held one float64 per entry, and
+// level-coded as the cache holds it (20 levels, one byte per entry).
 func BenchmarkSampleSparseCDF(b *testing.B) {
 	rng := distribution.NewRNG(6)
 	val := make([]float64, 5000)
 	for i := range val {
 		val[i] = float64(1 + rng.Intn(20))
 	}
-	cdf, err := Exponential{Epsilon: 1, Sensitivity: 2}.SparseCDF(SparseVec{Val: val, N: 20000})
-	if err != nil {
-		b.Fatal(err)
+	_, code, levels := stream.Encode(stream.NewSlice(nil, val))
+	if code == nil {
+		b.Fatal("support not level-coded")
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		SampleSparseCDF(cdf, rng)
+	for _, bc := range []struct {
+		name string
+		s    SparseVec
+	}{
+		{"per-node", SparseVec{Val: val, N: 20000}},
+		{"coded", SparseVec{Code: code, Val: levels, N: 20000}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cdf, err := Exponential{Epsilon: 1, Sensitivity: 2}.SparseCDF(bc.s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				SampleSparseCDF(cdf, rng)
+			}
+		})
 	}
 }

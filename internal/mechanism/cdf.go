@@ -3,6 +3,8 @@ package mechanism
 import (
 	"math"
 	"math/rand"
+
+	"socialrec/internal/stream"
 )
 
 // cdfBlock is the number of support entries that share one stored prefix
@@ -16,21 +18,26 @@ const cdfBlock = 32
 // exponential weights of the support, summed into prefix sums that are kept
 // only at the end of every cdfBlock-th entry, plus the closed-form mass of
 // the zero tail. The per-entry prefix sums are not stored; a draw rebuilds
-// the ones it needs from Val. Next to the cached support (4 B node ID plus
-// 8 B utility) a support entry costs 8/cdfBlock B here, 12.25 B in all
+// the ones it needs from the support (Code, Val), which aliases the
+// SparseVec's and reads through the code when it is level-coded. Next to
+// the cached support (4 B node ID plus 1 B code, or 8 B utility when the
+// support has more than 256 distinct utilities) a support entry costs
+// 8/cdfBlock B here: 5.25 B in all for a coded entry, 12.25 B otherwise,
 // instead of the 20 B of a per-entry prefix sum. A cached draw costs
 // O(log(nnz/cdfBlock) + cdfBlock) instead of the O(n) dense weight pass.
 type SparseCDF struct {
-	// Val aliases the SparseVec's utilities. It must not be mutated while
-	// the CDF is in use.
-	Val []float64
-	// Blocks[b] = Σ_{j<=e} exp(Scale·(Val_j - UMax)) with e the last
-	// support index of block b, min(cdfBlock·(b+1), len(Val)) - 1: the
-	// running prefix sum at the end of each block, accumulated in support
-	// order exactly as appendCDF does. The last entry is the support mass.
+	// Code and Val alias the SparseVec's support. They must not be mutated
+	// while the CDF is in use.
+	Code []uint8
+	Val  []float64
+	// Blocks[b] = Σ_{j<=e} exp(Scale·(u_j - UMax)) with u_j support entry
+	// j's utility and e the last support index of block b,
+	// min(cdfBlock·(b+1), nnz) - 1: the running prefix sum at the end of
+	// each block, accumulated in support order exactly as appendCDF does.
+	// The last entry is the support mass.
 	Blocks []float64
 	// Scale = ε/Δf and UMax, the maximum utility over all candidates
-	// (0 when Val is empty), are the weight parameters.
+	// (0 when the support is empty), are the weight parameters.
 	Scale, UMax float64
 	// TailWeight = exp(-Scale·UMax), the weight shared by every
 	// zero-utility candidate.
@@ -42,18 +49,27 @@ type SparseCDF struct {
 }
 
 // Bytes returns the approximate memory footprint of the cached CDF, not
-// counting the aliased Val: the block sums plus the struct itself (two
-// slice headers and five 8-byte fields).
-func (c *SparseCDF) Bytes() int { return 8*len(c.Blocks) + 88 }
+// counting the aliased support: the block sums plus the struct itself
+// (three slice headers and five 8-byte fields).
+func (c *SparseCDF) Bytes() int { return 8*len(c.Blocks) + 112 }
+
+// len returns the number of support entries.
+func (c *SparseCDF) len() int { return stream.Len(c.Code, c.Val) }
 
 // weight is the exponential weight of support entry j, the per-entry
-// arithmetic appendCDF performs.
+// arithmetic appendCDF performs. A coded entry's utility is the same
+// float64 as the uncoded one, so its weight is too, bit for bit.
 func (c *SparseCDF) weight(j int) float64 {
-	return math.Exp(c.Scale * (c.Val[j] - c.UMax))
+	return c.weightOf(stream.At(c.Code, c.Val, j))
+}
+
+// weightOf is the exponential weight of utility u.
+func (c *SparseCDF) weightOf(u float64) float64 {
+	return math.Exp(c.Scale * (u - c.UMax))
 }
 
 // SparseCDF returns the cacheable two-part CDF for the sparse vector. The
-// CDF aliases s.Val.
+// CDF aliases s.Code and s.Val.
 func (e Exponential) SparseCDF(s SparseVec) (*SparseCDF, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
@@ -61,13 +77,25 @@ func (e Exponential) SparseCDF(s SparseVec) (*SparseCDF, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	c := &SparseCDF{Val: s.Val, Scale: e.Epsilon / e.Sensitivity, UMax: s.max(), Tail: s.tail()}
+	c := &SparseCDF{Code: s.Code, Val: s.Val, Scale: e.Epsilon / e.Sensitivity, UMax: s.max(), Tail: s.tail()}
+	// A coded support's entries share their level's weight: one exp per
+	// level, each the same float64 weight(j) returns for its entries.
+	var levelWeight [stream.MaxLevels]float64
+	if s.Code != nil {
+		for k, u := range s.Val {
+			levelWeight[k] = c.weightOf(u)
+		}
+	}
 	var acc float64
-	if len(s.Val) > 0 {
-		c.Blocks = make([]float64, 0, (len(s.Val)+cdfBlock-1)/cdfBlock)
-		for j := range s.Val {
-			acc += c.weight(j)
-			if j%cdfBlock == cdfBlock-1 || j == len(s.Val)-1 {
+	if nnz := s.len(); nnz > 0 {
+		c.Blocks = make([]float64, 0, (nnz+cdfBlock-1)/cdfBlock)
+		for j := range nnz {
+			if s.Code != nil {
+				acc += levelWeight[s.Code[j]]
+			} else {
+				acc += c.weight(j)
+			}
+			if j%cdfBlock == cdfBlock-1 || j == nnz-1 {
 				c.Blocks = append(c.Blocks, acc)
 			}
 		}
@@ -113,7 +141,7 @@ func SampleSparseCDF(c *SparseCDF, rng *rand.Rand) Pick {
 			acc = c.Blocks[lo-1]
 		}
 		start := lo * cdfBlock
-		end := min(start+cdfBlock, len(c.Val)) - 1
+		end := min(start+cdfBlock, c.len()) - 1
 		for j := start; j < end; j++ {
 			acc += c.weight(j)
 			if acc > target {
@@ -126,7 +154,7 @@ func SampleSparseCDF(c *SparseCDF, rng *rand.Rand) Pick {
 	if c.Tail == 0 {
 		// Rounding fell through the support mass; mirror SampleCDF by
 		// resolving to the last candidate.
-		return Pick{Support: len(c.Val) - 1}
+		return Pick{Support: c.len() - 1}
 	}
 	rank := int((target - zs) / c.TailWeight)
 	if rank >= c.Tail {

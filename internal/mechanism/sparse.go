@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"socialrec/internal/stats"
+	"socialrec/internal/stream"
 )
 
 // The sparse form of a utility vector. The paper's utilities are zero
@@ -24,39 +25,56 @@ import (
 // bookkeeping, which is why the ε-DP guarantee carries over unchanged (the
 // property and chi-squared tests in this package pin the equivalence).
 
-// SparseVec is a utility vector in sparse form: Val holds the nonzero
-// utilities (the serving layer orders them by ascending candidate node ID,
-// but any fixed order works), and N is the total candidate count — the
-// remaining N-len(Val) candidates implicitly have utility 0.
+// SparseVec is a utility vector in sparse form: the support (Code, Val)
+// holds the nonzero utilities, one per entry or level-coded under the
+// convention of package stream (the serving layer orders the entries by
+// ascending candidate node ID, but any fixed order works), and N is the
+// total candidate count — the remaining N-s.len() candidates implicitly
+// have utility 0.
 type SparseVec struct {
-	Val []float64
-	N   int
+	Code []uint8
+	Val  []float64
+	N    int
 }
+
+// len returns the number of support entries.
+func (s SparseVec) len() int { return stream.Len(s.Code, s.Val) }
+
+// at returns support entry j's utility.
+func (s SparseVec) at(j int) float64 { return stream.At(s.Code, s.Val, j) }
 
 func (s SparseVec) validate() error {
 	if s.N < 1 {
 		return ErrEmpty
 	}
-	if len(s.Val) > s.N {
-		return fmt.Errorf("mechanism: sparse vector has %d nonzeros but only %d candidates", len(s.Val), s.N)
+	if s.len() > s.N {
+		return fmt.Errorf("mechanism: sparse vector has %d nonzeros but only %d candidates", s.len(), s.N)
 	}
 	for _, x := range s.Val {
 		if x < 0 {
 			return ErrNegative
 		}
 	}
+	if s.Code != nil && len(s.Val) > stream.MaxLevels {
+		return fmt.Errorf("mechanism: sparse vector has %d levels, more than %d", len(s.Val), stream.MaxLevels)
+	}
+	for _, c := range s.Code {
+		if int(c) >= len(s.Val) {
+			return fmt.Errorf("mechanism: sparse vector code %d addresses only %d levels", c, len(s.Val))
+		}
+	}
 	return nil
 }
 
 // tail returns the number of implicit zero-utility candidates.
-func (s SparseVec) tail() int { return s.N - len(s.Val) }
+func (s SparseVec) tail() int { return s.N - s.len() }
 
 // max returns the maximum utility over all N candidates (including the
 // implicit zeros, which can only matter when the support is empty).
 func (s SparseVec) max() float64 {
 	max := 0.0
-	for _, x := range s.Val {
-		if x > max {
+	for j := range s.len() {
+		if x := s.at(j); x > max {
 			max = x
 		}
 	}
@@ -64,8 +82,9 @@ func (s SparseVec) max() float64 {
 }
 
 // Pick identifies the candidate selected by a cached CDF draw: either
-// Support indexes into SparseVec.Val, or (Support == -1) Tail is a rank in
-// [0, N-len(Val)) identifying which implicit zero-utility candidate won.
+// Support indexes the SparseVec's support entries, or (Support == -1) Tail
+// is a rank in [0, N-s.len()) identifying which implicit zero-utility
+// candidate won.
 type Pick struct {
 	Support int
 	Tail    int
@@ -103,10 +122,10 @@ func (e Exponential) ProbabilitiesSparse(s SparseVec) ([]float64, float64, error
 	}
 	scale := e.Epsilon / e.Sensitivity
 	umax := s.max()
-	support := make([]float64, len(s.Val))
+	support := make([]float64, s.len())
 	var zs float64
-	for i, x := range s.Val {
-		w := math.Exp(scale * (x - umax))
+	for i := range support {
+		w := math.Exp(scale * (s.at(i) - umax))
 		support[i] = w
 		zs += w
 	}
@@ -124,7 +143,7 @@ func (Best) ProbabilitiesSparse(s SparseVec) ([]float64, float64, error) {
 	if err := s.validate(); err != nil {
 		return nil, 0, err
 	}
-	support := make([]float64, len(s.Val))
+	support := make([]float64, s.len())
 	umax := s.max()
 	if umax == 0 {
 		for i := range support {
@@ -133,13 +152,13 @@ func (Best) ProbabilitiesSparse(s SparseVec) ([]float64, float64, error) {
 		return support, 1 / float64(s.N), nil
 	}
 	ties := 0
-	for _, x := range s.Val {
-		if x == umax {
+	for i := range support {
+		if s.at(i) == umax {
 			ties++
 		}
 	}
-	for i, x := range s.Val {
-		if x == umax {
+	for i := range support {
+		if s.at(i) == umax {
 			support[i] = 1 / float64(ties)
 		}
 	}
@@ -151,7 +170,7 @@ func (Uniform) ProbabilitiesSparse(s SparseVec) ([]float64, float64, error) {
 	if err := s.validate(); err != nil {
 		return nil, 0, err
 	}
-	support := make([]float64, len(s.Val))
+	support := make([]float64, s.len())
 	for i := range support {
 		support[i] = 1 / float64(s.N)
 	}
@@ -192,9 +211,9 @@ func ExpectedAccuracySparse(d SparseDistribution, s SparseVec) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	terms := make([]float64, len(s.Val))
-	for i := range s.Val {
-		terms[i] = support[i] * s.Val[i]
+	terms := make([]float64, len(support))
+	for i := range terms {
+		terms[i] = support[i] * s.at(i)
 	}
 	return stats.Sum(terms) / umax, nil
 }

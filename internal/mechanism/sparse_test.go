@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"socialrec/internal/stream"
@@ -397,14 +398,41 @@ func cdfBlockCases(base []float64) []cdfBlockCase {
 	return append(cases, cdfBlockCase{"underflow-plateau", plateau})
 }
 
+// levelCode returns val in the level-coded form of package stream's
+// convention, or false past stream.MaxLevels distinct values. Unlike
+// stream.Encode it admits the zeros cdfBlockCases mixes into supports.
+func levelCode(val []float64) ([]uint8, []float64, bool) {
+	levels := slices.Clone(val)
+	slices.Sort(levels)
+	levels = slices.Compact(levels)
+	if len(levels) > stream.MaxLevels {
+		return nil, nil, false
+	}
+	code := make([]uint8, len(val))
+	for j, x := range val {
+		k, _ := slices.BinarySearch(levels, x)
+		code[j] = uint8(k)
+	}
+	return code, levels, true
+}
+
 // TestSparseCDFMatchesStream pins the cached draw against the streamed one
 // when the support has a zero tail: SampleSparseCDF and
 // Exponential.RecommendStream consume the same single uniform, so a fixed
 // seed yields the same support index or the same tail rank, draw for draw,
-// over supports of one block to many.
+// over supports of one block to many. Every support with at most 256
+// distinct utilities, and a 5,000-entry one of integer utilities in
+// [1, 20], is also drawn from a CDF over its level-coded form, which must
+// pick exactly as the streamed per-entry support does.
 func TestSparseCDFMatchesStream(t *testing.T) {
 	e := Exponential{Epsilon: 1.3, Sensitivity: 2}
-	for _, tc := range cdfBlockCases([]float64{0, 1, 2, 3, 5, 2.5, 0.25}) {
+	counts := make([]float64, 5000)
+	rng := rand.New(rand.NewSource(8))
+	for i := range counts {
+		counts[i] = float64(1 + rng.Intn(20))
+	}
+	cases := append(cdfBlockCases([]float64{0, 1, 2, 3, 5, 2.5, 0.25}), cdfBlockCase{"integer-nnz=5000", counts})
+	for _, tc := range cases {
 		noTail, err := e.SparseCDF(SparseVec{Val: tc.val, N: len(tc.val)})
 		if err != nil {
 			t.Fatal(err)
@@ -419,8 +447,18 @@ func TestSparseCDFMatchesStream(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				var coded *SparseCDF
+				if code, levels, ok := levelCode(tc.val); ok {
+					if coded, err = e.SparseCDF(SparseVec{Code: code, Val: levels, N: s.N}); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(coded.Blocks, scdf.Blocks) || coded.Total != scdf.Total {
+						t.Fatalf("coded CDF sums differ from the per-entry CDF's")
+					}
+				}
 				streamRNG := rand.New(rand.NewSource(5))
 				cachedRNG := rand.New(rand.NewSource(5))
+				codedRNG := rand.New(rand.NewSource(5))
 				tails := 0
 				for i := 0; i < 1000; i++ {
 					want, err := drawStream(e, s, streamRNG)
@@ -429,6 +467,11 @@ func TestSparseCDFMatchesStream(t *testing.T) {
 					}
 					if got := SampleSparseCDF(scdf, cachedRNG); got != want {
 						t.Fatalf("draw %d: streamed %+v vs cached %+v", i, want, got)
+					}
+					if coded != nil {
+						if got := SampleSparseCDF(coded, codedRNG); got != want {
+							t.Fatalf("draw %d: streamed %+v vs level-coded cached %+v", i, want, got)
+						}
 					}
 					if want.IsTail() {
 						tails++

@@ -30,7 +30,7 @@
 // accuracy, which is intended for the graph operator, not end users; deploy
 // /audit behind operator authentication.
 //
-// Serving performance: Config.CacheSize enables the Recommender's
+// Serving performance: a Recommender built with socialrec.WithCache has a
 // utility-vector cache, which memoizes the deterministic pre-noise stage of
 // each request (utility vector, candidate list, u_max) per target. This is
 // safe under differential privacy because the cached values are pure
@@ -112,15 +112,6 @@ type Config struct {
 	PerPrincipalEpsilon float64
 	// MaxK caps top-k list sizes; 0 means 10.
 	MaxK int
-	// CacheSize enables the Recommender's utility-vector cache with this
-	// entry cap (use socialrec.DefaultCacheSize for a sensible default).
-	// Zero leaves caching as configured on the Recommender itself; negative
-	// values enable the default-sized cache. Note this mutates the shared
-	// Recommender: enabling is first-wins (EnableCache semantics), so if
-	// the Recommender already has a cache — from WithCache or another
-	// Server — this size is ignored. See the package comment for why
-	// caching is DP-safe.
-	CacheSize int
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof so
 	// hot-path regressions (serving latency, allocation spikes) are
 	// diagnosable against a production process. Default off: profiles
@@ -192,9 +183,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if s.logf == nil {
 		s.logf = log.Printf
-	}
-	if cfg.CacheSize != 0 {
-		cfg.Recommender.EnableCache(cfg.CacheSize)
 	}
 	if cfg.TotalEpsilon > 0 || cfg.PerPrincipalEpsilon > 0 {
 		// The server never reads the per-call audit ledger (budget

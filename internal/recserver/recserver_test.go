@@ -398,11 +398,15 @@ func cachedServerPair(t *testing.T) (cached, plain *Server, g *socialrec.Graph) 
 		t.Fatal(err)
 	}
 	mk := func(cacheSize int) *Server {
-		rec, err := socialrec.NewRecommender(g, socialrec.WithEpsilon(1), socialrec.WithSeed(2))
+		opts := []socialrec.Option{socialrec.WithEpsilon(1), socialrec.WithSeed(2)}
+		if cacheSize != 0 {
+			opts = append(opts, socialrec.WithCache(cacheSize))
+		}
+		rec, err := socialrec.NewRecommender(g, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(Config{Recommender: rec, CacheSize: cacheSize, Logf: t.Logf})
+		srv, err := New(Config{Recommender: rec, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,11 +524,15 @@ func TestSequentialServersBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(cacheSize int) *Server {
-		rec, err := socialrec.NewRecommender(g, socialrec.WithEpsilon(1), socialrec.WithSeed(2))
+		opts := []socialrec.Option{socialrec.WithEpsilon(1), socialrec.WithSeed(2)}
+		if cacheSize != 0 {
+			opts = append(opts, socialrec.WithCache(cacheSize))
+		}
+		rec, err := socialrec.NewRecommender(g, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(Config{Recommender: rec, CacheSize: cacheSize, Logf: t.Logf})
+		srv, err := New(Config{Recommender: rec, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -605,14 +613,14 @@ func TestBudgetChargedPerConcurrentRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := socialrec.NewRecommender(g, socialrec.WithEpsilon(1), socialrec.WithSeed(2))
+	rec, err := socialrec.NewRecommender(g, socialrec.WithEpsilon(1), socialrec.WithSeed(2),
+		socialrec.WithCache(socialrec.DefaultCacheSize))
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
 		Recommender:  rec,
 		TotalEpsilon: 1000,
-		CacheSize:    socialrec.DefaultCacheSize,
 		Logf:         t.Logf,
 	})
 	if err != nil {

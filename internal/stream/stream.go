@@ -31,21 +31,53 @@ type Scorer interface {
 	Close()
 }
 
-// Slice is a Scorer over caller-provided parallel slices, for tests and for
-// feeding mechanisms from an already-materialized support. Close is a no-op;
-// the caller owns the slices.
-type Slice struct {
-	Idx []int32
-	Val []float64
-	pos int
+// A materialized support is a pair (Code, Val) under one convention,
+// shared by Slice, the mechanism package's SparseVec and SparseCDF and the
+// serving cache: when Code is nil, Val holds one utility per support
+// entry; when Code is non-nil, Val holds at most MaxLevels ascending
+// distinct utilities (the entry's levels) and entry j's utility is
+// Val[Code[j]]. The lookup returns the very float64 the kernel produced,
+// so the coded form is a lossless one-byte-per-entry encoding of
+// small-integer utilities such as common-neighbour counts. Encode builds
+// it from a Scorer.
+
+// MaxLevels is the most distinct utilities a coded support holds: the
+// number of values a uint8 code addresses.
+const MaxLevels = 256
+
+// Len returns the number of entries of the support (code, val).
+func Len(code []uint8, val []float64) int {
+	if code != nil {
+		return len(code)
+	}
+	return len(val)
 }
 
-// NewSlice returns a Slice positioned at the start.
+// At returns entry j's utility of the support (code, val).
+func At(code []uint8, val []float64, j int) float64 {
+	if code != nil {
+		return val[code[j]]
+	}
+	return val[j]
+}
+
+// Slice is a Scorer over a caller-provided support (Idx, Code, Val), for
+// tests and for feeding mechanisms from an already-materialized support;
+// see the convention above. Close is a no-op; the caller owns the slices.
+type Slice struct {
+	Idx  []int32
+	Code []uint8
+	Val  []float64
+	pos  int
+}
+
+// NewSlice returns a Slice over a per-entry support, positioned at the
+// start.
 func NewSlice(idx []int32, val []float64) *Slice { return &Slice{Idx: idx, Val: val} }
 
 // Next implements Scorer.
 func (s *Slice) Next() (int32, float64, bool) {
-	if s.pos >= len(s.Val) {
+	if s.pos >= Len(s.Code, s.Val) {
 		return 0, 0, false
 	}
 	i := s.pos
@@ -54,7 +86,7 @@ func (s *Slice) Next() (int32, float64, bool) {
 	if i < len(s.Idx) {
 		id = s.Idx[i]
 	}
-	return id, s.Val[i], true
+	return id, At(s.Code, s.Val, i), true
 }
 
 // Reset implements Scorer.

@@ -18,14 +18,15 @@ func equalCachedVector(a, b *cachedVector) bool {
 	if a.umax != b.umax || a.ncand != b.ncand {
 		return false
 	}
-	if !slices.Equal(a.idx, b.idx) || !slices.Equal(a.val, b.val) {
+	if !slices.Equal(a.idx, b.idx) || !slices.Equal(a.code, b.code) || !slices.Equal(a.val, b.val) {
 		return false
 	}
 	if (a.cdf == nil) != (b.cdf == nil) {
 		return false
 	}
 	if a.cdf != nil {
-		if !slices.Equal(a.cdf.Val, b.cdf.Val) ||
+		if !slices.Equal(a.cdf.Code, b.cdf.Code) ||
+			!slices.Equal(a.cdf.Val, b.cdf.Val) ||
 			!slices.Equal(a.cdf.Blocks, b.cdf.Blocks) ||
 			a.cdf.Scale != b.cdf.Scale ||
 			a.cdf.UMax != b.cdf.UMax ||
@@ -40,7 +41,7 @@ func equalCachedVector(a, b *cachedVector) bool {
 
 // cachedAt returns the targets and entries cached at epoch.
 func cachedAt(rec *Recommender, epoch uint64) map[int]*cachedVector {
-	c := rec.cache.Load()
+	c := rec.cache
 	out := make(map[int]*cachedVector)
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -68,9 +69,9 @@ func verifyRetainedEntries(t *testing.T, rec *Recommender) {
 			t.Fatalf("recompute target %d: %v", target, err)
 		}
 		if !equalCachedVector(cv, want) {
-			t.Fatalf("target %d: cached entry diverges from fresh recompute after rebuild\ncached: idx=%v val=%v umax=%g ncand=%d\nwant:   idx=%v val=%v umax=%g ncand=%d",
-				target, cv.idx, cv.val, cv.umax, cv.ncand,
-				want.idx, want.val, want.umax, want.ncand)
+			t.Fatalf("target %d: cached entry diverges from fresh recompute after rebuild\ncached: idx=%v code=%v val=%v umax=%g ncand=%d\nwant:   idx=%v code=%v val=%v umax=%g ncand=%d",
+				target, cv.idx, cv.code, cv.val, cv.umax, cv.ncand,
+				want.idx, want.code, want.val, want.umax, want.ncand)
 		}
 	}
 }

@@ -302,7 +302,7 @@ func (r *Recommender) rebuildLocked(lv *liveState) (*snapState, error) {
 	// put at cur.epoch after its shard was swept merely leaves residue the
 	// next sweep removes; one that puts at st.epoch early computed from st
 	// and is already correct.
-	if c := r.cache.Load(); c != nil {
+	if c := r.cache; c != nil {
 		c.advance(cur.epoch, st.epoch, r.affectedByBatch(cur, st, deltas, basisLost))
 	}
 	r.state.Store(st)

@@ -55,16 +55,13 @@ func WithSeed(seed int64) Option {
 }
 
 // WithCache enables the utility-vector cache with the given entry cap
-// (DefaultCacheSize when size <= 0). The cache memoizes the deterministic
-// pre-noise stage of serving and leaves every mechanism's output
-// distribution — and therefore the ε-DP guarantee — unchanged; see
-// Recommender.EnableCache.
+// (DefaultCacheSize when size <= 0); it is the one way to turn the cache
+// on. The cache memoizes the deterministic pre-noise stage of serving and
+// leaves every mechanism's output distribution — and therefore the ε-DP
+// guarantee — unchanged; see cache.go.
 func WithCache(size int) Option {
 	return func(r *Recommender) error {
-		if size <= 0 {
-			size = DefaultCacheSize
-		}
-		r.pendingCacheSize = size
+		r.cache = newVectorCache(size)
 		return nil
 	}
 }

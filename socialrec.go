@@ -133,10 +133,10 @@ type snapState struct {
 // per-call randomness is supplied through an internal mutex-free split RNG
 // keyed by target, so results are deterministic for a fixed seed.
 //
-// An optional utility-vector cache (WithCache / EnableCache) memoizes the
-// deterministic pre-processing stage shared by Recommend, RecommendTopK,
-// ExpectedAccuracy, and AccuracyCeiling; see cache.go for why this is safe
-// under differential privacy.
+// An optional utility-vector cache (WithCache) memoizes the deterministic
+// pre-processing stage shared by Recommend, RecommendTopK, ExpectedAccuracy,
+// and AccuracyCeiling; see cache.go for why this is safe under differential
+// privacy.
 type Recommender struct {
 	util    UtilityFunction
 	kind    MechanismKind
@@ -144,7 +144,9 @@ type Recommender struct {
 	seed    int64
 
 	state atomic.Pointer[snapState]
-	cache atomic.Pointer[vectorCache]
+	// cache is the utility-vector cache, nil when caching is off. WithCache
+	// sets it at construction and it never changes afterwards.
+	cache *vectorCache
 
 	// drawSeq numbers the per-request RNG streams RequestRNG hands out.
 	drawSeq atomic.Uint64
@@ -182,11 +184,9 @@ type Recommender struct {
 	wal    *wal.WAL
 	health healthTracker
 
-	// pendingCacheSize carries the WithCache option value from option
-	// application to construction; pendingLive and the rebuild knobs do the
-	// same for the live-mutation options, and pendingSnapshotFile/-Mode for
-	// WithSnapshotFile.
-	pendingCacheSize    int
+	// pendingLive and the rebuild knobs carry the live-mutation options
+	// from option application to construction, and pendingSnapshotFile/-Mode
+	// do the same for WithSnapshotFile.
 	pendingLive         bool
 	pendingInterval     time.Duration
 	pendingMaxPending   int
@@ -297,9 +297,9 @@ func (r *Recommender) initFromSnapshotFile() error {
 	return nil
 }
 
-// finishInit installs the initial snapState, enables the cache, and — when
-// live mutations were requested — materializes the mutable basis via
-// mutableBase and starts the background rebuilder. With WithWAL it first
+// finishInit installs the initial snapState and — when live mutations were
+// requested — materializes the mutable basis via mutableBase and starts the
+// background rebuilder. With WithWAL it first
 // opens the log and replays any records that survived a crash, so the
 // initial serving snapshot already reflects every acknowledged mutation.
 func (r *Recommender) finishInit(st *snapState, mutableBase func() (*Graph, error)) error {
@@ -335,9 +335,6 @@ func (r *Recommender) finishInit(st *snapState, mutableBase func() (*Graph, erro
 		r.wal = w
 	}
 	r.state.Store(st)
-	if r.pendingCacheSize != 0 {
-		r.EnableCache(r.pendingCacheSize)
-	}
 	if r.pendingLive {
 		base, err := mutableBase()
 		if err != nil {
@@ -429,7 +426,7 @@ func (r *Recommender) RefreshSnapshot(g *Graph) error {
 		if err != nil {
 			return nil, err
 		}
-		if c := r.cache.Load(); c != nil {
+		if c := r.cache; c != nil {
 			c.advance(cur.epoch, st.epoch, nil)
 		}
 		r.state.Store(st)
@@ -442,19 +439,10 @@ func (r *Recommender) RefreshSnapshot(g *Graph) error {
 	return nil
 }
 
-// EnableCache turns on the utility-vector cache with the given entry cap
-// (DefaultCacheSize when size <= 0). It is a no-op if a cache is already
-// enabled. Enabling the cache never changes the distribution of any
-// recommendation; it only skips recomputation of the deterministic
-// pre-noise stage.
-func (r *Recommender) EnableCache(size int) {
-	r.cache.CompareAndSwap(nil, newVectorCache(size))
-}
-
 // CacheStats returns a snapshot of the utility-vector cache's counters. The
 // second return is false when no cache is enabled.
 func (r *Recommender) CacheStats() (CacheStats, bool) {
-	c := r.cache.Load()
+	c := r.cache
 	if c == nil {
 		return CacheStats{}, false
 	}
@@ -486,29 +474,34 @@ func (r *Recommender) buildMech(st *snapState) mechanism.StreamMechanism {
 	}
 }
 
-// computeVector runs the deterministic pre-processing stage for target: the
-// utility's Sparse gather of its kernel (nonzero support only — O(nnz) work
-// and memory, no length-n pass) plus — for the exponential mechanism behind a cache — the
-// sparse cumulative-weight form that turns each subsequent draw into a
-// binary search over per-block prefix sums and a re-accumulation of at most
-// one block. The CDF aliases the entry's val and stores one prefix sum per
-// 32 support entries, so it adds 0.25 B per nonzero to the entry. All of it
-// is a pure function of the snapshot and the public (ε, Δf), so
-// precomputing it does not change the mechanism's output distribution.
+// computeVector runs the deterministic pre-processing stage for target.
+// stream.Encode drains the utility's kernel stream into exact-size node IDs
+// and level-coded values (per-node past 256 distinct utilities): nonzero
+// support only, O(nnz) work and memory, no length-n pass. For the
+// exponential mechanism behind a cache it adds the sparse cumulative-weight
+// form that turns each later draw into a binary search over per-block
+// prefix sums and a re-accumulation of at most one block. The CDF aliases
+// the entry's code and val and stores one prefix sum per 32 support
+// entries, so it adds 0.25 B per nonzero to the entry. All of it is a pure
+// function of the snapshot and the public (ε, Δf), so precomputing it does
+// not change the mechanism's output distribution.
 func (r *Recommender) computeVector(st *snapState, target int) (*cachedVector, error) {
-	idx, val, err := r.util.Sparse(st.snap, target)
+	sc, err := r.util.StreamSparse(st.snap, target)
 	if err != nil {
 		return nil, err
 	}
+	idx, code, val := stream.Encode(sc)
+	sc.Close()
 	cv := &cachedVector{
 		idx:   idx,
+		code:  code,
 		val:   val,
 		umax:  utility.Max(val),
 		ncand: utility.CandidateCount(st.snap, target),
 	}
 	// The CDF is only worth materializing when a cache will amortize it;
 	// otherwise the streaming draw does the same work once.
-	if cv.umax > 0 && r.cache.Load() != nil {
+	if cv.umax > 0 && r.cache != nil {
 		if e, ok := st.mech.(mechanism.Exponential); ok {
 			cdf, err := e.SparseCDF(cv.sparseVec())
 			if err != nil {
@@ -529,7 +522,7 @@ func (r *Recommender) vector(st *snapState, target int) (*cachedVector, error) {
 	if target < 0 || target >= st.snap.NumNodes() {
 		return nil, fmt.Errorf("%w: %d", ErrBadTarget, target)
 	}
-	c := r.cache.Load()
+	c := r.cache
 	if c != nil {
 		if cv, ok := c.get(st.epoch, target); ok {
 			return cv.check(target)
@@ -609,7 +602,8 @@ func (r *Recommender) ExpectedAccuracy(target int) (float64, error) {
 		return mechanism.ExpectedAccuracySparse(d, cv.sparseVec())
 	}
 	rng := distribution.SplitN(r.seed, "accuracy", target)
-	return mechanism.MonteCarloAccuracyStream(st.mech, stream.NewSlice(cv.idx, cv.val), cv.ncand, mechanism.DefaultLaplaceTrials, rng)
+	sc := cv.slice()
+	return mechanism.MonteCarloAccuracyStream(st.mech, &sc, cv.ncand, mechanism.DefaultLaplaceTrials, rng)
 }
 
 // AccuracyCeiling returns the Corollary 1 upper bound on the expected
@@ -624,7 +618,7 @@ func (r *Recommender) AccuracyCeiling(target int) (float64, error) {
 		return 0, err
 	}
 	t := r.util.RewireCount(cv.umax, st.snap.OutDegree(target))
-	return bounds.TightestAccuracyBoundSparse(cv.val, cv.ncand, r.epsilon, t)
+	return bounds.TightestAccuracyBoundSparse(cv.values(), cv.ncand, r.epsilon, t)
 }
 
 // EpsilonFloor returns the minimum ε (leading order) at which a

@@ -16,7 +16,6 @@ import (
 
 	"socialrec/internal/gen"
 	"socialrec/internal/mechanism"
-	"socialrec/internal/stream"
 	"socialrec/internal/utility"
 )
 
@@ -90,9 +89,9 @@ func sparseServingProbs(t *testing.T, r *Recommender, sd mechanism.SparseDistrib
 	for i, node := range cv.idx {
 		out[int(node)] = support[i]
 	}
-	sc := stream.NewSlice(cv.idx, cv.val)
+	sc := cv.slice()
 	for rank := 0; rank < cv.ncand-len(cv.idx); rank++ {
-		out[streamComplementSelect(st.snap.Out(target), sc, target, rank)] = tailEach
+		out[streamComplementSelect(st.snap.Out(target), &sc, target, rank)] = tailEach
 	}
 	return out
 }
@@ -228,7 +227,8 @@ func TestSparseTailMappingBijective(t *testing.T) {
 			for _, node := range cv.idx {
 				seen[int(node)] = true
 			}
-			src := source{sc: stream.NewSlice(cv.idx, cv.val), cv: cv, ncand: cv.ncand, umax: cv.umax}
+			sc := cv.slice()
+			src := source{sc: &sc, cv: cv, ncand: cv.ncand, umax: cv.umax}
 			for rank := 0; rank < cv.ncand-len(cv.idx); rank++ {
 				got := src.recommendation(st.snap, target, mechanism.StreamPick{IsTail: true, Tail: rank})
 				node, u := got.Node, got.Utility

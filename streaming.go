@@ -17,7 +17,8 @@ import (
 //   - with no cache, the utility kernel's pooled stream.Scorer, so the
 //     vector is never materialized;
 //   - through the cache, a pooled stream.Slice over the cached entry's
-//     idx/val, which the utility's Sparse gathered from that same kernel.
+//     idx and level-coded or per-node utilities, which stream.Encode
+//     gathered from that same kernel.
 //
 // Both sources yield the same ascending (node, utility) pairs, and every
 // mechanism's streaming draw depends only on those pairs, so a cached and
@@ -55,13 +56,13 @@ func (c *cachedScorer) Close() {
 // cached-entry form (the smoothing top-k needs closed-form probabilities).
 // The caller closes src.sc.
 func (r *Recommender) openSource(st *snapState, target int, materialize bool) (source, error) {
-	if materialize || r.cache.Load() != nil {
+	if materialize || r.cache != nil {
 		cv, err := r.vector(st, target)
 		if err != nil {
 			return source{}, err
 		}
 		sc := cachedScorers.Get()
-		sc.Slice = stream.Slice{Idx: cv.idx, Val: cv.val}
+		sc.Slice = cv.slice()
 		return source{sc: sc, cv: cv, ncand: cv.ncand, umax: cv.umax}, nil
 	}
 	if target < 0 || target >= st.snap.NumNodes() {
