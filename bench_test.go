@@ -4,10 +4,11 @@ package socialrec
 // evaluation (§4.2 worked example, Figures 1(a)-2(c), the Laplace-vs-
 // Exponential comparison of §7.2, the Lemma 3 closed form of Appendix E,
 // the smoothing mechanism of Appendix F, and the Theorem 1-3 ε floors),
-// plus the ablation benches DESIGN.md calls out. The figure benches run the
-// full experiment pipeline at a reduced scale and report the headline
-// fraction the paper quotes as a custom metric; `go run ./cmd/recbench`
-// prints the full rows/series.
+// plus ablations (the ε sweep by degree class, path-length truncation, CSR
+// snapshots, Laplace trial counts) and serving benches. The figure benches
+// run the full experiment pipeline at a reduced scale and report the
+// headline fraction the paper quotes as a custom metric; `go run
+// ./cmd/recbench` prints the full rows/series.
 
 import (
 	"errors"
@@ -256,7 +257,7 @@ func BenchmarkTableEpsilonSweep(b *testing.B) {
 	var leafAtHalf, hubAtHalf float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := experiment.RunEpsilonSweep(wiki, experiment.SweepConfig{
+		results, err := experiment.Run(wiki, experiment.Config{
 			Utility:        utility.CommonNeighbors{},
 			Epsilons:       []float64{0.5},
 			TargetFraction: 0.2,
@@ -266,7 +267,7 @@ func BenchmarkTableEpsilonSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, p := range points {
+		for _, p := range experiment.Sweep(results, experiment.DefaultDegreeClasses()) {
 			switch p.Class {
 			case "leaf (1-3)":
 				leafAtHalf = p.MeanCeiling

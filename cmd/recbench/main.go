@@ -1,7 +1,10 @@
 // Command recbench regenerates the paper's evaluation: every figure of §7
 // (accuracy CDFs under common-neighbors and weighted-paths utilities on the
 // Wiki-Vote-like and Twitter-like graphs, and the degree-vs-accuracy plot),
-// rendered as text tables.
+// the ε sweep by degree class and the §7.2 mechanism comparison, rendered
+// as text tables or JSON. Each mode is one experiment.Run over a sample of
+// targets; -sweep and -compare aggregate its results with experiment.Sweep
+// and experiment.Compare.
 //
 // Usage:
 //
@@ -9,6 +12,9 @@
 //	recbench -figure 1a           # a single figure
 //	recbench -scale 1             # paper-size graphs (slow)
 //	recbench -laplace 1000        # also evaluate the Laplace mechanism
+//	recbench -json -figure 1a     # per-target results and CDFs as JSON
+//	recbench -sweep               # mean accuracy and ceiling per (ε, degree class)
+//	recbench -compare             # Exponential vs Laplace vs smoothing at ε=1, 1,000 Laplace trials
 //	recbench -wiki wiki-Vote.txt  # use the real SNAP dataset when available
 package main
 
@@ -19,6 +25,7 @@ import (
 
 	"socialrec/internal/experiment"
 	"socialrec/internal/graph"
+	"socialrec/internal/mechanism"
 	"socialrec/internal/utility"
 )
 
@@ -93,7 +100,7 @@ func runSweep(opts experiment.SuiteOptions) error {
 	if err != nil {
 		return err
 	}
-	points, err := experiment.RunEpsilonSweep(loaded.Graph, experiment.SweepConfig{
+	results, err := experiment.Run(loaded.Graph, experiment.Config{
 		Utility:        utility.CommonNeighbors{},
 		Epsilons:       []float64{0.1, 0.25, 0.5, 1, 2, 3, 5},
 		TargetFraction: 0.10,
@@ -103,6 +110,7 @@ func runSweep(opts experiment.SuiteOptions) error {
 	if err != nil {
 		return err
 	}
+	points := experiment.Sweep(results, experiment.DefaultDegreeClasses())
 	title := fmt.Sprintf("Epsilon sweep, wiki-vote [%s], common neighbors", loaded.Detail)
 	return experiment.WriteSweepTable(os.Stdout, title, points)
 }
@@ -116,16 +124,18 @@ func runCompare(opts experiment.SuiteOptions) error {
 	if maxTargets == 0 {
 		maxTargets = 30 // Laplace Monte-Carlo is the expensive part
 	}
-	sum, err := experiment.RunMechanismComparison(loaded.Graph, experiment.CompareConfig{
+	results, err := experiment.Run(loaded.Graph, experiment.Config{
 		Utility:        utility.CommonNeighbors{},
-		Epsilon:        1,
+		Epsilons:       []float64{1},
 		TargetFraction: 0.10,
 		MaxTargets:     maxTargets,
+		LaplaceTrials:  mechanism.DefaultLaplaceTrials,
 		Seed:           opts.Seed,
 	})
 	if err != nil {
 		return err
 	}
+	sum := experiment.Compare(results[0])
 	title := fmt.Sprintf("Exponential vs Laplace vs Smoothing (§7.2), wiki-vote [%s], eps=1", loaded.Detail)
 	return experiment.WriteCompareTable(os.Stdout, title, sum, 20)
 }

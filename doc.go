@@ -114,8 +114,9 @@
 // embeds. Uncached requests consume it lazily. stream.Encode drains it for
 // cache fill and Precompute (one pass that counts and collects the distinct
 // values, one exact-size fill of node IDs and codes or values), the
-// utility's Sparse gathers it into plain slices, and utility.Vector scatters
-// it into the dense vector the experiments and DP audits read.
+// utility's Sparse gathers it into plain slices (the form the §7
+// experiments evaluate), and utility.Vector scatters it into the dense
+// vector that only the DP audits and internal/bounds still read.
 //
 // The two sources are DP-equivalent for the strongest possible reason:
 // they yield the same pairs, and the draws depend on nothing else, so for a

@@ -40,8 +40,9 @@ func Split(parent int64, label string) *rand.Rand {
 // and passes BigCrush. Streams differ from Split's for the same inputs;
 // both honor the same contract: deterministic per (parent, label, n),
 // stable across runs and platforms. Serving hot paths (Recommend and
-// friends) use SplitN; experiment pipelines keep Split so their golden
-// outputs stay byte-identical.
+// friends) and the experiments' per-target Laplace trials use SplitN; the
+// experiments' target sampling keeps Split so the sampled targets stay
+// the same.
 func SplitN(parent int64, label string, n int) *rand.Rand {
 	h := fnv.New64a()
 	var buf [16]byte

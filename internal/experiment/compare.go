@@ -5,28 +5,13 @@ import (
 	"io"
 	"math"
 	"slices"
-
-	"socialrec/internal/distribution"
-	"socialrec/internal/graph"
-	"socialrec/internal/mechanism"
-	"socialrec/internal/utility"
 )
 
 // Mechanism comparison — the §7.2 "Exponential vs Laplace mechanism" table:
 // "We verified in all experiments that the Laplace mechanism achieves nearly
-// identical accuracy as the Exponential mechanism." RunMechanismComparison
-// quantifies that claim per target and in aggregate, and also scores the
-// Appendix F smoothing mechanism at the same ε for contrast.
-
-// CompareConfig configures RunMechanismComparison.
-type CompareConfig struct {
-	Utility        utility.Function
-	Epsilon        float64
-	TargetFraction float64
-	MaxTargets     int
-	LaplaceTrials  int // 0 means mechanism.DefaultLaplaceTrials
-	Seed           int64
-}
+// identical accuracy as the Exponential mechanism." Compare quantifies that
+// claim per target and in aggregate, and also scores the Appendix F
+// smoothing mechanism at the same ε for contrast.
 
 // CompareRow is one target's accuracies under each mechanism.
 type CompareRow struct {
@@ -51,62 +36,17 @@ type CompareSummary struct {
 	MeanSmoothing   float64
 }
 
-// RunMechanismComparison evaluates the three private mechanisms on the same
-// sampled targets.
-func RunMechanismComparison(g *graph.Graph, cfg CompareConfig) (CompareSummary, error) {
-	if cfg.Utility == nil || !(cfg.Epsilon > 0) {
-		return CompareSummary{}, fmt.Errorf("%w: utility and positive epsilon required", ErrConfig)
-	}
-	if cfg.TargetFraction == 0 {
-		cfg.TargetFraction = 0.05
-	}
-	trials := cfg.LaplaceTrials
-	if trials == 0 {
-		trials = mechanism.DefaultLaplaceTrials
-	}
-	snap := g.Snapshot()
-	sens := cfg.Utility.Sensitivity(snap)
-	targets := SampleTargets(g.NumNodes(), cfg.TargetFraction, cfg.MaxTargets, distribution.Split(cfg.Seed, "compare-targets"))
-	lapRNG := distribution.Split(cfg.Seed, "compare-laplace")
-
-	sum := CompareSummary{Epsilon: cfg.Epsilon, UtilityName: cfg.Utility.Name()}
-	expMech := mechanism.Exponential{Epsilon: cfg.Epsilon, Sensitivity: sens}
-	lapMech := mechanism.Laplace{Epsilon: cfg.Epsilon, Sensitivity: sens}
-
-	for _, r := range targets {
-		full, err := utility.Vector(cfg.Utility, snap, r)
-		if err != nil {
-			return CompareSummary{}, err
-		}
-		vec := utility.Compact(full, utility.Candidates(snap, r))
-		if utility.Max(vec) == 0 {
-			continue
-		}
-		ea, err := mechanism.ExpectedAccuracy(expMech, vec)
-		if err != nil {
-			return CompareSummary{}, err
-		}
-		la, err := mechanism.MonteCarloAccuracy(lapMech, vec, trials, lapRNG)
-		if err != nil {
-			return CompareSummary{}, err
-		}
-		x, err := mechanism.SmoothingXForEpsilon(cfg.Epsilon, len(vec))
-		if err != nil {
-			return CompareSummary{}, err
-		}
-		sa, err := mechanism.ExpectedAccuracy(mechanism.Smoothing{X: x, Base: mechanism.Best{}}, vec)
-		if err != nil {
-			return CompareSummary{}, err
-		}
-		row := CompareRow{
-			Node: r, Degree: snap.OutDegree(r),
-			Exponential: ea, Laplace: la, Smoothing: sa,
-			Gap: math.Abs(ea - la),
-		}
-		sum.Rows = append(sum.Rows, row)
-	}
-	if len(sum.Rows) == 0 {
-		return sum, nil
+// Compare tabulates the three private mechanisms over the targets of one
+// Result. The Result should come from a Run with LaplaceTrials > 0; without
+// Laplace estimates the Laplace mean and the mean gap are NaN.
+func Compare(r Result) CompareSummary {
+	sum := CompareSummary{Epsilon: r.Epsilon, UtilityName: r.UtilityName}
+	for _, t := range r.Targets {
+		sum.Rows = append(sum.Rows, CompareRow{
+			Node: t.Node, Degree: t.Degree,
+			Exponential: t.Exponential, Laplace: t.Laplace, Smoothing: t.Smoothing,
+			Gap: math.Abs(t.Exponential - t.Laplace),
+		})
 	}
 	n := float64(len(sum.Rows))
 	for _, row := range sum.Rows {
@@ -119,7 +59,7 @@ func RunMechanismComparison(g *graph.Graph, cfg CompareConfig) (CompareSummary, 
 		}
 	}
 	slices.SortFunc(sum.Rows, func(a, b CompareRow) int { return a.Degree - b.Degree })
-	return sum, nil
+	return sum
 }
 
 // WriteCompareTable renders the comparison with per-target rows and the

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
@@ -11,16 +10,13 @@ import (
 
 func TestRunMechanismComparison(t *testing.T) {
 	g := testGraph(t)
-	sum, err := RunMechanismComparison(g, CompareConfig{
+	sum := Compare(mustRun(t, g, Config{
 		Utility:        utility.CommonNeighbors{},
-		Epsilon:        1,
+		Epsilons:       []float64{1},
 		TargetFraction: 0.1,
 		LaplaceTrials:  300,
 		Seed:           1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})[0])
 	if len(sum.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -43,29 +39,16 @@ func TestRunMechanismComparisonSmoothingWorseAtTightEps(t *testing.T) {
 	// At ε=0.5 over hundreds of candidates the smoothing mechanism's x is
 	// tiny, so it should underperform the exponential mechanism on average.
 	g := testGraph(t)
-	sum, err := RunMechanismComparison(g, CompareConfig{
+	sum := Compare(mustRun(t, g, Config{
 		Utility:        utility.CommonNeighbors{},
-		Epsilon:        0.5,
+		Epsilons:       []float64{0.5},
 		TargetFraction: 0.1,
 		LaplaceTrials:  100,
 		Seed:           2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})[0])
 	if sum.MeanSmoothing > sum.MeanExponential+0.05 {
 		t.Errorf("smoothing %g should not beat exponential %g at tight eps",
 			sum.MeanSmoothing, sum.MeanExponential)
-	}
-}
-
-func TestRunMechanismComparisonValidation(t *testing.T) {
-	g := testGraph(t)
-	if _, err := RunMechanismComparison(g, CompareConfig{Epsilon: 1}); !errors.Is(err, ErrConfig) {
-		t.Error("nil utility accepted")
-	}
-	if _, err := RunMechanismComparison(g, CompareConfig{Utility: utility.CommonNeighbors{}}); !errors.Is(err, ErrConfig) {
-		t.Error("eps=0 accepted")
 	}
 }
 

@@ -1,10 +1,18 @@
 // Package experiment implements the paper's evaluation protocol (§7.1):
-// sample target nodes uniformly at random, compute each target's utility
-// vector (excluding nodes it already links to), evaluate the expected
-// accuracy of the Exponential mechanism in closed form and of the Laplace
-// mechanism by Monte-Carlo trials, compute the Corollary 1 theoretical
+// sample target nodes uniformly at random, take each target's sparse
+// utility support (the positive utilities of its candidates, every node
+// except the target and the nodes it already links to; the rest hold 0),
+// evaluate the expected accuracy of the Exponential and smoothing
+// mechanisms in closed form and of the Laplace mechanism by Monte-Carlo
+// trials streamed over that support, compute the Corollary 1 theoretical
 // ceiling with the exact per-target rewiring count t, and aggregate
-// everything into the accuracy CDFs and degree series the figures plot.
+// everything into the accuracy CDFs, degree series, ε sweep and mechanism
+// comparison the figures and tables report.
+//
+// Run evaluates each sampled target once, at every ε, on a worker pool.
+// Each target's Laplace trials draw from their own RNG, split from the
+// seed by node ID, so results do not depend on how the pool schedules the
+// targets. Sweep and Compare only aggregate Run's results.
 package experiment
 
 import (
@@ -17,7 +25,9 @@ import (
 	"socialrec/internal/distribution"
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
+	"socialrec/internal/par"
 	"socialrec/internal/stats"
+	"socialrec/internal/stream"
 	"socialrec/internal/utility"
 )
 
@@ -51,6 +61,7 @@ type TargetResult struct {
 	UMax        float64 // maximum utility among candidates
 	T           int     // exact rewiring count for Corollary 1
 	Exponential float64 // exact expected accuracy of A_E(ε)
+	Smoothing   float64 // exact expected accuracy of A_S(x) at x for ε (Appendix F)
 	Laplace     float64 // Monte-Carlo accuracy of A_L(ε); NaN if disabled
 	Bound       float64 // Corollary 1 accuracy ceiling
 }
@@ -107,63 +118,84 @@ func Run(g *graph.Graph, cfg Config) ([]Result, error) {
 		}
 	}
 
-	// §7.1: candidates are every node except the target and its existing
-	// neighbors. The vector stage is a pure function of the snapshot and
-	// runs on a worker pool; the mechanism evaluation below stays
-	// sequential so the shared Monte-Carlo RNG keeps results
-	// bit-identical to a fully sequential run.
-	vectors := computeVectors(snap, cfg.Utility, targets)
-
-	lapRNG := distribution.Split(cfg.Seed, "laplace")
-	for j, r := range targets {
-		if err := vectors[j].err; err != nil {
-			return nil, err
+	evals := par.Map(len(targets), func(j int) targetEval {
+		trs, err := evaluateTarget(snap, cfg, sens, targets[j])
+		return targetEval{trs, err}
+	})
+	for _, ev := range evals {
+		if ev.err != nil {
+			return nil, ev.err
 		}
-		vec, umax := vectors[j].vec, vectors[j].umax
-		if umax == 0 {
+		if ev.trs == nil {
 			// §7.1: omit targets with no non-zero utility recommendation.
 			for i := range results {
 				results[i].Skipped++
 			}
 			continue
 		}
-		t := cfg.Utility.RewireCount(umax, snap.OutDegree(r))
-		for i, eps := range cfg.Epsilons {
-			tr, err := evaluateTarget(vec, r, snap.OutDegree(r), umax, t, eps, sens, cfg.LaplaceTrials, lapRNG)
-			if err != nil {
-				return nil, err
-			}
-			results[i].Targets = append(results[i].Targets, tr)
+		for i := range results {
+			results[i].Targets = append(results[i].Targets, ev.trs[i])
 		}
 	}
 	return results, nil
 }
 
-func evaluateTarget(vec []float64, node, degree int, umax float64, t int, eps, sens float64, lapTrials int, lapRNG *rand.Rand) (TargetResult, error) {
-	tr := TargetResult{Node: node, Degree: degree, UMax: umax, T: t, Laplace: math.NaN()}
+// targetEval is one target's results, one per ε of the config.
+type targetEval struct {
+	trs []TargetResult
+	err error
+}
 
-	expMech := mechanism.Exponential{Epsilon: eps, Sensitivity: sens}
-	acc, err := mechanism.ExpectedAccuracy(expMech, vec)
+// evaluateTarget evaluates target r at every ε of cfg. It returns nil
+// results when r has no positive-utility candidate.
+func evaluateTarget(snap utility.View, cfg Config, sens float64, r int) ([]TargetResult, error) {
+	idx, val, err := cfg.Utility.Sparse(snap, r)
 	if err != nil {
-		return tr, fmt.Errorf("experiment: exponential accuracy for node %d: %w", node, err)
+		return nil, err
 	}
-	tr.Exponential = acc
+	umax := utility.Max(val)
+	if umax == 0 {
+		return nil, nil
+	}
+	degree := snap.OutDegree(r)
+	t := cfg.Utility.RewireCount(umax, degree)
+	sv := mechanism.SparseVec{Val: val, N: utility.CandidateCount(snap, r)}
+	// One Laplace RNG per target, keyed by node ID, so a result does not
+	// depend on which worker evaluates the target or when.
+	var lapRNG *rand.Rand
+	if cfg.LaplaceTrials > 0 {
+		lapRNG = distribution.SplitN(cfg.Seed, "laplace", r)
+	}
 
-	if lapTrials > 0 {
-		lap := mechanism.Laplace{Epsilon: eps, Sensitivity: sens}
-		lacc, err := mechanism.MonteCarloAccuracy(lap, vec, lapTrials, lapRNG)
+	out := make([]TargetResult, len(cfg.Epsilons))
+	for i, eps := range cfg.Epsilons {
+		tr := TargetResult{Node: r, Degree: degree, UMax: umax, T: t, Laplace: math.NaN()}
+		tr.Exponential, err = mechanism.ExpectedAccuracySparse(mechanism.Exponential{Epsilon: eps, Sensitivity: sens}, sv)
 		if err != nil {
-			return tr, fmt.Errorf("experiment: laplace accuracy for node %d: %w", node, err)
+			return nil, fmt.Errorf("experiment: exponential accuracy for node %d: %w", r, err)
 		}
-		tr.Laplace = lacc
+		x, err := mechanism.SmoothingXForEpsilon(eps, sv.N)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: smoothing x for node %d: %w", r, err)
+		}
+		tr.Smoothing, err = mechanism.ExpectedAccuracySparse(mechanism.Smoothing{X: x, Base: mechanism.Best{}}, sv)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: smoothing accuracy for node %d: %w", r, err)
+		}
+		if lapRNG != nil {
+			lap := mechanism.Laplace{Epsilon: eps, Sensitivity: sens}
+			tr.Laplace, err = mechanism.MonteCarloAccuracyStream(lap, stream.NewSlice(idx, val), sv.N, cfg.LaplaceTrials, lapRNG)
+			if err != nil {
+				return nil, fmt.Errorf("experiment: laplace accuracy for node %d: %w", r, err)
+			}
+		}
+		tr.Bound, err = bounds.TightestAccuracyBoundSparse(val, sv.N, eps, t)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: bound for node %d: %w", r, err)
+		}
+		out[i] = tr
 	}
-
-	bound, err := bounds.TightestAccuracyBound(vec, eps, t)
-	if err != nil {
-		return tr, fmt.Errorf("experiment: bound for node %d: %w", node, err)
-	}
-	tr.Bound = bound
-	return tr, nil
+	return out, nil
 }
 
 // SampleTargets draws fraction·n distinct targets uniformly without

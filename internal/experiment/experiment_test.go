@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,6 +23,15 @@ func testGraph(t *testing.T) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+func mustRun(t *testing.T, g *graph.Graph, cfg Config) []Result {
+	t.Helper()
+	results, err := Run(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
 }
 
 func TestRunBasics(t *testing.T) {
@@ -122,6 +133,9 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(g, Config{Utility: utility.CommonNeighbors{}, Epsilons: []float64{-1}, TargetFraction: 0.1}); !errors.Is(err, ErrConfig) {
 		t.Error("negative epsilon accepted")
 	}
+	if _, err := Run(g, Config{Utility: utility.CommonNeighbors{}, Epsilons: []float64{0}, TargetFraction: 0.1}); !errors.Is(err, ErrConfig) {
+		t.Error("zero epsilon accepted")
+	}
 	if _, err := Run(graph.New(0), Config{Utility: utility.CommonNeighbors{}, Epsilons: []float64{1}, TargetFraction: 0.1}); !errors.Is(err, ErrNoNodes) {
 		t.Error("empty graph accepted")
 	}
@@ -149,6 +163,22 @@ func TestRunDeterministic(t *testing.T) {
 		if a.Node != b.Node || a.Exponential != b.Exponential || a.Laplace != b.Laplace {
 			t.Fatalf("run not deterministic at %d: %+v vs %+v", i, a, b)
 		}
+	}
+}
+
+// TestRunScheduleIndependent: each target's Laplace trials draw from their
+// own RNG, so the worker pool's schedule cannot change any result.
+func TestRunScheduleIndependent(t *testing.T) {
+	g := testGraph(t)
+	cfg := Config{
+		Name: "sched", Utility: utility.CommonNeighbors{},
+		Epsilons: []float64{0.5, 1}, TargetFraction: 0.1, LaplaceTrials: 100, Seed: 13,
+	}
+	parallel := mustRun(t, g, cfg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial := mustRun(t, g, cfg)
+	if !reflect.DeepEqual(parallel, serial) {
+		t.Errorf("results differ between GOMAXPROCS=%d and GOMAXPROCS=1", runtime.NumCPU())
 	}
 }
 

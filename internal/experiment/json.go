@@ -27,6 +27,7 @@ type jsonTarget struct {
 	UMax        float64  `json:"u_max"`
 	T           int      `json:"t"`
 	Exponential float64  `json:"exponential_accuracy"`
+	Smoothing   float64  `json:"smoothing_accuracy"`
 	Laplace     *float64 `json:"laplace_accuracy"`
 	Bound       float64  `json:"bound_accuracy"`
 }
@@ -54,7 +55,7 @@ func WriteJSON(w io.Writer, results []Result) error {
 		for _, t := range r.Targets {
 			jt := jsonTarget{
 				Node: t.Node, Degree: t.Degree, UMax: t.UMax, T: t.T,
-				Exponential: t.Exponential, Bound: t.Bound,
+				Exponential: t.Exponential, Smoothing: t.Smoothing, Bound: t.Bound,
 			}
 			if !math.IsNaN(t.Laplace) {
 				v := t.Laplace

@@ -29,9 +29,10 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 		Epsilon  float64 `json:"epsilon"`
 		NumNodes int     `json:"num_nodes"`
 		Targets  []struct {
-			Node    int      `json:"node"`
-			Laplace *float64 `json:"laplace_accuracy"`
-			Bound   float64  `json:"bound_accuracy"`
+			Node      int      `json:"node"`
+			Smoothing float64  `json:"smoothing_accuracy"`
+			Laplace   *float64 `json:"laplace_accuracy"`
+			Bound     float64  `json:"bound_accuracy"`
 		} `json:"targets"`
 		CDF map[string][]struct {
 			Accuracy float64 `json:"accuracy"`
@@ -49,11 +50,14 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 		t.Errorf("metadata wrong: %+v", d)
 	}
 	if len(d.Targets) != len(results[0].Targets) {
-		t.Errorf("target count mismatch")
+		t.Fatalf("target count mismatch")
 	}
-	for _, tr := range d.Targets {
+	for i, tr := range d.Targets {
 		if tr.Laplace == nil {
 			t.Error("Laplace evaluated but encoded as null")
+		}
+		if want := results[0].Targets[i].Smoothing; tr.Smoothing != want {
+			t.Errorf("target %d: smoothing_accuracy %g, want %g", tr.Node, tr.Smoothing, want)
 		}
 	}
 	if len(d.CDF["Exponential"]) != 11 || len(d.CDF["Theor. Bound"]) != 11 {

@@ -6,12 +6,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-
-	"socialrec/internal/bounds"
-	"socialrec/internal/distribution"
-	"socialrec/internal/graph"
-	"socialrec/internal/mechanism"
-	"socialrec/internal/utility"
 )
 
 // Epsilon sweep: an ablation the paper's figures imply but never plot
@@ -46,108 +40,35 @@ type SweepPoint struct {
 	ServiceableAt float64 // fraction of class targets with ceiling >= 0.5
 }
 
-// SweepConfig configures RunEpsilonSweep.
-type SweepConfig struct {
-	Utility        utility.Function
-	Epsilons       []float64
-	Classes        []DegreeClass
-	TargetFraction float64
-	MaxTargets     int
-	Seed           int64
-}
-
-// RunEpsilonSweep evaluates mean accuracy and ceiling per (ε, degree class).
-func RunEpsilonSweep(g *graph.Graph, cfg SweepConfig) ([]SweepPoint, error) {
-	if cfg.Utility == nil || len(cfg.Epsilons) == 0 {
-		return nil, fmt.Errorf("%w: utility and epsilons required", ErrConfig)
-	}
-	if len(cfg.Classes) == 0 {
-		cfg.Classes = DefaultDegreeClasses()
-	}
-	if cfg.TargetFraction == 0 {
-		cfg.TargetFraction = 0.1
-	}
-	snap := g.Snapshot()
-	sens := cfg.Utility.Sensitivity(snap)
-	targets := SampleTargets(g.NumNodes(), cfg.TargetFraction, cfg.MaxTargets, distribution.Split(cfg.Seed, "sweep-targets"))
-
-	type cell struct {
-		acc, ceil, ok float64
-		n             int
-	}
-	cells := make(map[string]*cell) // key: eps|class
-	key := func(eps float64, class string) string { return fmt.Sprintf("%g|%s", eps, class) }
-
-	// Classify first so targets outside every degree class never pay for a
-	// vector computation, then fan the utility-vector stage across a
-	// worker pool; aggregation stays sequential and deterministic.
-	classOf := func(deg int) string {
-		for _, c := range cfg.Classes {
-			if deg >= c.Lo && deg < c.Hi {
-				return c.Label
-			}
-		}
-		return ""
-	}
-	kept := targets[:0:0]
-	classes := make([]string, 0, len(targets))
-	for _, r := range targets {
-		if class := classOf(snap.OutDegree(r)); class != "" {
-			kept = append(kept, r)
-			classes = append(classes, class)
-		}
-	}
-	vectors := computeVectors(snap, cfg.Utility, kept)
-
-	for j, r := range kept {
-		deg := snap.OutDegree(r)
-		class := classes[j]
-		if err := vectors[j].err; err != nil {
-			return nil, err
-		}
-		vec, umax := vectors[j].vec, vectors[j].umax
-		if umax == 0 {
-			continue
-		}
-		t := cfg.Utility.RewireCount(umax, deg)
-		for _, eps := range cfg.Epsilons {
-			acc, err := mechanism.ExpectedAccuracy(mechanism.Exponential{Epsilon: eps, Sensitivity: sens}, vec)
-			if err != nil {
-				return nil, err
-			}
-			ceil, err := bounds.TightestAccuracyBound(vec, eps, t)
-			if err != nil {
-				return nil, err
-			}
-			c := cells[key(eps, class)]
-			if c == nil {
-				c = &cell{}
-				cells[key(eps, class)] = c
-			}
-			c.acc += acc
-			c.ceil += ceil
-			if ceil >= 0.5 {
-				c.ok++
-			}
-			c.n++
-		}
-	}
-
+// Sweep aggregates mean accuracy and ceiling per (ε, degree class) over
+// the targets of results, one Result per ε (as Run returns them). A target
+// counts in every class whose interval holds its degree, and in none when
+// no class does. Points are ordered by ε, then class label; empty cells are
+// left out.
+func Sweep(results []Result, classes []DegreeClass) []SweepPoint {
 	var out []SweepPoint
-	for _, eps := range cfg.Epsilons {
-		for _, cl := range cfg.Classes {
-			c := cells[key(eps, cl.Label)]
-			if c == nil || c.n == 0 {
+	for _, r := range results {
+		for _, cl := range classes {
+			p := SweepPoint{Epsilon: r.Epsilon, Class: cl.Label}
+			for _, t := range r.Targets {
+				if t.Degree < cl.Lo || t.Degree >= cl.Hi {
+					continue
+				}
+				p.Targets++
+				p.MeanAccuracy += t.Exponential
+				p.MeanCeiling += t.Bound
+				if t.Bound >= 0.5 {
+					p.ServiceableAt++
+				}
+			}
+			if p.Targets == 0 {
 				continue
 			}
-			out = append(out, SweepPoint{
-				Epsilon:       eps,
-				Class:         cl.Label,
-				Targets:       c.n,
-				MeanAccuracy:  c.acc / float64(c.n),
-				MeanCeiling:   c.ceil / float64(c.n),
-				ServiceableAt: c.ok / float64(c.n),
-			})
+			n := float64(p.Targets)
+			p.MeanAccuracy /= n
+			p.MeanCeiling /= n
+			p.ServiceableAt /= n
+			out = append(out, p)
 		}
 	}
 	slices.SortStableFunc(out, func(a, b SweepPoint) int {
@@ -156,7 +77,7 @@ func RunEpsilonSweep(g *graph.Graph, cfg SweepConfig) ([]SweepPoint, error) {
 		}
 		return strings.Compare(a.Class, b.Class)
 	})
-	return out, nil
+	return out
 }
 
 // WriteSweepTable renders the sweep as an aligned text table.

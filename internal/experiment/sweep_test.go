@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
@@ -11,15 +10,12 @@ import (
 
 func TestRunEpsilonSweepBasics(t *testing.T) {
 	g := testGraph(t)
-	points, err := RunEpsilonSweep(g, SweepConfig{
+	points := Sweep(mustRun(t, g, Config{
 		Utility:        utility.CommonNeighbors{},
 		Epsilons:       []float64{0.5, 1, 3},
 		TargetFraction: 0.3,
 		Seed:           1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}), DefaultDegreeClasses())
 	if len(points) == 0 {
 		t.Fatal("no sweep points")
 	}
@@ -38,15 +34,12 @@ func TestRunEpsilonSweepBasics(t *testing.T) {
 
 func TestSweepMonotoneInEpsilonPerClass(t *testing.T) {
 	g := testGraph(t)
-	points, err := RunEpsilonSweep(g, SweepConfig{
+	points := Sweep(mustRun(t, g, Config{
 		Utility:        utility.CommonNeighbors{},
 		Epsilons:       []float64{0.25, 1, 4},
 		TargetFraction: 0.3,
 		Seed:           2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}), DefaultDegreeClasses())
 	byClass := map[string][]SweepPoint{}
 	for _, p := range points {
 		byClass[p.Class] = append(byClass[p.Class], p)
@@ -68,15 +61,12 @@ func TestSweepMonotoneInEpsilonPerClass(t *testing.T) {
 // higher ceilings.
 func TestSweepHubsBeatLeaves(t *testing.T) {
 	g := testGraph(t)
-	points, err := RunEpsilonSweep(g, SweepConfig{
+	points := Sweep(mustRun(t, g, Config{
 		Utility:        utility.CommonNeighbors{},
 		Epsilons:       []float64{0.5},
 		TargetFraction: 0.5,
 		Seed:           3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}), DefaultDegreeClasses())
 	var leaf, hub *SweepPoint
 	for i := range points {
 		switch points[i].Class {
@@ -95,16 +85,6 @@ func TestSweepHubsBeatLeaves(t *testing.T) {
 	}
 	if hub.MeanCeiling < leaf.MeanCeiling {
 		t.Errorf("hub ceiling %g below leaf ceiling %g", hub.MeanCeiling, leaf.MeanCeiling)
-	}
-}
-
-func TestSweepConfigValidation(t *testing.T) {
-	g := testGraph(t)
-	if _, err := RunEpsilonSweep(g, SweepConfig{Epsilons: []float64{1}}); !errors.Is(err, ErrConfig) {
-		t.Error("nil utility accepted")
-	}
-	if _, err := RunEpsilonSweep(g, SweepConfig{Utility: utility.CommonNeighbors{}}); !errors.Is(err, ErrConfig) {
-		t.Error("no epsilons accepted")
 	}
 }
 
