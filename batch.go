@@ -53,7 +53,7 @@ func dedupTargets(targets []int) (uniq []int, slot []int) {
 }
 
 // BatchRecommend returns one private recommendation per target, evaluated
-// in parallel across runtime.NumCPU() workers with duplicate targets
+// in parallel across runtime.GOMAXPROCS(0) workers with duplicate targets
 // computed once. Results are positionally aligned with targets and
 // identical to calling Recommend on each target sequentially (a repeated
 // target yields the same draw either way, so deduplication is pure
@@ -232,14 +232,14 @@ func (a *Accountant) BatchRecommendTopK(targets []int, k int) []BatchTopKResult 
 }
 
 // Precompute warms the utility-vector cache for the given targets, fanning
-// the deterministic pre-noise computation across runtime.NumCPU() workers
-// (duplicate targets are computed at most once). It releases nothing (no
-// mechanism draw happens), so it costs no privacy budget, and it does not
-// touch the cache's hit/miss counters — /healthz hit rates keep reflecting
-// serving traffic only. The return value is the number of targets now
-// cached, counting each distinct target once and counting negative entries
-// for hopeless targets; it is 0 when no cache is enabled (enable one with
-// WithCache first).
+// the deterministic pre-noise computation across runtime.GOMAXPROCS(0)
+// workers (duplicate targets are computed at most once). It releases
+// nothing (no mechanism draw happens), so it costs no privacy budget, and
+// it does not touch the cache's hit/miss counters — /healthz hit rates
+// keep reflecting serving traffic only. The return value is the number of
+// targets now cached, counting each distinct target once and counting
+// negative entries for hopeless targets; it is 0 when no cache is enabled
+// (enable one with WithCache first).
 func (r *Recommender) Precompute(targets []int) int {
 	c := r.cache
 	if c == nil {

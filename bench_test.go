@@ -26,6 +26,7 @@ import (
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
 	"socialrec/internal/stats"
+	"socialrec/internal/stream"
 	"socialrec/internal/utility"
 )
 
@@ -184,21 +185,18 @@ func BenchmarkTableLaplaceVsExponential(b *testing.B) {
 // mechanism's n=2 win probability against the Exponential mechanism's.
 func BenchmarkTableLemma3(b *testing.B) {
 	u := []float64{3, 1}
-	lap := mechanism.Laplace{Epsilon: 1, Sensitivity: 1}
 	exp := mechanism.Exponential{Epsilon: 1, Sensitivity: 1}
-	var lp, ep []float64
+	var lp float64
+	var ep []float64
 	for i := 0; i < b.N; i++ {
+		lp = distribution.Lemma3WinProbability(u[0], u[1], 1)
 		var err error
-		lp, err = lap.ProbabilitiesN2(u)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ep, err = exp.Probabilities(u)
+		ep, _, err = exp.ProbabilitiesSparse(mechanism.SparseVec{Val: u, N: len(u)})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(lp[0], "laplace_p1")
+	b.ReportMetric(lp, "laplace_p1")
 	b.ReportMetric(ep[0], "exponential_p1")
 }
 
@@ -212,7 +210,7 @@ func BenchmarkTableSmoothing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, x := range []float64{0.1, 0.5, 0.9} {
 			s := mechanism.Smoothing{X: x, Base: mechanism.Best{}}
-			a, err := mechanism.ExpectedAccuracy(s, u)
+			a, err := mechanism.ExpectedAccuracySparse(s, mechanism.SparseVec{Val: u, N: len(u)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -329,17 +327,18 @@ func BenchmarkAblationLaplaceTrials(b *testing.B) {
 	u := []float64{0, 0, 0, 1, 2, 5}
 	lap := mechanism.Laplace{Epsilon: 1, Sensitivity: 2}
 	exp := mechanism.Exponential{Epsilon: 1, Sensitivity: 2}
-	want, err := mechanism.ExpectedAccuracy(exp, u)
+	want, err := mechanism.ExpectedAccuracySparse(exp, mechanism.SparseVec{Val: u, N: len(u)})
 	if err != nil {
 		b.Fatal(err)
 	}
+	sc := stream.NewSlice([]int32{0, 1, 2, 3, 4, 5}, u)
 	for _, trials := range []int{100, 1000} {
 		trials := trials
 		b.Run(map[int]string{100: "trials100", 1000: "trials1000"}[trials], func(b *testing.B) {
 			rng := distribution.NewRNG(1)
 			var gap float64
 			for i := 0; i < b.N; i++ {
-				got, err := mechanism.MonteCarloAccuracy(lap, u, trials, rng)
+				got, err := mechanism.MonteCarloAccuracyStream(lap, sc, len(u), trials, rng)
 				if err != nil {
 					b.Fatal(err)
 				}

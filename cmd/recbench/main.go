@@ -15,6 +15,8 @@
 //	recbench -json -figure 1a     # per-target results and CDFs as JSON
 //	recbench -sweep               # mean accuracy and ceiling per (ε, degree class)
 //	recbench -compare             # Exponential vs Laplace vs smoothing at ε=1, 1,000 Laplace trials
+//	recbench -compare -laplace 50 # the same comparison with 50 Laplace trials
+//	recbench -sweep -json         # the sweep's per-target results as JSON
 //	recbench -wiki wiki-Vote.txt  # use the real SNAP dataset when available
 package main
 
@@ -54,14 +56,14 @@ func main() {
 	}
 
 	if *sweep {
-		if err := runSweep(opts); err != nil {
+		if err := runSweep(opts, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "recbench:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *compare {
-		if err := runCompare(opts); err != nil {
+		if err := runCompare(opts, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "recbench:", err)
 			os.Exit(1)
 		}
@@ -95,12 +97,15 @@ func main() {
 	}
 }
 
-func runSweep(opts experiment.SuiteOptions) error {
+// runSweep runs the ε sweep on the Wiki-Vote-like graph and prints its
+// per-(ε, degree class) table, or with jsonOut the per-target results.
+func runSweep(opts experiment.SuiteOptions, jsonOut bool) error {
 	loaded, err := opts.LoadDataset("wiki-vote")
 	if err != nil {
 		return err
 	}
 	results, err := experiment.Run(loaded.Graph, experiment.Config{
+		Name:           "wiki-vote",
 		Utility:        utility.CommonNeighbors{},
 		Epsilons:       []float64{0.1, 0.25, 0.5, 1, 2, 3, 5},
 		TargetFraction: 0.10,
@@ -110,12 +115,18 @@ func runSweep(opts experiment.SuiteOptions) error {
 	if err != nil {
 		return err
 	}
+	if jsonOut {
+		return experiment.WriteJSON(os.Stdout, results)
+	}
 	points := experiment.Sweep(results, experiment.DefaultDegreeClasses())
 	title := fmt.Sprintf("Epsilon sweep, wiki-vote [%s], common neighbors", loaded.Detail)
 	return experiment.WriteSweepTable(os.Stdout, title, points)
 }
 
-func runCompare(opts experiment.SuiteOptions) error {
+// runCompare runs the §7.2 comparison at ε=1 on the Wiki-Vote-like graph
+// with opts.LaplaceTrials Laplace trials per target (the paper's 1,000 when
+// unset) and prints its table, or with jsonOut the per-target results.
+func runCompare(opts experiment.SuiteOptions, jsonOut bool) error {
 	loaded, err := opts.LoadDataset("wiki-vote")
 	if err != nil {
 		return err
@@ -124,16 +135,24 @@ func runCompare(opts experiment.SuiteOptions) error {
 	if maxTargets == 0 {
 		maxTargets = 30 // Laplace Monte-Carlo is the expensive part
 	}
+	trials := opts.LaplaceTrials
+	if trials <= 0 {
+		trials = mechanism.DefaultLaplaceTrials
+	}
 	results, err := experiment.Run(loaded.Graph, experiment.Config{
+		Name:           "wiki-vote",
 		Utility:        utility.CommonNeighbors{},
 		Epsilons:       []float64{1},
 		TargetFraction: 0.10,
 		MaxTargets:     maxTargets,
-		LaplaceTrials:  mechanism.DefaultLaplaceTrials,
+		LaplaceTrials:  trials,
 		Seed:           opts.Seed,
 	})
 	if err != nil {
 		return err
+	}
+	if jsonOut {
+		return experiment.WriteJSON(os.Stdout, results)
 	}
 	sum := experiment.Compare(results[0])
 	title := fmt.Sprintf("Exponential vs Laplace vs Smoothing (§7.2), wiki-vote [%s], eps=1", loaded.Detail)

@@ -57,9 +57,9 @@
 // produced, so every draw reads the same numbers either way.
 //
 // BatchRecommend and Precompute fan work for many targets across a
-// runtime.NumCPU() worker pool, and RefreshSnapshot swaps in a new graph
-// snapshot atomically — advancing the cache epoch so stale entries lazily
-// expire — for deployments that re-ingest their graph periodically.
+// runtime.GOMAXPROCS(0) worker pool, and RefreshSnapshot swaps in a new
+// graph snapshot atomically — advancing the cache epoch so stale entries
+// lazily expire — for deployments that re-ingest their graph periodically.
 //
 // What caching does NOT change: privacy budgeting. Each served
 // recommendation still releases ε of information (the Accountant composes
@@ -115,8 +115,11 @@
 // cache fill and Precompute (one pass that counts and collects the distinct
 // values, one exact-size fill of node IDs and codes or values), the
 // utility's Sparse gathers it into plain slices (the form the §7
-// experiments evaluate), and utility.Vector scatters it into the dense
-// vector that only the DP audits and internal/bounds still read.
+// experiments and the DP audit of internal/dpcheck evaluate), and
+// utility.Vector scatters it into the dense vector that only
+// internal/bounds still reads. The mechanisms have no dense form outside
+// their tests: each has one streamed draw and, when it admits one, one
+// sparse closed form, and both the draws and the audit read those.
 //
 // The two sources are DP-equivalent for the strongest possible reason:
 // they yield the same pairs, and the draws depend on nothing else, so for a
@@ -219,14 +222,18 @@
 // Why sparsification preserves the DP guarantee: it is a pure pre-noise
 // refactor. The sparse kernels return bit-identical nonzero values to the
 // dense vectors (same Δf, same u_max, same candidate domain), and every
-// sparse draw selects from exactly the same output distribution as its
-// dense counterpart — the support/tail split only reorganizes how the same
-// per-candidate probabilities are sampled, it never changes them. The
-// property tests pin this: exact per-node probability equality for
-// Exponential/Smoothing/Best, chi-squared goodness of fit for the
-// two-stage zero-tail draw and for Laplace, and bit-identical fixed-seed
-// draws when the tail is empty. Identical output distribution ⇒ identical
-// ε-DP guarantee and identical budget accounting.
+// sparse draw selects from exactly the same output distribution as the
+// textbook dense mechanism over the expanded vector — the support/tail
+// split only reorganizes how the same per-candidate probabilities are
+// sampled, it never changes them. The dense mechanisms survive as test
+// oracles, and the property tests pin the equivalence: exact per-node
+// probability equality for Exponential/Smoothing/Best, chi-squared
+// goodness of fit for the two-stage zero-tail draw and for Laplace, and
+// bit-identical fixed-seed draws when the tail is empty. Identical output
+// distribution ⇒ identical ε-DP guarantee and identical budget accounting.
+// internal/dpcheck's exhaustive neighbor audit reads the sparse closed
+// form itself, support plus zero tail, so the tail bookkeeping is audited
+// too.
 //
 // # Live graphs
 //

@@ -14,7 +14,6 @@ import (
 	"socialrec/internal/budget"
 	"socialrec/internal/distribution"
 	"socialrec/internal/gen"
-	"socialrec/internal/mechanism"
 	"socialrec/internal/utility"
 )
 
@@ -109,63 +108,6 @@ func hubTargets(t *testing.T, g *Graph, hotCount int) []int {
 		hot[i] = cands[i].target
 	}
 	return hot
-}
-
-// TestGuardrailSparseUncachedVsDense: an uncached request on the sparse
-// serving path must cost at most 1.1x the dense O(n) pipeline it replaced
-// (full utility vector, candidate list, compacted vector, dense draw).
-func TestGuardrailSparseUncachedVsDense(t *testing.T) {
-	skipUnderRace(t)
-	g := guardrailGraph(t)
-	snap := g.Snapshot()
-	cn := utility.CommonNeighbors{}
-	e := mechanism.Exponential{Epsilon: 1, Sensitivity: cn.Sensitivity(snap)}
-	var targets []int
-	for v := 0; v < snap.NumNodes() && len(targets) < 48; v++ {
-		_, val, err := cn.Sparse(snap, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if utility.Max(val) > 0 {
-			targets = append(targets, v)
-		}
-	}
-	if len(targets) == 0 {
-		t.Fatal("no serveable targets")
-	}
-	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	rng := distribution.NewRNG(7)
-	ratio := medianRatio(guardrailReps,
-		func() float64 {
-			return nsPerOp(100, func(i int) {
-				target := targets[i%len(targets)]
-				full, err := utility.Vector(cn, snap, target)
-				if err != nil {
-					t.Fatal(err)
-				}
-				candidates := utility.Candidates(snap, target)
-				idx, err := e.Recommend(utility.Compact(full, candidates), rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_ = candidates[idx]
-			})
-		},
-		func() float64 {
-			return nsPerOp(1000, func(i int) {
-				if _, err := rec.Recommend(targets[i%len(targets)]); err != nil {
-					t.Fatal(err)
-				}
-			})
-		})
-	t.Logf("uncached sparse/dense time: %.2f", ratio)
-	if ratio > 1.1 {
-		t.Fatalf("uncached sparse path takes %.2fx the dense pipeline's time, want <= 1.1x", ratio)
-	}
 }
 
 // seedAccountant replicates the accounting state machine the sharded

@@ -32,7 +32,7 @@ func TestPublicAPIPrivacyEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			factory := func(sens float64) mechanism.Distribution {
+			factory := func(sens float64) mechanism.SparseDistribution {
 				// The check derives the worst-case Δf itself; assert the
 				// Recommender's configured Δf is at least the base graph's.
 				if rec.Sensitivity() < u.Sensitivity(g)-1e-9 {
@@ -165,7 +165,7 @@ func TestUtilityViewsAgreeUnderPublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 		vec := utility.Compact(full, utility.Candidates(g, target))
-		want, err := mechanism.ExpectedAccuracy(mechanism.Exponential{Epsilon: 1, Sensitivity: 2}, vec)
+		want, err := mechanism.ExpectedAccuracySparse(mechanism.Exponential{Epsilon: 1, Sensitivity: 2}, mechanism.SparseVec{Val: vec, N: len(vec)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -336,7 +336,7 @@ func TestBoundDominatesExponentialMechanism(t *testing.T) {
 		eps := 0.25 + 3*rng.Float64()
 		// Common-neighbors exact t with a generic dr > umax.
 		tt := int(umax) + 1
-		acc, err := mechanism.ExpectedAccuracy(mechanism.Exponential{Epsilon: eps, Sensitivity: 2}, u)
+		acc, err := mechanism.ExpectedAccuracySparse(mechanism.Exponential{Epsilon: eps, Sensitivity: 2}, mechanism.SparseVec{Val: u, N: len(u)})
 		if err != nil {
 			return false
 		}

@@ -6,6 +6,12 @@
 // A mechanism satisfies ε-differential privacy on the instance iff the
 // ratio is at most e^ε.
 //
+// The distribution audited is the one serving draws from: the mechanism's
+// sparse closed form (mechanism.SparseDistribution) over the utility's
+// nonzero support, with every candidate outside the support taking the
+// shared zero-tail mass. So the audit covers the support-plus-tail
+// bookkeeping of the served law, not a parallel dense implementation.
+//
 // The check is exponential-free (it enumerates the O(n²) single-edge
 // neighbors of one graph, not all graphs) and is intended for small graphs
 // in tests — a few hundred milliseconds at n ≤ 30 — where it catches
@@ -56,25 +62,25 @@ func (r Report) Satisfies(eps float64) bool {
 // sensitivity the checker derives. Factories let the checker pin Δf to the
 // worst case over all neighboring graphs, which is what a correct deployment
 // must do.
-type MechanismFactory func(sensitivity float64) mechanism.Distribution
+type MechanismFactory func(sensitivity float64) mechanism.SparseDistribution
 
 // Exponential returns a factory for the exponential mechanism at eps.
 func Exponential(eps float64) MechanismFactory {
-	return func(sens float64) mechanism.Distribution {
+	return func(sens float64) mechanism.SparseDistribution {
 		return mechanism.Exponential{Epsilon: eps, Sensitivity: sens}
 	}
 }
 
 // Smoothing returns a factory for A_S(x) over R_best (sensitivity-free).
 func Smoothing(x float64) MechanismFactory {
-	return func(float64) mechanism.Distribution {
+	return func(float64) mechanism.SparseDistribution {
 		return mechanism.Smoothing{X: x, Base: mechanism.Best{}}
 	}
 }
 
 // Best returns a factory for the non-private optimal recommender.
 func Best() MechanismFactory {
-	return func(float64) mechanism.Distribution { return mechanism.Best{} }
+	return func(float64) mechanism.SparseDistribution { return mechanism.Best{} }
 }
 
 // Check enumerates all single-edge neighbors of g (edges not incident to r)
@@ -168,13 +174,37 @@ func toggle(g *graph.Graph, u, v int) {
 	}
 }
 
-func probsFor(g *graph.Graph, f utility.Function, mech mechanism.Distribution, r int, candidates []int) ([]float64, error) {
-	full, err := utility.Vector(f, g, r)
+// probsFor returns the served recommendation probability of every
+// candidate (ascending, as utility.Candidates lists them): the sparse
+// closed form over f's nonzero support, with each support node taking its
+// own mass and every other candidate the shared zero-tail mass.
+func probsFor(g *graph.Graph, f utility.Function, mech mechanism.SparseDistribution, r int, candidates []int) ([]float64, error) {
+	idx, val, err := f.Sparse(g, r)
 	if err != nil {
 		return nil, err
 	}
-	vec := utility.Compact(full, candidates)
-	return mech.Probabilities(vec)
+	n := utility.CandidateCount(g, r)
+	if n != len(candidates) {
+		return nil, fmt.Errorf("%w: %d candidates, %d expected", ErrDomain, n, len(candidates))
+	}
+	support, tailEach, err := mech.ProbabilitiesSparse(mechanism.SparseVec{Val: val, N: n})
+	if err != nil {
+		return nil, err
+	}
+	probs := make([]float64, len(candidates))
+	j := 0
+	for i, c := range candidates {
+		if j < len(idx) && int(idx[j]) == c {
+			probs[i] = support[j]
+			j++
+		} else {
+			probs[i] = tailEach
+		}
+	}
+	if j != len(idx) {
+		return nil, fmt.Errorf("%w: support node %d is not a candidate", ErrDomain, idx[j])
+	}
+	return probs, nil
 }
 
 func ratioOf(a, b float64) float64 {

@@ -122,7 +122,7 @@ func TestSmoothingIsPrivateAtTheorem5Epsilon(t *testing.T) {
 func TestUnderdeclaredSensitivityCaught(t *testing.T) {
 	g := smallGraph(t, 6, 12, 26)
 	const eps = 1.0
-	buggy := func(sens float64) mechanism.Distribution {
+	buggy := func(sens float64) mechanism.SparseDistribution {
 		return mechanism.Exponential{Epsilon: eps, Sensitivity: sens / 10}
 	}
 	rep, err := Check(g, utility.CommonNeighbors{}, buggy, 0)
@@ -131,6 +131,59 @@ func TestUnderdeclaredSensitivityCaught(t *testing.T) {
 	}
 	if rep.Satisfies(eps) {
 		t.Errorf("10x underdeclared sensitivity went unnoticed (ratio %g)", rep.MaxRatio)
+	}
+}
+
+// tailOnceExponential is the exponential mechanism with a tail
+// bookkeeping bug: its normaliser adds the zero tail's shared weight once,
+// not once per zero-utility candidate.
+type tailOnceExponential struct{ mechanism.Exponential }
+
+func (e tailOnceExponential) ProbabilitiesSparse(s mechanism.SparseVec) ([]float64, float64, error) {
+	scale := e.Epsilon / e.Sensitivity
+	umax := 0.0
+	for _, x := range s.Val {
+		umax = math.Max(umax, x)
+	}
+	tailWeight := math.Exp(-scale * umax)
+	total := tailWeight // the bug: N - nnz tail candidates counted once
+	support := make([]float64, len(s.Val))
+	for i, x := range s.Val {
+		support[i] = math.Exp(scale * (x - umax))
+		total += support[i]
+	}
+	for i := range support {
+		support[i] /= total
+	}
+	return support, tailWeight / total, nil
+}
+
+// TestTailBookkeepingCaught: the audit reads the served support-plus-tail
+// law, so a normaliser that miscounts the zero tail must fail it on the
+// graph where the correct exponential mechanism passes. The miscount is an
+// additive error in the normaliser, so it shows against the multiplicative
+// e^ε bound at small ε: here 1.16 against e^0.1 ≈ 1.105, where the correct
+// mechanism reads 1.04.
+func TestTailBookkeepingCaught(t *testing.T) {
+	g := smallGraph(t, 6, 12, 26)
+	const eps = 0.1
+	rep, err := Check(g, utility.CommonNeighbors{}, Exponential(eps), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Satisfies(eps) {
+		t.Fatalf("correct exponential mechanism fails the audit (ratio %g)", rep.MaxRatio)
+	}
+	buggy := func(sens float64) mechanism.SparseDistribution {
+		return tailOnceExponential{mechanism.Exponential{Epsilon: eps, Sensitivity: sens}}
+	}
+	rep, err = Check(g, utility.CommonNeighbors{}, buggy, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("tail counted once: max ratio %g (worst edge %v), e^eps = %g", rep.MaxRatio, rep.WorstEdge, math.Exp(eps))
+	if rep.Satisfies(eps) {
+		t.Errorf("a normaliser counting the zero tail once went unnoticed (ratio %g)", rep.MaxRatio)
 	}
 }
 

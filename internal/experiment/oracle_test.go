@@ -10,9 +10,10 @@ import (
 )
 
 // TestRunMatchesDenseOracle evaluates every target of the test graph and
-// checks Run's sparse evaluation against the dense mechanism forms over the
-// target's compacted candidate vector: the same targets skipped, and the
-// same Exponential, Smoothing and Bound values.
+// checks Run's sparse evaluation against the mechanisms over the target's
+// compacted candidate vector, every candidate in the support and no zero
+// tail: the same targets skipped, and the same Exponential, Smoothing and
+// Bound values.
 func TestRunMatchesDenseOracle(t *testing.T) {
 	const tol = 1e-12
 	g := testGraph(t)
@@ -32,6 +33,7 @@ func TestRunMatchesDenseOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			vec := utility.Compact(full, utility.Candidates(snap, r))
+			dense := mechanism.SparseVec{Val: vec, N: len(vec)}
 			umax := utility.Max(vec)
 			j, ok := evaluated[r]
 			if umax == 0 {
@@ -51,7 +53,7 @@ func TestRunMatchesDenseOracle(t *testing.T) {
 				if got.UMax != umax || got.T != tcount {
 					t.Errorf("%s node %d: umax %g t %d, dense %g %d", u.Name(), r, got.UMax, got.T, umax, tcount)
 				}
-				exp, err := mechanism.ExpectedAccuracy(mechanism.Exponential{Epsilon: eps, Sensitivity: sens}, vec)
+				exp, err := mechanism.ExpectedAccuracySparse(mechanism.Exponential{Epsilon: eps, Sensitivity: sens}, dense)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,7 +61,7 @@ func TestRunMatchesDenseOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				smooth, err := mechanism.ExpectedAccuracy(mechanism.Smoothing{X: x, Base: mechanism.Best{}}, vec)
+				smooth, err := mechanism.ExpectedAccuracySparse(mechanism.Smoothing{X: x, Base: mechanism.Best{}}, dense)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestExpectedAccuracyBestIsOne(t *testing.T) {
-	acc, err := ExpectedAccuracy(Best{}, []float64{1, 9, 4})
+	acc, err := ExpectedAccuracySparse(Best{}, tailFree([]float64{1, 9, 4}))
 	if err != nil || math.Abs(acc-1) > 1e-12 {
 		t.Errorf("accuracy = %g, %v", acc, err)
 	}
@@ -17,23 +17,23 @@ func TestExpectedAccuracyBestIsOne(t *testing.T) {
 
 func TestExpectedAccuracyUniform(t *testing.T) {
 	// Uniform over {0, 10}: E[u] = 5, umax = 10 -> accuracy 0.5.
-	acc, err := ExpectedAccuracy(Uniform{}, []float64{0, 10})
+	acc, err := ExpectedAccuracySparse(Uniform{}, tailFree([]float64{0, 10}))
 	if err != nil || math.Abs(acc-0.5) > 1e-12 {
 		t.Errorf("accuracy = %g, %v", acc, err)
 	}
 }
 
 func TestExpectedAccuracyNoCandidates(t *testing.T) {
-	if _, err := ExpectedAccuracy(Best{}, []float64{0, 0}); !errors.Is(err, ErrNoCandidates) {
+	if _, err := ExpectedAccuracySparse(Best{}, tailFree([]float64{0, 0})); !errors.Is(err, ErrNoCandidates) {
 		t.Errorf("want ErrNoCandidates, got %v", err)
 	}
 }
 
 func TestExpectedAccuracyExponentialIncreasingInEpsilon(t *testing.T) {
-	u := []float64{0, 0, 0, 0, 1}
+	u := tailFree([]float64{0, 0, 0, 0, 1})
 	prev := 0.0
 	for _, eps := range []float64{0.1, 0.5, 1, 3, 10} {
-		acc, err := ExpectedAccuracy(Exponential{Epsilon: eps, Sensitivity: 1}, u)
+		acc, err := ExpectedAccuracySparse(Exponential{Epsilon: eps, Sensitivity: 1}, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +47,11 @@ func TestExpectedAccuracyExponentialIncreasingInEpsilon(t *testing.T) {
 func TestMonteCarloAccuracyMatchesClosedForm(t *testing.T) {
 	u := []float64{0, 1, 2, 5}
 	e := Exponential{Epsilon: 1, Sensitivity: 1}
-	want, err := ExpectedAccuracy(e, u)
+	want, err := ExpectedAccuracySparse(e, tailFree(u))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MonteCarloAccuracy(e, u, 200000, distribution.NewRNG(9))
+	got, err := MonteCarloAccuracyStream(e, supportStream(tailFree(u)), len(u), 200000, distribution.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +62,14 @@ func TestMonteCarloAccuracyMatchesClosedForm(t *testing.T) {
 
 func TestMonteCarloAccuracyDefaultTrials(t *testing.T) {
 	// trials < 1 should fall back to the paper's 1,000.
-	got, err := MonteCarloAccuracy(Best{}, []float64{1, 2}, 0, distribution.NewRNG(1))
+	got, err := MonteCarloAccuracyStream(Best{}, supportStream(tailFree([]float64{1, 2})), 2, 0, distribution.NewRNG(1))
 	if err != nil || math.Abs(got-1) > 1e-12 {
 		t.Errorf("accuracy = %g, %v", got, err)
 	}
 }
 
 func TestMonteCarloAccuracyNoCandidates(t *testing.T) {
-	if _, err := MonteCarloAccuracy(Best{}, []float64{0}, 10, distribution.NewRNG(1)); !errors.Is(err, ErrNoCandidates) {
+	if _, err := MonteCarloAccuracyStream(Best{}, supportStream(tailFree([]float64{0})), 1, 10, distribution.NewRNG(1)); !errors.Is(err, ErrNoCandidates) {
 		t.Errorf("want ErrNoCandidates, got %v", err)
 	}
 }
@@ -88,11 +88,11 @@ func TestLaplaceMatchesExponentialAccuracy(t *testing.T) {
 		for _, eps := range []float64{0.5, 1, 3} {
 			exp := Exponential{Epsilon: eps, Sensitivity: 2}
 			lap := Laplace{Epsilon: eps, Sensitivity: 2}
-			ea, err := ExpectedAccuracy(exp, u)
+			ea, err := ExpectedAccuracySparse(exp, tailFree(u))
 			if err != nil {
 				t.Fatal(err)
 			}
-			la, err := MonteCarloAccuracy(lap, u, 20000, distribution.NewRNG(int64(eps*100)))
+			la, err := MonteCarloAccuracyStream(lap, supportStream(tailFree(u)), len(u), 20000, distribution.NewRNG(int64(eps*100)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,9 +106,9 @@ func TestLaplaceMatchesExponentialAccuracy(t *testing.T) {
 func TestSmoothingAccuracyTheorem5(t *testing.T) {
 	// Theorem 5: A_S(x) over a µ-accurate base has accuracy >= x·µ. With
 	// Best (µ=1), accuracy = x + (1-x)·E_uniform[u]/umax exactly.
-	u := []float64{0, 0, 0, 4}
+	u := tailFree([]float64{0, 0, 0, 4})
 	for _, x := range []float64{0, 0.25, 0.5, 0.9} {
-		acc, err := ExpectedAccuracy(Smoothing{X: x, Base: Best{}}, u)
+		acc, err := ExpectedAccuracySparse(Smoothing{X: x, Base: Best{}}, u)
 		if err != nil {
 			t.Fatal(err)
 		}

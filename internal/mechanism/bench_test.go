@@ -9,76 +9,6 @@ import (
 	"socialrec/internal/utility"
 )
 
-func benchVector(n int) []float64 {
-	rng := distribution.NewRNG(1)
-	u := make([]float64, n)
-	for i := range u {
-		if rng.Float64() < 0.02 {
-			u[i] = float64(1 + rng.Intn(20))
-		}
-	}
-	u[n/2] = 25
-	return u
-}
-
-func BenchmarkExponentialProbabilities(b *testing.B) {
-	u := benchVector(10000)
-	e := Exponential{Epsilon: 1, Sensitivity: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Probabilities(u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExponentialRecommend(b *testing.B) {
-	u := benchVector(10000)
-	e := Exponential{Epsilon: 1, Sensitivity: 2}
-	rng := distribution.NewRNG(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Recommend(u, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLaplaceRecommend(b *testing.B) {
-	u := benchVector(10000)
-	l := Laplace{Epsilon: 1, Sensitivity: 2}
-	rng := distribution.NewRNG(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Recommend(u, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTopKLaplace(b *testing.B) {
-	u := benchVector(10000)
-	rng := distribution.NewRNG(5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TopKLaplace(1, 2, u, 5, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMonteCarloAccuracy1000(b *testing.B) {
-	u := benchVector(2000)
-	l := Laplace{Epsilon: 1, Sensitivity: 2}
-	rng := distribution.NewRNG(6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarloAccuracy(l, u, 1000, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTopKPeelStream times the private top-10 peel (ε = 1) over the
 // weighted-paths supports (γ = 0.005) of uniformly drawn targets on a
 // seeded Wiki-Vote-shaped graph, the top-k layer of an uncached read. The

@@ -14,7 +14,7 @@ import (
 // 0.25 B.
 const cdfBlock = 32
 
-// SparseCDF is the cacheable sparse analogue of Exponential.CDF: the
+// SparseCDF is the cacheable form of the exponential mechanism's draw: the
 // exponential weights of the support, summed into prefix sums that are kept
 // only at the end of every cdfBlock-th entry, plus the closed-form mass of
 // the zero tail. The per-entry prefix sums are not stored; a draw rebuilds
@@ -24,7 +24,8 @@ const cdfBlock = 32
 // support has more than 256 distinct utilities) a support entry costs
 // 8/cdfBlock B here: 5.25 B in all for a coded entry, 12.25 B otherwise,
 // instead of the 20 B of a per-entry prefix sum. A cached draw costs
-// O(log(nnz/cdfBlock) + cdfBlock) instead of the O(n) dense weight pass.
+// O(log(nnz/cdfBlock) + cdfBlock) instead of RecommendStream's O(nnz)
+// weight passes.
 type SparseCDF struct {
 	// Code and Val alias the SparseVec's support. They must not be mutated
 	// while the CDF is in use.
@@ -33,7 +34,8 @@ type SparseCDF struct {
 	// Blocks[b] = Σ_{j<=e} exp(Scale·(u_j - UMax)) with u_j support entry
 	// j's utility and e the last support index of block b,
 	// min(cdfBlock·(b+1), nnz) - 1: the running prefix sum at the end of
-	// each block, accumulated in support order exactly as appendCDF does.
+	// each block, accumulated in support order exactly as RecommendStream
+	// accumulates its running prefix.
 	// The last entry is the support mass.
 	Blocks []float64
 	// Scale = ε/Δf and UMax, the maximum utility over all candidates
@@ -57,7 +59,7 @@ func (c *SparseCDF) Bytes() int { return 8*len(c.Blocks) + 112 }
 func (c *SparseCDF) len() int { return stream.Len(c.Code, c.Val) }
 
 // weight is the exponential weight of support entry j, the per-entry
-// arithmetic appendCDF performs. A coded entry's utility is the same
+// arithmetic RecommendStream performs. A coded entry's utility is the same
 // float64 as the uncoded one, so its weight is too, bit for bit.
 func (c *SparseCDF) weight(j int) float64 {
 	return c.weightOf(stream.At(c.Code, c.Val, j))
@@ -114,12 +116,12 @@ func (e Exponential) SparseCDF(s SparseVec) (*SparseCDF, error) {
 // search over the block sums for the first block ending above the variate,
 // then a re-accumulation inside that block from the previous block's sum.
 // Floating-point addition is applied to the same operands in the same
-// order, so the re-accumulated prefix sums equal appendCDF's bit for bit
-// and the pick is the one a binary search over per-entry prefix sums would
-// find. When the tail is empty this is bit-identical to SampleCDF on the
-// dense CDF (same accumulated weights, same single rng.Float64(), same
-// inversion), so cached sparse serving reproduces cached dense serving
-// draw-for-draw.
+// order, so the re-accumulated prefix sums equal RecommendStream's running
+// prefix bit for bit and the pick is the one a binary search over
+// per-entry prefix sums would find: the same pick RecommendStream makes
+// from the same single rng.Float64(). When the tail is empty both are
+// bit-identical to inverse-CDF sampling of the dense vector, the oracle
+// in dense_test.go.
 func SampleSparseCDF(c *SparseCDF, rng *rand.Rand) Pick {
 	target := rng.Float64() * c.Total
 	var zs float64
@@ -152,8 +154,8 @@ func SampleSparseCDF(c *SparseCDF, rng *rand.Rand) Pick {
 		return Pick{Support: end}
 	}
 	if c.Tail == 0 {
-		// Rounding fell through the support mass; mirror SampleCDF by
-		// resolving to the last candidate.
+		// Rounding fell through the support mass; mirror RecommendStream
+		// by resolving to the last candidate.
 		return Pick{Support: c.len() - 1}
 	}
 	rank := int((target - zs) / c.TailWeight)

@@ -12,7 +12,9 @@ import (
 // giving a seeded test that would only flake if the seed itself were
 // adversarial. This is the statistical check that the sampler actually
 // implements the exp((ε/Δf)·u_i) law the privacy proof is about — unit
-// tests of Probabilities alone cannot catch a biased sampler.
+// tests of the closed form alone cannot catch a biased sampler. The draws
+// are the served ones, over a tail-free stream of the vector; the law is
+// the dense oracle's.
 
 // chi2Critical999 maps degrees of freedom to the chi-squared critical value
 // at alpha = 1e-3.
@@ -60,20 +62,18 @@ func TestExponentialChiSquaredGoodnessOfFit(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := Exponential{Epsilon: tc.eps, Sensitivity: tc.sens}
-			probs, err := e.Probabilities(tc.u)
-			if err != nil {
-				t.Fatal(err)
-			}
+			probs := denseProbabilities(e, tc.u)
 			rng := rand.New(rand.NewSource(tc.seed))
 			counts := make([]int, len(tc.u))
 			for i := 0; i < trials; i++ {
-				idx, err := e.Recommend(tc.u, rng)
+				p, err := drawStream(e, tailFree(tc.u), rng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				counts[idx]++
+				counts[p.Support]++
 			}
 			stat := chiSquared(t, counts, probs, trials)
+			t.Logf("chi-squared %.6f (df=%d)", stat, len(tc.u)-1)
 			crit, ok := chi2Critical999[len(tc.u)-1]
 			if !ok {
 				t.Fatalf("no critical value for df=%d", len(tc.u)-1)
@@ -88,15 +88,13 @@ func TestExponentialChiSquaredGoodnessOfFit(t *testing.T) {
 
 // TestSampleCDFChiSquaredGoodnessOfFit runs the same check against the
 // cached-CDF sampling path the serving cache uses, so a bias introduced in
-// CDF/SampleCDF (rather than Recommend) would also be caught.
+// SparseCDF/SampleSparseCDF (rather than RecommendStream) would also be
+// caught.
 func TestSampleCDFChiSquaredGoodnessOfFit(t *testing.T) {
 	u := []float64{0, 1, 2, 3, 5}
 	e := Exponential{Epsilon: 1, Sensitivity: 1}
-	probs, err := e.Probabilities(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cdf, err := e.CDF(u)
+	probs := denseProbabilities(e, u)
+	cdf, err := e.SparseCDF(tailFree(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +102,10 @@ func TestSampleCDFChiSquaredGoodnessOfFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	counts := make([]int, len(u))
 	for i := 0; i < trials; i++ {
-		counts[SampleCDF(cdf, rng)]++
+		counts[SampleSparseCDF(cdf, rng).Support]++
 	}
 	stat := chiSquared(t, counts, probs, trials)
+	t.Logf("chi-squared %.6f (df=%d)", stat, len(u)-1)
 	if crit := chi2Critical999[len(u)-1]; stat > crit {
 		t.Fatalf("chi-squared %.3f exceeds critical value %.3f: cached-CDF draws biased\ncounts: %v\nprobs:  %v",
 			stat, crit, counts, probs)

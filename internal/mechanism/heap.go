@@ -3,9 +3,9 @@ package mechanism
 // Bounded-heap top-k selection. Serving returns small k over large candidate
 // domains, so selection cost should be O(n log k), not the O(n log n) of a
 // full sort or the O(n·k) of repeated scans. The incremental topHeap is the
-// single implementation behind both the dense TopIndices and the streaming
-// top-k consumers (stream.go): feeding it the same (value, sequence) pairs
-// in the same order produces the same selection bit for bit.
+// single implementation behind the streaming top-k releases (stream.go):
+// feeding it the same (value, sequence) pairs in the same order produces
+// the same selection bit for bit, the one a stable descending sort gives.
 
 // topEntry is one scored candidate offered to a topHeap: v is the (noisy)
 // score, seq the candidate's position in the offer order — the tie-break
@@ -91,21 +91,4 @@ func (h *topHeap) drain() []topEntry {
 	}
 	h.e = nil
 	return e
-}
-
-// TopIndices returns the indices of the k largest values in xs, ordered by
-// decreasing value with ties broken toward the lower index. It runs in
-// O(n log k) time and O(k) extra space. k must be in [1, len(xs)]; callers
-// validate.
-func TopIndices(xs []float64, k int) []int {
-	h := topHeap{k: k, e: make([]topEntry, 0, k)}
-	for i, x := range xs {
-		h.offer(topEntry{v: x, seq: i})
-	}
-	top := h.drain()
-	out := make([]int, len(top))
-	for i, e := range top {
-		out[i] = e.seq
-	}
-	return out
 }

@@ -6,24 +6,15 @@ import (
 	"testing"
 )
 
-// referenceTopK is the behavior TopIndices must reproduce: a stable
-// descending sort of the indices by value.
-func referenceTopK(xs []float64, k int) []int {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		switch {
-		case xs[a] > xs[b]:
-			return -1
-		case xs[a] < xs[b]:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return idx[:k]
+// TestTopIndices* pin the bounded heap's selection through BestTopKStream:
+// over a tail-free stream it must select exactly what a stable descending
+// sort of the vector selects (denseTopIndices).
+
+// bestTopK is BestTopKStream over the tail-free stream of xs, as indices.
+func bestTopK(t *testing.T, xs []float64, k int) []int {
+	t.Helper()
+	ps, err := BestTopKStream(supportStream(tailFree(xs)), len(xs), k)
+	return topKIndices(t, ps, err)
 }
 
 func TestTopIndicesMatchesStableSort(t *testing.T) {
@@ -36,8 +27,8 @@ func TestTopIndicesMatchesStableSort(t *testing.T) {
 			xs[i] = float64(rng.Intn(6))
 		}
 		k := 1 + rng.Intn(n)
-		got := TopIndices(xs, k)
-		want := referenceTopK(xs, k)
+		got := bestTopK(t, xs, k)
+		want := denseTopIndices(xs, k)
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d k=%d xs=%v): got %v want %v", trial, n, k, xs, got, want)
 		}
@@ -46,22 +37,9 @@ func TestTopIndicesMatchesStableSort(t *testing.T) {
 
 func TestTopIndicesFullLength(t *testing.T) {
 	xs := []float64{1, 3, 3, 0, 5}
-	got := TopIndices(xs, len(xs))
+	got := bestTopK(t, xs, len(xs))
 	want := []int{4, 1, 2, 0, 3}
 	if !slices.Equal(got, want) {
 		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
-func BenchmarkTopIndices(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = rng.Float64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TopIndices(xs, 10)
 	}
 }

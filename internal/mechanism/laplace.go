@@ -1,11 +1,6 @@
 package mechanism
 
-import (
-	"fmt"
-	"math/rand"
-
-	"socialrec/internal/distribution"
-)
+import "fmt"
 
 // Laplace is the Laplace mechanism of Definition 6: independent
 // Laplace(Δf/ε) noise is added to every utility, and the candidate with the
@@ -14,8 +9,8 @@ import (
 // release (Dwork et al.), and reporting only the argmax is post-processing,
 // so the mechanism is ε-differentially private (Theorem 4). Unlike the
 // Exponential mechanism it has no closed-form probability vector for n > 2;
-// Lemma 3 (Appendix E) gives the n = 2 closed form, exposed here as
-// ProbabilitiesN2.
+// Lemma 3 (Appendix E) gives the n = 2 closed form,
+// distribution.Lemma3WinProbability.
 type Laplace struct {
 	// Epsilon is the privacy parameter ε > 0.
 	Epsilon float64
@@ -23,7 +18,7 @@ type Laplace struct {
 	Sensitivity float64
 }
 
-// Name implements Mechanism.
+// Name implements StreamMechanism.
 func (l Laplace) Name() string { return fmt.Sprintf("laplace(eps=%g)", l.Epsilon) }
 
 func (l Laplace) validate() error {
@@ -34,44 +29,4 @@ func (l Laplace) validate() error {
 		return ErrBadSens
 	}
 	return nil
-}
-
-// Recommend implements Mechanism: argmax of the Laplace-noised utilities.
-func (l Laplace) Recommend(u []float64, rng *rand.Rand) (int, error) {
-	if err := l.validate(); err != nil {
-		return 0, err
-	}
-	if err := validate(u); err != nil {
-		return 0, err
-	}
-	noise := distribution.Laplace{Loc: 0, Scale: l.Sensitivity / l.Epsilon}
-	best := 0
-	bestVal := u[0] + noise.Sample(rng)
-	for i := 1; i < len(u); i++ {
-		if v := u[i] + noise.Sample(rng); v > bestVal {
-			best = i
-			bestVal = v
-		}
-	}
-	return best, nil
-}
-
-// ProbabilitiesN2 returns the exact recommendation probabilities for a
-// two-candidate utility vector via Lemma 3:
-//
-//	P[1 wins] = 1 - (1/2)e^{-ε'Δ} - (ε'Δ/4)e^{-ε'Δ},  ε' = ε/Δf, Δ = u1-u2.
-//
-// It errors for any other vector length.
-func (l Laplace) ProbabilitiesN2(u []float64) ([]float64, error) {
-	if err := l.validate(); err != nil {
-		return nil, err
-	}
-	if len(u) != 2 {
-		return nil, fmt.Errorf("mechanism: ProbabilitiesN2 needs exactly 2 candidates, got %d", len(u))
-	}
-	if err := validate(u); err != nil {
-		return nil, err
-	}
-	p1 := distribution.Lemma3WinProbability(u[0], u[1], l.Epsilon/l.Sensitivity)
-	return []float64{p1, 1 - p1}, nil
 }

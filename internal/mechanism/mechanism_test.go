@@ -23,15 +23,22 @@ func probsSumToOne(t *testing.T, p []float64) {
 	}
 }
 
+// lemma3 is the Laplace mechanism's exact law over two candidates
+// (Lemma 3, Appendix E): [P(u[0] wins), P(u[1] wins)].
+func lemma3(l Laplace, u []float64) []float64 {
+	p0 := distribution.Lemma3WinProbability(u[0], u[1], l.Epsilon/l.Sensitivity)
+	return []float64{p0, 1 - p0}
+}
+
 func TestBestRecommendsArgmax(t *testing.T) {
-	idx, err := Best{}.Recommend([]float64{1, 5, 3}, nil)
-	if err != nil || idx != 1 {
-		t.Errorf("Recommend = %d, %v", idx, err)
+	p, err := drawStream(Best{}, tailFree([]float64{1, 5, 3}), nil)
+	if err != nil || p.Support != 1 {
+		t.Errorf("RecommendStream = %+v, %v", p, err)
 	}
 }
 
 func TestBestProbabilitiesSplitTies(t *testing.T) {
-	p, err := Best{}.Probabilities([]float64{2, 2, 1})
+	p, _, err := Best{}.ProbabilitiesSparse(tailFree([]float64{2, 2, 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +52,11 @@ func TestBestTieBreakUniform(t *testing.T) {
 	rng := distribution.NewRNG(3)
 	counts := [2]int{}
 	for i := 0; i < 2000; i++ {
-		idx, err := Best{}.Recommend([]float64{7, 7}, rng)
+		p, err := drawStream(Best{}, tailFree([]float64{7, 7}), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[idx]++
+		counts[p.Support]++
 	}
 	if counts[0] < 800 || counts[1] < 800 {
 		t.Errorf("tie break skewed: %v", counts)
@@ -57,17 +64,17 @@ func TestBestTieBreakUniform(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	mechs := []Mechanism{Best{}, Uniform{},
+	mechs := []StreamMechanism{Best{}, Uniform{},
 		Exponential{Epsilon: 1, Sensitivity: 1},
 		Laplace{Epsilon: 1, Sensitivity: 1},
 		Smoothing{X: 0.5, Base: Best{}},
 	}
 	rng := distribution.NewRNG(1)
 	for _, m := range mechs {
-		if _, err := m.Recommend(nil, rng); !errors.Is(err, ErrEmpty) {
+		if _, err := drawStream(m, tailFree(nil), rng); !errors.Is(err, ErrEmpty) {
 			t.Errorf("%s: empty input: %v", m.Name(), err)
 		}
-		if _, err := m.Recommend([]float64{1, -2}, rng); !errors.Is(err, ErrNegative) {
+		if _, err := drawStream(m, tailFree([]float64{1, -2}), rng); !errors.Is(err, ErrNegative) {
 			t.Errorf("%s: negative utility: %v", m.Name(), err)
 		}
 	}
@@ -75,13 +82,14 @@ func TestValidationErrors(t *testing.T) {
 
 func TestExponentialParameterValidation(t *testing.T) {
 	rng := distribution.NewRNG(1)
-	if _, err := (Exponential{Epsilon: 0, Sensitivity: 1}).Recommend([]float64{1}, rng); !errors.Is(err, ErrBadEpsilon) {
+	u := tailFree([]float64{1})
+	if _, err := drawStream(Exponential{Epsilon: 0, Sensitivity: 1}, u, rng); !errors.Is(err, ErrBadEpsilon) {
 		t.Errorf("eps=0: %v", err)
 	}
-	if _, err := (Exponential{Epsilon: 1, Sensitivity: 0}).Recommend([]float64{1}, rng); !errors.Is(err, ErrBadSens) {
+	if _, err := drawStream(Exponential{Epsilon: 1, Sensitivity: 0}, u, rng); !errors.Is(err, ErrBadSens) {
 		t.Errorf("sens=0: %v", err)
 	}
-	if _, err := (Laplace{Epsilon: -1, Sensitivity: 1}).Recommend([]float64{1}, rng); !errors.Is(err, ErrBadEpsilon) {
+	if _, err := drawStream(Laplace{Epsilon: -1, Sensitivity: 1}, u, rng); !errors.Is(err, ErrBadEpsilon) {
 		t.Errorf("laplace eps<0: %v", err)
 	}
 }
@@ -89,7 +97,7 @@ func TestExponentialParameterValidation(t *testing.T) {
 func TestExponentialProbabilitiesKnownValues(t *testing.T) {
 	// Two candidates, eps/Δf = 1: p1/p0 = e^{u1-u0}.
 	e := Exponential{Epsilon: 1, Sensitivity: 1}
-	p, err := e.Probabilities([]float64{0, 1})
+	p, _, err := e.ProbabilitiesSparse(tailFree([]float64{0, 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +110,7 @@ func TestExponentialProbabilitiesKnownValues(t *testing.T) {
 func TestExponentialMonotone(t *testing.T) {
 	// Monotonicity (Definition 4): higher utility => higher probability.
 	e := Exponential{Epsilon: 2, Sensitivity: 1}
-	p, err := e.Probabilities([]float64{0, 3, 1, 7})
+	p, _, err := e.ProbabilitiesSparse(tailFree([]float64{0, 3, 1, 7}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func TestExponentialMonotone(t *testing.T) {
 func TestExponentialNumericStability(t *testing.T) {
 	// Huge utilities must not overflow.
 	e := Exponential{Epsilon: 1, Sensitivity: 1}
-	p, err := e.Probabilities([]float64{1e6, 1e6 - 1, 0})
+	p, _, err := e.ProbabilitiesSparse(tailFree([]float64{1e6, 1e6 - 1, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +134,8 @@ func TestExponentialNumericStability(t *testing.T) {
 
 func TestExponentialSamplingMatchesProbabilities(t *testing.T) {
 	e := Exponential{Epsilon: 1, Sensitivity: 1}
-	u := []float64{0, 1, 2}
-	p, err := e.Probabilities(u)
+	u := tailFree([]float64{0, 1, 2})
+	p, _, err := e.ProbabilitiesSparse(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +143,11 @@ func TestExponentialSamplingMatchesProbabilities(t *testing.T) {
 	counts := make([]int, 3)
 	const n = 100000
 	for i := 0; i < n; i++ {
-		idx, err := e.Recommend(u, rng)
+		pick, err := drawStream(e, u, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[idx]++
+		counts[pick.Support]++
 	}
 	for i := range p {
 		got := float64(counts[i]) / n
@@ -172,11 +180,11 @@ func TestExponentialDPRatio(t *testing.T) {
 			rem := sens - math.Abs(u2[i]-u1[i])
 			u2[j] = math.Max(0, u2[j]+(rng.Float64()-0.5)*rem)
 		}
-		p1, err := e.Probabilities(u1)
+		p1, _, err := e.ProbabilitiesSparse(tailFree(u1))
 		if err != nil {
 			return false
 		}
-		p2, err := e.Probabilities(u2)
+		p2, _, err := e.ProbabilitiesSparse(tailFree(u2))
 		if err != nil {
 			return false
 		}
@@ -195,15 +203,15 @@ func TestExponentialDPRatio(t *testing.T) {
 func TestLaplaceRecommendPrefersHighUtility(t *testing.T) {
 	l := Laplace{Epsilon: 2, Sensitivity: 1}
 	rng := distribution.NewRNG(5)
-	u := []float64{0, 5}
+	u := tailFree([]float64{0, 5})
 	wins := 0
 	const n = 5000
 	for i := 0; i < n; i++ {
-		idx, err := l.Recommend(u, rng)
+		p, err := drawStream(l, u, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if idx == 1 {
+		if p.Support == 1 {
 			wins++
 		}
 	}
@@ -214,21 +222,18 @@ func TestLaplaceRecommendPrefersHighUtility(t *testing.T) {
 
 func TestLaplaceProbabilitiesN2MatchesSampling(t *testing.T) {
 	l := Laplace{Epsilon: 1, Sensitivity: 2}
-	u := []float64{4, 1}
-	p, err := l.ProbabilitiesN2(u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := tailFree([]float64{4, 1})
+	p := lemma3(l, u.Val)
 	probsSumToOne(t, p)
 	rng := distribution.NewRNG(23)
 	wins := 0
 	const n = 200000
 	for i := 0; i < n; i++ {
-		idx, err := l.Recommend(u, rng)
+		pick, err := drawStream(l, u, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if idx == 0 {
+		if pick.Support == 0 {
 			wins++
 		}
 	}
@@ -238,26 +243,13 @@ func TestLaplaceProbabilitiesN2MatchesSampling(t *testing.T) {
 	}
 }
 
-func TestLaplaceProbabilitiesN2Validation(t *testing.T) {
-	l := Laplace{Epsilon: 1, Sensitivity: 1}
-	if _, err := l.ProbabilitiesN2([]float64{1, 2, 3}); err == nil {
-		t.Error("n=3 accepted")
-	}
-	if _, err := l.ProbabilitiesN2([]float64{1}); err == nil {
-		t.Error("n=1 accepted")
-	}
-}
-
 // TestLaplaceNotIsomorphicToExponential reproduces the Appendix E
 // observation: at n=2 the two mechanisms assign provably different
 // probabilities for generic utilities.
 func TestLaplaceNotIsomorphicToExponential(t *testing.T) {
 	u := []float64{3, 1}
-	lp, err := (Laplace{Epsilon: 1, Sensitivity: 1}).ProbabilitiesN2(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := (Exponential{Epsilon: 1, Sensitivity: 1}).Probabilities(u)
+	lp := lemma3(Laplace{Epsilon: 1, Sensitivity: 1}, u)
+	ep, _, err := (Exponential{Epsilon: 1, Sensitivity: 1}).ProbabilitiesSparse(tailFree(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,14 +274,8 @@ func TestLaplaceDPRatioEmpiricalN2(t *testing.T) {
 		u2[0] = math.Max(0, u2[0]+d0)
 		rem := sens - math.Abs(u2[0]-u1[0])
 		u2[1] = math.Max(0, u2[1]+(rng.Float64()-0.5)*rem)
-		p1, err := l.ProbabilitiesN2(u1)
-		if err != nil {
-			return false
-		}
-		p2, err := l.ProbabilitiesN2(u2)
-		if err != nil {
-			return false
-		}
+		p1 := lemma3(l, u1)
+		p2 := lemma3(l, u2)
 		for k := range p1 {
 			if p1[k] > math.Exp(eps)*p2[k]+1e-9 || p2[k] > math.Exp(eps)*p1[k]+1e-9 {
 				return false
@@ -304,7 +290,7 @@ func TestLaplaceDPRatioEmpiricalN2(t *testing.T) {
 
 func TestSmoothingProbabilities(t *testing.T) {
 	s := Smoothing{X: 0.6, Base: Best{}}
-	p, err := s.Probabilities([]float64{1, 5, 3, 2})
+	p, _, err := s.ProbabilitiesSparse(tailFree([]float64{1, 5, 3, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,14 +308,14 @@ func TestSmoothingProbabilities(t *testing.T) {
 
 func TestSmoothingValidation(t *testing.T) {
 	rng := distribution.NewRNG(1)
-	if _, err := (Smoothing{X: 1, Base: Best{}}).Recommend([]float64{1}, rng); err == nil {
+	if _, err := drawStream(Smoothing{X: 1, Base: Best{}}, tailFree([]float64{1}), rng); err == nil {
 		t.Error("x=1 accepted")
 	}
-	if _, err := (Smoothing{X: 0.5}).Recommend([]float64{1}, rng); err == nil {
+	if _, err := drawStream(Smoothing{X: 0.5}, tailFree([]float64{1}), rng); err == nil {
 		t.Error("nil base accepted")
 	}
-	if _, err := (Smoothing{X: 0.5, Base: Laplace{Epsilon: 1, Sensitivity: 1}}).Probabilities([]float64{1, 2}); err == nil {
-		t.Error("non-Distribution base should have no closed form")
+	if _, _, err := (Smoothing{X: 0.5, Base: Laplace{Epsilon: 1, Sensitivity: 1}}).ProbabilitiesSparse(tailFree([]float64{1, 2})); err == nil {
+		t.Error("a base without a closed form should leave none")
 	}
 }
 
@@ -396,11 +382,11 @@ func TestSmoothingDPRatio(t *testing.T) {
 			u1[i] = 10 * rng.Float64()
 			u2[i] = 10 * rng.Float64()
 		}
-		p1, err := s.Probabilities(u1)
+		p1, _, err := s.ProbabilitiesSparse(tailFree(u1))
 		if err != nil {
 			return false
 		}
-		p2, err := s.Probabilities(u2)
+		p2, _, err := s.ProbabilitiesSparse(tailFree(u2))
 		if err != nil {
 			return false
 		}
@@ -419,7 +405,7 @@ func TestSmoothingDPRatio(t *testing.T) {
 
 func TestMechanismNames(t *testing.T) {
 	cases := []struct {
-		m    Mechanism
+		m    StreamMechanism
 		want string
 	}{
 		{Best{}, "best"},
@@ -436,7 +422,7 @@ func TestMechanismNames(t *testing.T) {
 }
 
 func TestUniformProbabilities(t *testing.T) {
-	p, err := Uniform{}.Probabilities([]float64{1, 2, 3, 4})
+	p, _, err := Uniform{}.ProbabilitiesSparse(tailFree([]float64{1, 2, 3, 4}))
 	if err != nil {
 		t.Fatal(err)
 	}

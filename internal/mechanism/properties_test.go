@@ -34,11 +34,11 @@ func TestAccuracyRescaleInvariance(t *testing.T) {
 		for i := range u {
 			scaled[i] = c * u[i]
 		}
-		a1, err := ExpectedAccuracy(Exponential{Epsilon: 1, Sensitivity: 2}, u)
+		a1, err := ExpectedAccuracySparse(Exponential{Epsilon: 1, Sensitivity: 2}, tailFree(u))
 		if err != nil {
 			return false
 		}
-		a2, err := ExpectedAccuracy(Exponential{Epsilon: 1, Sensitivity: 2 * c}, scaled)
+		a2, err := ExpectedAccuracySparse(Exponential{Epsilon: 1, Sensitivity: 2 * c}, tailFree(scaled))
 		if err != nil {
 			return false
 		}
@@ -59,7 +59,7 @@ func TestExponentialMonotonicityProperty(t *testing.T) {
 		for i := range u {
 			u[i] = 5 * rng.Float64()
 		}
-		p, err := (Exponential{Epsilon: 1, Sensitivity: 1}).Probabilities(u)
+		p, _, err := (Exponential{Epsilon: 1, Sensitivity: 1}).ProbabilitiesSparse(tailFree(u))
 		if err != nil {
 			return false
 		}
@@ -90,7 +90,7 @@ func TestSmoothingMonotonicityProperty(t *testing.T) {
 		for i := range u {
 			u[i] = float64(rng.Intn(5))
 		}
-		p, err := (Smoothing{X: 0.5, Base: Best{}}).Probabilities(u)
+		p, _, err := (Smoothing{X: 0.5, Base: Best{}}).ProbabilitiesSparse(tailFree(u))
 		if err != nil {
 			return false
 		}
@@ -115,10 +115,7 @@ func TestLaplaceMonotoneInExpectationProperty(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := distribution.NewRNG(seed)
 		u := []float64{10 * rng.Float64(), 10 * rng.Float64()}
-		p, err := (Laplace{Epsilon: 0.5 + 2*rng.Float64(), Sensitivity: 1}).ProbabilitiesN2(u)
-		if err != nil {
-			return false
-		}
+		p := lemma3(Laplace{Epsilon: 0.5 + 2*rng.Float64(), Sensitivity: 1}, u)
 		if u[0] > u[1] {
 			return p[0] >= 0.5
 		}
@@ -135,7 +132,7 @@ func TestLaplaceMonotoneInExpectationProperty(t *testing.T) {
 // TestProbabilityVectorsValidProperty: every closed-form mechanism returns
 // a valid probability vector on arbitrary non-negative input.
 func TestProbabilityVectorsValidProperty(t *testing.T) {
-	mechs := []Distribution{
+	mechs := []SparseDistribution{
 		Best{},
 		Uniform{},
 		Exponential{Epsilon: 1.3, Sensitivity: 2},
@@ -149,7 +146,7 @@ func TestProbabilityVectorsValidProperty(t *testing.T) {
 			u[i] = 100 * rng.Float64()
 		}
 		for _, m := range mechs {
-			p, err := m.Probabilities(u)
+			p, _, err := m.ProbabilitiesSparse(tailFree(u))
 			if err != nil {
 				return false
 			}

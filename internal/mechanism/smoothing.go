@@ -3,7 +3,6 @@ package mechanism
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Smoothing is the sampling/linear-smoothing mechanism A_S(x) of Appendix F
@@ -17,10 +16,10 @@ type Smoothing struct {
 	X float64
 	// Base is the possibly non-private algorithm A to smooth; typically
 	// Best (µ = 1).
-	Base Mechanism
+	Base StreamMechanism
 }
 
-// Name implements Mechanism.
+// Name implements StreamMechanism.
 func (s Smoothing) Name() string { return fmt.Sprintf("smoothing(x=%g,%s)", s.X, s.Base.Name()) }
 
 func (s Smoothing) validate() error {
@@ -31,43 +30,6 @@ func (s Smoothing) validate() error {
 		return fmt.Errorf("mechanism: smoothing requires a base mechanism")
 	}
 	return nil
-}
-
-// Recommend implements Mechanism: a biased coin picks between the base
-// sample and a uniform candidate.
-func (s Smoothing) Recommend(u []float64, rng *rand.Rand) (int, error) {
-	if err := s.validate(); err != nil {
-		return 0, err
-	}
-	if err := validate(u); err != nil {
-		return 0, err
-	}
-	if rng.Float64() < s.X {
-		return s.Base.Recommend(u, rng)
-	}
-	return rng.Intn(len(u)), nil
-}
-
-// Probabilities implements Distribution when the base mechanism does:
-// p”_i = (1-x)/n + x·p_i.
-func (s Smoothing) Probabilities(u []float64) ([]float64, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	base, ok := s.Base.(Distribution)
-	if !ok {
-		return nil, fmt.Errorf("mechanism: smoothing base %s has no closed-form distribution", s.Base.Name())
-	}
-	p, err := base.Probabilities(u)
-	if err != nil {
-		return nil, err
-	}
-	n := float64(len(p))
-	out := make([]float64, len(p))
-	for i, pi := range p {
-		out[i] = (1-s.X)/n + s.X*pi
-	}
-	return out, nil
 }
 
 // Epsilon returns the differential privacy level Theorem 5 guarantees for

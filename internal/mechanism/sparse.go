@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"socialrec/internal/stats"
 	"socialrec/internal/stream"
 )
 
@@ -18,10 +17,11 @@ import (
 // themselves live in stream.go and read the support through a
 // stream.Scorer; this file keeps what needs the support as a slice: the
 // closed-form probabilities (SparseDistribution) behind exact expected
-// accuracy. The cacheable exponential CDF that serves cached draws
-// (SparseCDF, a binary search over per-block prefix sums) is in cdf.go.
-// Each selects from exactly the distribution its dense counterpart gives
-// the expanded vector — the split into "support" and "tail" is pure
+// accuracy (accuracy.go) and the DP audit (internal/dpcheck). The
+// cacheable exponential CDF that serves cached draws (SparseCDF, a binary
+// search over per-block prefix sums) is in cdf.go. Each selects from
+// exactly the distribution the dense oracle in dense_test.go gives the
+// expanded vector — the split into "support" and "tail" is pure
 // bookkeeping, which is why the ε-DP guarantee carries over unchanged (the
 // property and chi-squared tests in this package pin the equivalence).
 
@@ -96,9 +96,10 @@ func TailPick(rank int) Pick { return Pick{Support: -1, Tail: rank} }
 // IsTail reports whether the pick selected a zero-utility candidate.
 func (p Pick) IsTail() bool { return p.Support < 0 }
 
-// SparseDistribution is the sparse counterpart of Distribution: the
-// closed-form recommendation probabilities as (per-support-entry, shared
-// per-tail-candidate) masses, with Σ support + tail·count = 1.
+// SparseDistribution is implemented by mechanisms whose recommendation
+// probabilities have a closed form: the masses of the support entries, in
+// support order, and the one mass every zero-tail candidate shares, with
+// Σ support + tail·count = 1. Expected accuracy and the DP audit read it.
 type SparseDistribution interface {
 	ProbabilitiesSparse(s SparseVec) (support []float64, tailEach float64, err error)
 }
@@ -197,25 +198,6 @@ func (s Smoothing) ProbabilitiesSparse(sv SparseVec) ([]float64, float64, error)
 		support[i] = (1-s.X)/n + s.X*pi
 	}
 	return support, (1-s.X)/n + s.X*tailEach, nil
-}
-
-// ExpectedAccuracySparse is ExpectedAccuracy over the sparse form: the zero
-// tail contributes no expected utility, so only the support terms enter the
-// Definition 2 sum.
-func ExpectedAccuracySparse(d SparseDistribution, s SparseVec) (float64, error) {
-	umax := s.max()
-	if umax == 0 {
-		return 0, ErrNoCandidates
-	}
-	support, _, err := d.ProbabilitiesSparse(s)
-	if err != nil {
-		return 0, err
-	}
-	terms := make([]float64, len(support))
-	for i := range terms {
-		terms[i] = support[i] * s.at(i)
-	}
-	return stats.Sum(terms) / umax, nil
 }
 
 // TailTracker maps ranks in the shrinking remaining tail to ranks in the

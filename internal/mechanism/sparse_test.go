@@ -11,7 +11,8 @@ import (
 )
 
 // Tests for the sparse form. The load-bearing claims are (1) sparse
-// closed-form probabilities equal the dense ones on the expanded vector,
+// closed-form probabilities equal the dense oracle's (dense_test.go) on the
+// expanded vector,
 // (2) the two-stage exponential draw — support CDF plus closed-form zero
 // tail, streamed or from a cached SparseCDF — follows the dense law
 // (chi-squared GOF, including the all-tail and no-tail boundaries), and
@@ -72,22 +73,6 @@ func expandSparse(t *testing.T, s SparseVec, pos []int) []float64 {
 	return u
 }
 
-// denseIndex maps a sparse Pick back to the dense index of the expanded
-// vector.
-func denseIndex(s SparseVec, pos []int, p Pick) int {
-	if !p.IsTail() {
-		return pos[p.Support]
-	}
-	// The p.Tail-th dense position that is not in pos.
-	rank := p.Tail
-	for _, q := range pos {
-		if q <= rank {
-			rank++
-		}
-	}
-	return rank
-}
-
 // sparseCase is one (sparse vector, dense expansion) fixture.
 type sparseCase struct {
 	name string
@@ -107,22 +92,18 @@ func sparseCases() []sparseCase {
 func TestSparseProbabilitiesMatchDense(t *testing.T) {
 	mechs := []struct {
 		name   string
-		dense  Distribution
-		sparse SparseDistribution
+		sparse closedForm
 		exact  bool
 	}{
-		{"exponential", Exponential{Epsilon: 1, Sensitivity: 2}, Exponential{Epsilon: 1, Sensitivity: 2}, false},
-		{"best", Best{}, Best{}, true},
-		{"uniform", Uniform{}, Uniform{}, true},
-		{"smoothing", Smoothing{X: 0.7, Base: Best{}}, Smoothing{X: 0.7, Base: Best{}}, true},
+		{"exponential", Exponential{Epsilon: 1, Sensitivity: 2}, false},
+		{"best", Best{}, true},
+		{"uniform", Uniform{}, true},
+		{"smoothing", Smoothing{X: 0.7, Base: Best{}}, true},
 	}
 	for _, tc := range sparseCases() {
 		u := expandSparse(t, tc.s, tc.pos)
 		for _, m := range mechs {
-			dense, err := m.dense.Probabilities(u)
-			if err != nil {
-				t.Fatalf("%s/%s dense: %v", tc.name, m.name, err)
-			}
+			dense := denseProbabilities(m.sparse, u)
 			support, tailEach, err := m.sparse.ProbabilitiesSparse(tc.s)
 			if err != nil {
 				t.Fatalf("%s/%s sparse: %v", tc.name, m.name, err)
@@ -175,16 +156,13 @@ func TestExpectedAccuracySparseMatchesDense(t *testing.T) {
 			continue
 		}
 		u := expandSparse(t, tc.s, tc.pos)
-		for name, pair := range map[string][2]any{
-			"exponential": {e, e},
-			"smoothing":   {sm, sm},
-			"best":        {Best{}, Best{}},
+		for name, m := range map[string]closedForm{
+			"exponential": e,
+			"smoothing":   sm,
+			"best":        Best{},
 		} {
-			denseAcc, err := ExpectedAccuracy(pair[0].(Distribution), u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sparseAcc, err := ExpectedAccuracySparse(pair[1].(SparseDistribution), tc.s)
+			denseAcc := denseExpectedAccuracy(m, u)
+			sparseAcc, err := ExpectedAccuracySparse(m, tc.s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,10 +185,7 @@ func TestSparseExponentialTwoStageGOF(t *testing.T) {
 	e := Exponential{Epsilon: 1, Sensitivity: 1}
 	for _, tc := range sparseCases() {
 		u := expandSparse(t, tc.s, tc.pos)
-		probs, err := e.Probabilities(u)
-		if err != nil {
-			t.Fatal(err)
-		}
+		probs := denseProbabilities(e, u)
 		// Expected masses: one cell per support entry, one for the tail.
 		expected := make([]float64, len(tc.s.Val)+1)
 		for i, p := range tc.pos {
@@ -315,10 +290,7 @@ func TestSparseNoTailBitIdentical(t *testing.T) {
 	denseRNG := rand.New(rand.NewSource(99))
 	sparseRNG := rand.New(rand.NewSource(99))
 	for i := 0; i < 5000; i++ {
-		d, err := e.Recommend(u, denseRNG)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := denseExponential(e, u, denseRNG)
 		p, err := drawStream(e, s, sparseRNG)
 		if err != nil {
 			t.Fatal(err)
@@ -327,14 +299,11 @@ func TestSparseNoTailBitIdentical(t *testing.T) {
 			t.Fatalf("draw %d: dense %d vs sparse %+v", i, d, p)
 		}
 	}
-	// Cached path: SampleSparseCDF vs SampleCDF, the per-entry prefix-sum
-	// oracle, over supports from one block to many.
+	// Cached path: SampleSparseCDF vs denseSampleCDF, the per-entry
+	// prefix-sum oracle, over supports from one block to many.
 	for _, tc := range cdfBlockCases(u) {
 		t.Run(tc.name, func(t *testing.T) {
-			cdf, err := e.CDF(tc.val)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cdf := denseCDF(e, tc.val)
 			scdf, err := e.SparseCDF(SparseVec{Val: tc.val, N: len(tc.val)})
 			if err != nil {
 				t.Fatal(err)
@@ -345,7 +314,7 @@ func TestSparseNoTailBitIdentical(t *testing.T) {
 			denseRNG := rand.New(rand.NewSource(3))
 			sparseRNG := rand.New(rand.NewSource(3))
 			for i := 0; i < 5000; i++ {
-				d := SampleCDF(cdf, denseRNG)
+				d := denseSampleCDF(cdf, denseRNG)
 				p := SampleSparseCDF(scdf, sparseRNG)
 				if p.IsTail() || p.Support != d {
 					t.Fatalf("cached draw %d: dense %d vs sparse %+v", i, d, p)
@@ -518,10 +487,7 @@ func TestLaplaceSparseMatchesDenseEmpirically(t *testing.T) {
 	sparse := make([]int, cells)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < trials; i++ {
-		d, err := l.Recommend(u, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := denseLaplace(l, u, rng)
 		cell := cells - 1
 		for si, p := range pos {
 			if p == d {
@@ -558,10 +524,7 @@ func TestLaplaceSparseMatchesDenseEmpirically(t *testing.T) {
 func TestSmoothingAndBestSparseDraws(t *testing.T) {
 	s := SparseVec{Val: []float64{2, 2, 1}, N: 30}
 	const trials = 120000
-	for _, m := range []interface {
-		StreamMechanism
-		SparseDistribution
-	}{
+	for _, m := range []closedForm{
 		Smoothing{X: 0.55, Base: Best{}},
 		Best{},
 	} {
@@ -664,17 +627,11 @@ func TestTopKSparseFirstPickMatchesDense(t *testing.T) {
 	const trials = 60000
 	const k = 3
 	for name, pair := range map[string]struct {
-		dense  func(rng *rand.Rand) (int, error)
+		dense  func(rng *rand.Rand) int
 		sparse func(rng *rand.Rand) (Pick, error)
 	}{
 		"laplace": {
-			dense: func(rng *rand.Rand) (int, error) {
-				idx, err := TopKLaplace(1, 1, u, k, rng)
-				if err != nil {
-					return 0, err
-				}
-				return idx[0], nil
-			},
+			dense: func(rng *rand.Rand) int { return denseTopKLaplace(1, 1, u, k, rng)[0] },
 			sparse: func(rng *rand.Rand) (Pick, error) {
 				picks, err := asPicks(TopKLaplaceStream(1, 1, supportStream(s), s.N, k, rng))
 				if err != nil {
@@ -684,13 +641,7 @@ func TestTopKSparseFirstPickMatchesDense(t *testing.T) {
 			},
 		},
 		"peel": {
-			dense: func(rng *rand.Rand) (int, error) {
-				idx, err := TopKPeel(1, 1, u, k, rng)
-				if err != nil {
-					return 0, err
-				}
-				return idx[0], nil
-			},
+			dense: func(rng *rand.Rand) int { return denseTopKPeel(1, 1, u, k, rng)[0] },
 			sparse: func(rng *rand.Rand) (Pick, error) {
 				picks, err := asPicks(TopKPeelStream(1, 1, supportStream(s), s.N, k, rng))
 				if err != nil {
@@ -705,10 +656,7 @@ func TestTopKSparseFirstPickMatchesDense(t *testing.T) {
 		sparse := make([]int, cells)
 		rng := rand.New(rand.NewSource(13))
 		for i := 0; i < trials; i++ {
-			d, err := pair.dense(rng)
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := pair.dense(rng)
 			cell := cells - 1
 			for si, p := range pos {
 				if p == d {

@@ -15,12 +15,13 @@ import (
 // ε-DP argument is checked against. Consumers are multi-pass where the
 // draw needs it (the exponential mechanism's weight normalization needs
 // the max before the weights, so it scans the stream once for the max and
-// once for the cumulative mass, the same arithmetic appendCDF performs) and
-// single-pass where it does not (noisy max folds the per-candidate noise
-// into a running best). The zero tail is never streamed: it is sampled in
-// closed form. The only other draws are the cached exponential CDF
-// (SampleSparseCDF), which is bit-identical to RecommendStream for a fixed
-// seed, and the dense reference forms.
+// once for the cumulative mass) and single-pass where it does not (noisy
+// max folds the per-candidate noise into a running best). The zero tail is
+// never streamed: it is sampled in closed form. The only other draw is the
+// cached exponential CDF (SampleSparseCDF), which is bit-identical to
+// RecommendStream for a fixed seed. Over a stream of every candidate (no
+// tail) each draw is bit-identical to the naive dense draw over the same
+// vector, the test oracle in dense_test.go.
 
 // StreamPick is a streamed draw's result. Support picks arrive resolved —
 // the winning candidate's node ID and raw utility were read off the stream
@@ -37,12 +38,14 @@ type StreamPick struct {
 	IsTail bool
 }
 
-// StreamMechanism is implemented by mechanisms that can draw from a
-// stream.Scorer over n total candidates (nonzero support streamed, the
-// rest implicit zeros). RecommendStream selects from the distribution the
-// dense Recommend gives the expanded vector.
+// StreamMechanism is a recommendation mechanism: it draws from a
+// stream.Scorer over n total candidates (nonzero support streamed, the rest
+// implicit zeros), selecting from the distribution the mechanism gives the
+// expanded vector. Randomized mechanisms consume the provided RNG;
+// deterministic ones ignore it.
 type StreamMechanism interface {
-	Mechanism
+	// Name returns a short stable identifier.
+	Name() string
 	RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (StreamPick, error)
 }
 
@@ -59,8 +62,7 @@ var (
 // same invariants with the same error precedence, and returns the support
 // size and the maximum utility floored at zero (SparseVec.max semantics).
 // Running validation as a dedicated first pass — before any noise is drawn
-// — keeps the error paths RNG-silent, like the dense mechanisms, which
-// validate before sampling.
+// — keeps the error paths RNG-silent.
 func scanStream(sc stream.Scorer, n int) (nnz int, vmax float64, err error) {
 	if n < 1 {
 		return 0, 0, ErrEmpty
@@ -115,13 +117,12 @@ func resolveUniform(sc stream.Scorer, j, nnz int) StreamPick {
 }
 
 // RecommendStream implements StreamMechanism for the exponential mechanism.
-// The cumulative weights never materialize: pass one finds u_max (the same
-// max-first order appendCDF uses), pass two accumulates the support mass
-// Σ exp(scale·(u_i - u_max)) into a single running float, and — only when
-// the single uniform variate lands in the support mass — pass three re-runs
-// the identical prefix accumulation until it crosses the draw. The running
-// prefix reproduces appendCDF's prefix sums, and so SparseCDF's block sums
-// and its in-block re-accumulation, bit for bit. The linear crossing
+// The cumulative weights never materialize: pass one finds u_max, pass two
+// accumulates the support mass Σ exp(scale·(u_i - u_max)) into a single
+// running float, and — only when the single uniform variate lands in the
+// support mass — pass three re-runs the identical prefix accumulation until
+// it crosses the draw. The running prefix reproduces SparseCDF's block
+// sums and its in-block re-accumulation bit for bit. The linear crossing
 // therefore finds the exact candidate SampleSparseCDF's block search finds,
 // from the same rng.Float64().
 func (e Exponential) RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (StreamPick, error) {
@@ -267,16 +268,17 @@ func (s Smoothing) RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (Str
 		return StreamPick{}, err
 	}
 	if rng.Float64() < s.X {
-		base, ok := s.Base.(StreamMechanism)
-		if !ok {
-			return StreamPick{}, fmt.Errorf("mechanism: smoothing base %s has no streaming draw", s.Base.Name())
-		}
-		return base.RecommendStream(sc, n, rng)
+		return s.Base.RecommendStream(sc, n, rng)
 	}
 	return resolveUniform(sc, rng.Intn(n), nnz), nil
 }
 
-// TopKLaplaceStream is TopKLaplace over a stream: the support is noised
+// TopKLaplaceStream returns k distinct candidates by adding Laplace(Δf/ε)
+// noise to every utility once and taking the k largest noisy values (the
+// Appendix A extension to multiple recommendations). The noisy vector is a
+// single ε-differentially private histogram release, and selecting its top
+// k is post-processing, so the whole k-set is ε-private — no
+// per-recommendation budget split is needed. The support is noised
 // individually while the zero tail contributes its top min(k, m) order
 // statistics in closed form — the j-th largest of m iid uniforms is sampled
 // sequentially as U_(j) = U_(j-1)·U^{1/(m-j+1)} in log space and pushed
@@ -284,8 +286,7 @@ func (s Smoothing) RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (Str
 // uniform distinct sample by exchangeability. Support entries are noised in
 // stream order and offered straight to the bounded heap, the tail's order
 // statistics after them, so the release costs O(nnz + k) time and O(k)
-// memory instead of O(n). Results are ordered by decreasing noisy utility,
-// exactly as the dense release.
+// memory instead of O(n). Results are ordered by decreasing noisy utility.
 func TopKLaplaceStream(eps, sens float64, sc stream.Scorer, n, k int, rng *rand.Rand) ([]StreamPick, error) {
 	if !(eps > 0) {
 		return nil, ErrBadEpsilon
@@ -360,7 +361,8 @@ func getPeelScratch() *peelScratch {
 }
 
 // reweigh recomputes the maximum, its tie count and every weight
-// exp(scale·(x - u_max)) — the per-entry arithmetic appendCDF performs.
+// exp(scale·(x - u_max)) — the per-entry arithmetic RecommendStream
+// performs.
 func (ps *peelScratch) reweigh(scale float64) {
 	umax := 0.0
 	for _, x := range ps.vals {
@@ -401,10 +403,11 @@ func (ps *peelScratch) remove(i int) (stale bool) {
 // the remaining maximum, so they are computed once and recomputed only
 // when that maximum changes; each round then costs two add-only passes —
 // the support mass, and a linear scan for the first cumulative weight
-// above the draw. The running sums are appendCDF's prefix sums bit for bit,
-// which SparseCDF keeps one per block and re-accumulates within a block, so
-// the scan finds the candidate SampleSparseCDF finds from the same single
-// rng.Float64(), and the tail and rounding cases resolve as it does. The
+// above the draw. The running sums are RecommendStream's prefix sums bit
+// for bit, which SparseCDF keeps one per block and re-accumulates within a
+// block, so the scan finds the candidate SampleSparseCDF finds from the
+// same single rng.Float64(), and the tail and rounding cases resolve as it
+// does. The
 // picks, in selection order with tail ranks remapped to the original tail,
 // are left in ps.picks.
 func (ps *peelScratch) peel(eps, sens float64, n, k int, rng *rand.Rand) error {
@@ -459,10 +462,12 @@ func (ps *peelScratch) peel(eps, sens float64, n, k int, rng *rand.Rand) error {
 	return nil
 }
 
-// TopKPeelStream is TopKPeel over a stream: k sequential sparse
-// exponential draws without replacement at ε/k each. The support is
-// gathered once into pooled scratch (removing winners requires random
-// access), then the peel runs against it. Support picks are swap-removed;
+// TopKPeelStream returns k distinct candidates by running the exponential
+// mechanism k times without replacement ("peeling"), each round a sparse
+// exponential draw with budget ε/k; by sequential composition the full
+// k-set is ε-differentially private. The support is gathered once into
+// pooled scratch (removing winners requires random access), then the peel
+// runs against it. Support picks are swap-removed;
 // tail picks shrink the implicit tail, with ranks remapped to the original
 // tail so the caller's candidate mapping stays fixed. Results are in
 // selection order.
@@ -488,8 +493,8 @@ func TopKPeelStream(eps, sens float64, sc stream.Scorer, n, k int, rng *rand.Ran
 
 // BestTopKStream is the non-private exact top k over a stream: the shared
 // bounded heap selects the ks = min(k, nnz) best support entries (ties
-// toward the lower node ID, matching a stable descending sort of the dense
-// vector), padded with the lowest zero-tail ranks.
+// toward the earlier stream position, matching a stable descending sort),
+// padded with the lowest zero-tail ranks.
 func BestTopKStream(sc stream.Scorer, n, k int) ([]StreamPick, error) {
 	nnz, _, err := scanStream(sc, n)
 	if err != nil {

@@ -2,19 +2,51 @@ package mechanism
 
 import (
 	"errors"
-	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"socialrec/internal/distribution"
 )
 
-func TestTopKLaplaceBasics(t *testing.T) {
-	u := []float64{0, 10, 0, 9, 0, 8}
-	rng := distribution.NewRNG(1)
-	got, err := TopKLaplace(50, 1, u, 3, rng) // huge eps: effectively exact
+// Top-k releases over a tail-free stream of a dense vector, where a pick's
+// node ID is its index in the vector.
+
+// topKIndices returns the dense indices of a release drawn over
+// supportStream(tailFree(u)).
+func topKIndices(t *testing.T, ps []StreamPick, err error) []int {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make([]int, len(ps))
+	for i, p := range ps {
+		if p.IsTail {
+			t.Fatalf("tail pick %+v from a tail-free stream", p)
+		}
+		out[i] = int(p.Node)
+	}
+	return out
+}
+
+// topKLaplace is TopKLaplaceStream over the tail-free stream of u.
+func topKLaplace(t *testing.T, eps, sens float64, u []float64, k int, rng *rand.Rand) []int {
+	t.Helper()
+	ps, err := TopKLaplaceStream(eps, sens, supportStream(tailFree(u)), len(u), k, rng)
+	return topKIndices(t, ps, err)
+}
+
+// topKPeel is TopKPeelStream over the tail-free stream of u.
+func topKPeel(t *testing.T, eps, sens float64, u []float64, k int, rng *rand.Rand) []int {
+	t.Helper()
+	ps, err := TopKPeelStream(eps, sens, supportStream(tailFree(u)), len(u), k, rng)
+	return topKIndices(t, ps, err)
+}
+
+func TestTopKLaplaceBasics(t *testing.T) {
+	u := []float64{0, 10, 0, 9, 0, 8}
+	rng := distribution.NewRNG(1)
+	got := topKLaplace(t, 50, 1, u, 3, rng) // huge eps: effectively exact
 	if len(got) != 3 {
 		t.Fatalf("got %v", got)
 	}
@@ -34,10 +66,7 @@ func TestTopKLaplaceDistinct(t *testing.T) {
 	u := []float64{1, 2, 3, 4, 5}
 	rng := distribution.NewRNG(2)
 	for trial := 0; trial < 200; trial++ {
-		got, err := TopKLaplace(0.5, 1, u, 4, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := topKLaplace(t, 0.5, 1, u, 4, rng)
 		seen := map[int]bool{}
 		for _, i := range got {
 			if seen[i] {
@@ -51,10 +80,7 @@ func TestTopKLaplaceDistinct(t *testing.T) {
 func TestTopKPeelBasics(t *testing.T) {
 	u := []float64{0, 10, 0, 9}
 	rng := distribution.NewRNG(3)
-	got, err := TopKPeel(200, 1, u, 2, rng) // eps/k = 100: effectively exact
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := topKPeel(t, 200, 1, u, 2, rng) // eps/k = 100: effectively exact
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("got %v, want [1 3]", got)
 	}
@@ -63,10 +89,7 @@ func TestTopKPeelBasics(t *testing.T) {
 func TestTopKPeelDistinctAndComplete(t *testing.T) {
 	u := []float64{1, 2, 3}
 	rng := distribution.NewRNG(4)
-	got, err := TopKPeel(1, 1, u, 3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := topKPeel(t, 1, 1, u, 3, rng)
 	seen := map[int]bool{}
 	for _, i := range got {
 		seen[i] = true
@@ -78,20 +101,20 @@ func TestTopKPeelDistinctAndComplete(t *testing.T) {
 
 func TestTopKValidation(t *testing.T) {
 	rng := distribution.NewRNG(5)
-	u := []float64{1, 2}
-	if _, err := TopKLaplace(0, 1, u, 1, rng); !errors.Is(err, ErrBadEpsilon) {
+	u := tailFree([]float64{1, 2})
+	if _, err := TopKLaplaceStream(0, 1, supportStream(u), u.N, 1, rng); !errors.Is(err, ErrBadEpsilon) {
 		t.Error("eps=0 accepted")
 	}
-	if _, err := TopKPeel(1, 0, u, 1, rng); !errors.Is(err, ErrBadSens) {
+	if _, err := TopKPeelStream(1, 0, supportStream(u), u.N, 1, rng); !errors.Is(err, ErrBadSens) {
 		t.Error("sens=0 accepted")
 	}
-	if _, err := TopKLaplace(1, 1, u, 0, rng); err == nil {
+	if _, err := TopKLaplaceStream(1, 1, supportStream(u), u.N, 0, rng); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := TopKPeel(1, 1, u, 3, rng); err == nil {
+	if _, err := TopKPeelStream(1, 1, supportStream(u), u.N, 3, rng); err == nil {
 		t.Error("k>n accepted")
 	}
-	if _, err := TopKLaplace(1, 1, nil, 1, rng); !errors.Is(err, ErrEmpty) {
+	if _, err := TopKLaplaceStream(1, 1, supportStream(tailFree(nil)), 0, 1, rng); !errors.Is(err, ErrEmpty) {
 		t.Error("empty u accepted")
 	}
 }
@@ -99,45 +122,9 @@ func TestTopKValidation(t *testing.T) {
 func TestTopKPeelDoesNotMutateInput(t *testing.T) {
 	u := []float64{5, 4, 3, 2, 1}
 	rng := distribution.NewRNG(6)
-	if _, err := TopKPeel(1, 1, u, 3, rng); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []float64{5, 4, 3, 2, 1} {
-		if u[i] != want {
-			t.Fatalf("input mutated: %v", u)
-		}
-	}
-}
-
-func TestSetAccuracyExact(t *testing.T) {
-	u := []float64{1, 5, 3, 4}
-	// Ideal top-2 = {1, 3} with sum 9; chosen {1, 2} has sum 8.
-	acc, err := SetAccuracy(u, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(acc-8.0/9) > 1e-12 {
-		t.Errorf("accuracy = %g, want 8/9", acc)
-	}
-	perfect, err := SetAccuracy(u, []int{1, 3})
-	if err != nil || perfect != 1 {
-		t.Errorf("ideal set accuracy = %g, %v", perfect, err)
-	}
-}
-
-func TestSetAccuracyValidation(t *testing.T) {
-	u := []float64{1, 2}
-	if _, err := SetAccuracy(u, nil); err == nil {
-		t.Error("empty choice accepted")
-	}
-	if _, err := SetAccuracy(u, []int{0, 0}); err == nil {
-		t.Error("duplicate accepted")
-	}
-	if _, err := SetAccuracy(u, []int{7}); err == nil {
-		t.Error("out of range accepted")
-	}
-	if _, err := SetAccuracy([]float64{0, 0}, []int{0}); !errors.Is(err, ErrNoCandidates) {
-		t.Error("all-zero utilities should yield ErrNoCandidates")
+	topKPeel(t, 1, 1, u, 3, rng)
+	if want := []float64{5, 4, 3, 2, 1}; !slices.Equal(u, want) {
+		t.Fatalf("input mutated: %v", u)
 	}
 }
 
@@ -153,15 +140,7 @@ func TestTopKAccuracyDegradesWithK(t *testing.T) {
 		var sum float64
 		const trials = 300
 		for i := 0; i < trials; i++ {
-			got, err := TopKPeel(eps, 2, u, k, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			acc, err := SetAccuracy(u, got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += acc
+			sum += setAccuracy(u, topKPeel(t, eps, 2, u, k, rng))
 		}
 		return sum / trials
 	}
@@ -183,24 +162,10 @@ func TestTopKLaplaceBeatsPeelOnBudget(t *testing.T) {
 	const trials = 400
 	var lapSum, peelSum float64
 	for i := 0; i < trials; i++ {
-		lap, err := TopKLaplace(eps, 2, u, k, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peel, err := TopKPeel(eps, 2, u, k, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		la, err := SetAccuracy(u, lap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa, err := SetAccuracy(u, peel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lapSum += la
-		peelSum += pa
+		lap := topKLaplace(t, eps, 2, u, k, rng)
+		peel := topKPeel(t, eps, 2, u, k, rng)
+		lapSum += setAccuracy(u, lap)
+		peelSum += setAccuracy(u, peel)
 	}
 	if lapSum < peelSum*0.9 {
 		t.Errorf("laplace top-k mean %g unexpectedly far below peel %g", lapSum/trials, peelSum/trials)

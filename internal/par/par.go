@@ -10,8 +10,10 @@ import (
 )
 
 // ForEach calls fn(0..n-1) across a worker pool bounded by
-// runtime.NumCPU(). It returns once every call has completed. fn must be
-// safe for concurrent invocation.
+// runtime.GOMAXPROCS(0), the number of goroutines that can run at once (a
+// GOMAXPROCS setting or a container CPU quota below the host's core count
+// caps it). It returns once every call has completed. fn must be safe for
+// concurrent invocation.
 //
 // Panic safety: a panic inside fn does not crash the pool's goroutines or
 // deadlock the caller. The panicking worker stops, the remaining workers
@@ -20,7 +22,7 @@ import (
 // of a plain sequential loop closely enough that callers need no special
 // handling.
 func ForEach(n int, fn func(i int)) {
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
@@ -68,13 +70,14 @@ func ForEach(n int, fn func(i int)) {
 // closure call per worker instead of one channel round-trip per index, and
 // each worker writes a contiguous span of the caller's result slice, so it
 // is the right shape for uniform per-item work like batch serving. fn must
-// be safe for concurrent invocation; with one usable CPU it degenerates to
-// a single fn(0, n) call on the caller's goroutine.
+// be safe for concurrent invocation. The pool is bounded by
+// runtime.GOMAXPROCS(0) like ForEach's; with GOMAXPROCS 1 it degenerates
+// to a single fn(0, n) call on the caller's goroutine.
 //
 // Panic safety matches ForEach: the first panic value from any chunk is
 // re-raised on the caller's goroutine once every chunk has finished.
 func ForEachChunked(n int, fn func(lo, hi int)) {
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

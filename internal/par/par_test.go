@@ -70,3 +70,26 @@ func TestForEachSurvivesPanicWithoutLeakingWork(t *testing.T) {
 		t.Fatalf("post-panic ForEach ran %d of 256 items", got)
 	}
 }
+
+// TestForEachBoundedByGOMAXPROCS: under GOMAXPROCS(1) the pool runs one
+// worker, so no two fn calls overlap, however many CPUs the host has.
+// Each call yields so that a second worker, if one existed, would get
+// scheduled inside it.
+func TestForEachBoundedByGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var running, maxRunning atomic.Int32
+	ForEach(256, func(int) {
+		now := running.Add(1)
+		for {
+			old := maxRunning.Load()
+			if now <= old || maxRunning.CompareAndSwap(old, now) {
+				break
+			}
+		}
+		runtime.Gosched()
+		running.Add(-1)
+	})
+	if got := maxRunning.Load(); got != 1 {
+		t.Fatalf("%d fn calls ran at once under GOMAXPROCS(1), want 1", got)
+	}
+}

@@ -17,7 +17,7 @@ import (
 
 // PoolStat is a point-in-time snapshot of one pool's counters.
 type PoolStat struct {
-	// Name identifies the pool ("utility.sparse", "mechanism.scratch", ...).
+	// Name identifies the pool ("utility.sparse", "mechanism.peel", ...).
 	Name string `json:"name"`
 	// Gets counts Get calls; Puts counts Put calls. A persistent gap means
 	// scratch is leaking past Close.

@@ -37,7 +37,7 @@ while getopts 'v' opt; do
     esac
 done
 
-HOT_FILES='internal/(stream/(stream|pool)|utility/stream|mechanism/(stream|heap|pool|cdf))\.go'
+HOT_FILES='internal/(stream/(stream|pool)|utility/stream|mechanism/(stream|heap|cdf))\.go'
 
 # The allowlist is a list of "name<TAB>regexp" rules so that -v can report
 # which rule matched a given escape line. Order matters only for -v

@@ -3,11 +3,16 @@ package socialrec
 // Property tests that the sparse serving pipeline (sparse kernels +
 // streaming mechanism draws + tail-rank mapping) is distribution-identical
 // to the dense reference pipeline (dense vector -> candidate list ->
-// compact vector -> dense mechanism) across every utility, mechanism, and
-// directedness: exact per-candidate probabilities for the closed-form
-// mechanisms (Exponential, Smoothing, Best), a seeded two-sample chi-squared
-// for Laplace (which has no closed form), and fixed-seed bit-identity where
-// the draw structure coincides (no zero tail).
+// compact vector -> mechanism over every candidate, no zero tail) across
+// every utility, mechanism, and directedness: exact per-candidate
+// probabilities for the closed-form mechanisms (Exponential, Smoothing,
+// Best), a seeded two-sample chi-squared for Laplace (which has no closed
+// form), and fixed-seed bit-identity where the draw structure coincides
+// (no zero tail). The reference runs each mechanism over the tail-free
+// sparse form of the compacted vector, SparseVec{Val: vec, N: len(vec)} or
+// a stream of every candidate, which package mechanism's
+// TestSparseNoTailBitIdentical and TestSparseProbabilitiesMatchDense pin
+// to the textbook dense law.
 
 import (
 	"math"
@@ -16,6 +21,7 @@ import (
 
 	"socialrec/internal/gen"
 	"socialrec/internal/mechanism"
+	"socialrec/internal/stream"
 	"socialrec/internal/utility"
 )
 
@@ -46,10 +52,21 @@ func servingUtilities() []UtilityFunction {
 	}
 }
 
+// candidateStream streams the compacted vector vec of every candidate, so
+// a pick's node ID is the candidate itself: the tail-free sparse form of
+// the dense pipeline.
+func candidateStream(candidates []int, vec []float64) stream.Scorer {
+	idx := make([]int32, len(candidates))
+	for i, c := range candidates {
+		idx[i] = int32(c)
+	}
+	return stream.NewSlice(idx, vec)
+}
+
 // denseServingProbs computes the reference per-node recommendation
 // probabilities through the dense pipeline the serving layer used before
 // sparsification.
-func denseServingProbs(t *testing.T, g *Graph, u UtilityFunction, d mechanism.Distribution, target int) map[int]float64 {
+func denseServingProbs(t *testing.T, g *Graph, u UtilityFunction, d mechanism.SparseDistribution, target int) map[int]float64 {
 	t.Helper()
 	snap := g.Snapshot()
 	full, err := utility.Vector(u, snap, target)
@@ -61,7 +78,7 @@ func denseServingProbs(t *testing.T, g *Graph, u UtilityFunction, d mechanism.Di
 	if utility.Max(vec) == 0 {
 		return nil
 	}
-	p, err := d.Probabilities(vec)
+	p, _, err := d.ProbabilitiesSparse(mechanism.SparseVec{Val: vec, N: len(vec)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +127,6 @@ func TestSparseServingMatchesDenseProbabilities(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, ok := rec.state.Load().mech.(mechanism.Distribution)
-				if !ok {
-					t.Fatalf("%v has no dense closed form", kind)
-				}
 				sd, ok := rec.state.Load().mech.(mechanism.SparseDistribution)
 				if !ok {
 					t.Fatalf("%v has no sparse closed form", kind)
@@ -121,7 +134,7 @@ func TestSparseServingMatchesDenseProbabilities(t *testing.T) {
 				exact := kind != MechanismExponential
 				checked := 0
 				for target := 0; target < g.NumNodes() && checked < 12; target++ {
-					dense := denseServingProbs(t, g, u, d, target)
+					dense := denseServingProbs(t, g, u, sd, target)
 					sparse := sparseServingProbs(t, rec, sd, target)
 					if dense == nil || sparse == nil {
 						if (dense == nil) != (sparse == nil) {
@@ -183,7 +196,7 @@ func TestSparseServingExpectedAccuracyMatchesDense(t *testing.T) {
 					t.Fatal(err)
 				}
 				vec := utility.Compact(full, utility.Candidates(snap, target))
-				want, err := mechanism.ExpectedAccuracy(e, vec)
+				want, err := mechanism.ExpectedAccuracySparse(e, mechanism.SparseVec{Val: vec, N: len(vec)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -300,7 +313,7 @@ func TestSparseServingLaplaceGOF(t *testing.T) {
 			t.Fatal(verr)
 		}
 		candidates := utility.Candidates(snap, target)
-		vec := utility.Compact(full, candidates)
+		dsc := candidateStream(candidates, utility.Compact(full, candidates))
 		l := mechanism.Laplace{Epsilon: 1, Sensitivity: st.sens}
 
 		cellOf := func(node int) int {
@@ -316,11 +329,11 @@ func TestSparseServingLaplaceGOF(t *testing.T) {
 		dense := make([]int, cells)
 		rng = rand.New(rand.NewSource(101))
 		for i := 0; i < trials; i++ {
-			idx, err := l.Recommend(vec, rng)
+			p, err := l.RecommendStream(dsc, len(candidates), rng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dense[cellOf(candidates[idx])]++
+			dense[cellOf(int(p.Node))]++
 		}
 		sparse := make([]int, cells)
 		rng = rand.New(rand.NewSource(202))
@@ -344,6 +357,7 @@ func TestSparseServingLaplaceGOF(t *testing.T) {
 		if !ok {
 			t.Fatalf("no critical value for df=%d", cells-1)
 		}
+		t.Logf("directed=%v target %d: chi-squared %.6f (df=%d)", directed, target, stat, cells-1)
 		if stat > c {
 			t.Fatalf("directed=%v target %d: sparse Laplace serving diverges from dense: chi-squared %.3f > %.3f\ndense:  %v\nsparse: %v",
 				directed, target, stat, c, dense, sparse)
@@ -376,15 +390,15 @@ func TestSparseServingNoTailBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			candidates := utility.Candidates(snap, target)
-			vec := utility.Compact(full, candidates)
-			cdf, err := e.CDF(vec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dsc := candidateStream(candidates, utility.Compact(full, candidates))
 			denseRNG := rand.New(rand.NewSource(int64(1000 + target)))
 			sparseRNG := rand.New(rand.NewSource(int64(1000 + target)))
 			for i := 0; i < 50; i++ {
-				want := candidates[mechanism.SampleCDF(cdf, denseRNG)]
+				p, err := e.RecommendStream(dsc, len(candidates), denseRNG)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := int(p.Node)
 				got, err := rec.RecommendWithRNG(target, sparseRNG)
 				if err != nil {
 					t.Fatal(err)
