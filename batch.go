@@ -139,7 +139,7 @@ func (a *Accountant) BatchRecommend(targets []int) []BatchResult {
 	tokens := make([]reservation, len(targets))
 	granted := make([]bool, len(targets))
 	for i, t := range targets {
-		tok, err := a.charge(a.key(t), t, 1, eps)
+		tok, err := a.charge(principalOf(t), t, 1, eps)
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -187,7 +187,7 @@ func (a *Accountant) BatchRecommendTopK(targets []int, k int) []BatchTopKResult 
 	tokens := make([]reservation, len(targets))
 	granted := make([]bool, len(targets))
 	for i, t := range targets {
-		tok, err := a.charge(a.key(t), t, k, eps)
+		tok, err := a.charge(principalOf(t), t, k, eps)
 		if err != nil {
 			out[i].Err = err
 			continue

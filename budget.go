@@ -77,10 +77,8 @@ func asBudgetError(err error) error {
 //     original Accountant enforced; and
 //   - optionally a per-principal budget (PerPrincipalBudget), capping each
 //     individual principal's cumulative spend. The principal is the target
-//     node by default — the paper's guarantee is per-user, so the
-//     per-target spend is the deployment's real privacy posture — and
-//     pluggable via PrincipalKeyFunc (or the *As call variants) for
-//     API-key or tenant accounting.
+//     node — the paper's guarantee is per-user, so the per-target spend is
+//     the deployment's real privacy posture.
 //
 // Admission is delegated to a striped, atomically-counted budget manager,
 // so concurrent requests for different principals do not contend on one
@@ -93,7 +91,6 @@ func asBudgetError(err error) error {
 type Accountant struct {
 	rec      *Recommender
 	mgr      *budget.Manager
-	key      func(target int) string
 	noLedger bool
 
 	// calls counts admitted, un-refunded charges; kept as an atomic so
@@ -128,8 +125,8 @@ type Spend struct {
 	Target  int
 	K       int // 1 for single recommendations
 	Epsilon float64
-	// Principal is the budget key the charge was accounted to (the
-	// target's decimal string under the default extractor).
+	// Principal is the budget key the charge was accounted to: the
+	// target's decimal string.
 	Principal string
 }
 
@@ -138,7 +135,6 @@ type AccountantOption func(*acctConfig) error
 
 type acctConfig struct {
 	perPrincipal float64
-	key          func(target int) string
 	noLedger     bool
 }
 
@@ -169,21 +165,6 @@ func DisableLedger() AccountantOption {
 	}
 }
 
-// PrincipalKeyFunc sets how a target maps to a budget principal. The
-// default keys by target node (the paper's per-user semantics); a custom
-// extractor can group targets per tenant, or collapse everything to one
-// key to reproduce a purely global budget. Calls made through RecommendAs
-// and RecommendTopKAs bypass the extractor entirely.
-func PrincipalKeyFunc(fn func(target int) string) AccountantOption {
-	return func(c *acctConfig) error {
-		if fn == nil {
-			return errors.New("socialrec: nil principal key func")
-		}
-		c.key = fn
-		return nil
-	}
-}
-
 // NewAccountant wraps a Recommender with privacy budgets. totalEpsilon is
 // the global cap and must be at least the Recommender's per-call ε; with a
 // PerPrincipalBudget option, totalEpsilon may instead be 0, meaning no
@@ -195,7 +176,7 @@ func NewAccountant(rec *Recommender, totalEpsilon float64, opts ...AccountantOpt
 	if rec.Mechanism() == MechanismNone {
 		return nil, fmt.Errorf("socialrec: accountant over a non-private recommender is meaningless")
 	}
-	cfg := acctConfig{key: defaultPrincipalKey}
+	var cfg acctConfig
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -214,13 +195,13 @@ func NewAccountant(rec *Recommender, totalEpsilon float64, opts ...AccountantOpt
 	return &Accountant{
 		rec:      rec,
 		mgr:      budget.NewManager(budget.Limits{Global: totalEpsilon, PerPrincipal: cfg.perPrincipal}),
-		key:      cfg.key,
 		noLedger: cfg.noLedger,
 	}, nil
 }
 
-// defaultPrincipalKey accounts each target node as its own principal.
-func defaultPrincipalKey(target int) string { return strconv.Itoa(target) }
+// principalOf is the budget key of a target: each target node is its own
+// principal.
+func principalOf(target int) string { return strconv.Itoa(target) }
 
 // Total returns the configured global budget; 0 means uncapped.
 func (a *Accountant) Total() float64 { return a.mgr.Limits().Global }
@@ -293,22 +274,14 @@ type BudgetStats struct {
 	Calls int64
 }
 
-// PrincipalStats returns one principal's budget scope. Unseen principals
-// are valid: they report zero spend and a full remaining budget.
-func (a *Accountant) PrincipalStats(principal string) BudgetStats {
+// TargetStats returns the budget scope of a target's own principal.
+// Unseen targets are valid: they report zero spend and a full remaining
+// budget.
+func (a *Accountant) TargetStats(target int) BudgetStats {
+	principal := principalOf(target)
 	st, _ := a.mgr.Principal(principal)
 	return BudgetStats{Principal: principal, Limit: st.Limit, Spent: st.Spent, Remaining: st.Remaining, Calls: st.Calls}
 }
-
-// TargetStats returns the budget scope of the principal a target maps to
-// under the configured key extractor.
-func (a *Accountant) TargetStats(target int) BudgetStats {
-	return a.PrincipalStats(a.key(target))
-}
-
-// PrincipalFor returns the budget key a target maps to under the
-// configured extractor.
-func (a *Accountant) PrincipalFor(target int) string { return a.key(target) }
 
 // reservation is a charge token: the manager-side reservation plus this
 // charge's own ledger entry (nil with DisableLedger), so refund cancels
@@ -378,15 +351,8 @@ func (a *Accountant) refund(r reservation) {
 // Recommend makes one private recommendation, charging ε against the
 // global budget and the target's own principal budget.
 func (a *Accountant) Recommend(target int) (Recommendation, error) {
-	return a.RecommendAs(a.key(target), target)
-}
-
-// RecommendAs is Recommend with an explicit principal key — for serving
-// layers that account budgets per API key or tenant rather than per
-// target node.
-func (a *Accountant) RecommendAs(principal string, target int) (Recommendation, error) {
 	eps := a.rec.Epsilon()
-	tok, err := a.charge(principal, target, 1, eps)
+	tok, err := a.charge(principalOf(target), target, 1, eps)
 	if err != nil {
 		return Recommendation{}, err
 	}
@@ -406,7 +372,7 @@ func (a *Accountant) RecommendAs(principal string, target int) (Recommendation, 
 // once per call, whether or not the cache served the pre-noise stage.
 func (a *Accountant) RecommendWithRNG(target int, rng *rand.Rand) (Recommendation, error) {
 	eps := a.rec.Epsilon()
-	tok, err := a.charge(a.key(target), target, 1, eps)
+	tok, err := a.charge(principalOf(target), target, 1, eps)
 	if err != nil {
 		return Recommendation{}, err
 	}
@@ -422,13 +388,8 @@ func (a *Accountant) RecommendWithRNG(target int, rng *rand.Rand) (Recommendatio
 // set (the top-k constructions in this library bound the full set's privacy
 // by the Recommender's ε; see Recommender.RecommendTopK).
 func (a *Accountant) RecommendTopK(target, k int) ([]Recommendation, error) {
-	return a.RecommendTopKAs(a.key(target), target, k)
-}
-
-// RecommendTopKAs is RecommendTopK with an explicit principal key.
-func (a *Accountant) RecommendTopKAs(principal string, target, k int) ([]Recommendation, error) {
 	eps := a.rec.Epsilon()
-	tok, err := a.charge(principal, target, k, eps)
+	tok, err := a.charge(principalOf(target), target, k, eps)
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +405,7 @@ func (a *Accountant) RecommendTopKAs(principal string, target, k int) ([]Recomme
 // see RecommendWithRNG for why the serving layer uses it.
 func (a *Accountant) RecommendTopKWithRNG(target, k int, rng *rand.Rand) ([]Recommendation, error) {
 	eps := a.rec.Epsilon()
-	tok, err := a.charge(a.key(target), target, k, eps)
+	tok, err := a.charge(principalOf(target), target, k, eps)
 	if err != nil {
 		return nil, err
 	}

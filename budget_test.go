@@ -3,6 +3,7 @@ package socialrec
 import (
 	"errors"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -383,7 +384,7 @@ func TestAccountantPerPrincipalExhaustion(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExhausted) || !errors.As(err, &be) {
 		t.Fatalf("exhausted principal: got %v", err)
 	}
-	if be.Principal != a.PrincipalFor(target) || be.Remaining() != 0 {
+	if be.Principal != strconv.Itoa(target) || be.Remaining() != 0 {
 		t.Errorf("refusal detail: %+v", be)
 	}
 	// Independence: the other principal still serves.
@@ -517,9 +518,6 @@ func TestAccountantOptionValidation(t *testing.T) {
 	if _, err := NewAccountant(rec, 10, PerPrincipalBudget(-1)); err == nil {
 		t.Error("negative per-principal budget accepted")
 	}
-	if _, err := NewAccountant(rec, 10, PrincipalKeyFunc(nil)); err == nil {
-		t.Error("nil key func accepted")
-	}
 	a, err := NewAccountant(rec, 0, PerPrincipalBudget(5))
 	if err != nil {
 		t.Fatalf("per-principal-only accountant: %v", err)
@@ -601,46 +599,6 @@ func TestAccountantDisableLedger(t *testing.T) {
 	}
 	if st := a.TargetStats(target); st.Spent != 3 || st.Calls != 3 {
 		t.Errorf("target stats: %+v", st)
-	}
-}
-
-func TestAccountantCustomKeyFunc(t *testing.T) {
-	g := topKGraph(t)
-	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All targets share one tenant key: the per-principal cap behaves
-	// globally.
-	a, err := NewAccountant(rec, 0, PerPrincipalBudget(2),
-		PrincipalKeyFunc(func(int) string { return "tenant-a" }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var servable []int
-	for v := 0; v < g.NumNodes() && len(servable) < 2; v++ {
-		if _, err := rec.ExpectedAccuracy(v); err == nil {
-			servable = append(servable, v)
-		}
-	}
-	if len(servable) < 2 {
-		t.Fatal("need two servable targets")
-	}
-	if _, err := a.Recommend(servable[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Recommend(servable[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Recommend(servable[0]); !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("shared tenant key: want exhaustion on third call, got %v", err)
-	}
-	// RecommendAs bypasses the extractor.
-	if _, err := a.RecommendAs("tenant-b", servable[0]); err != nil {
-		t.Errorf("distinct explicit principal refused: %v", err)
-	}
-	if s := a.PrincipalStats("tenant-a"); s.Spent != 2 || s.Calls != 2 {
-		t.Errorf("tenant-a stats: %+v", s)
 	}
 }
 

@@ -17,6 +17,7 @@
 //	recbench -compare             # Exponential vs Laplace vs smoothing at ε=1, 1,000 Laplace trials
 //	recbench -compare -laplace 50 # the same comparison with 50 Laplace trials
 //	recbench -sweep -json         # the sweep's per-target results as JSON
+//	recbench -sweep -json -laplace 10  # the same with 10 Laplace trials per target
 //	recbench -wiki wiki-Vote.txt  # use the real SNAP dataset when available
 package main
 
@@ -97,8 +98,9 @@ func main() {
 	}
 }
 
-// runSweep runs the ε sweep on the Wiki-Vote-like graph and prints its
-// per-(ε, degree class) table, or with jsonOut the per-target results.
+// runSweep runs the ε sweep on the Wiki-Vote-like graph, with
+// opts.LaplaceTrials Laplace trials per target (none when 0), and prints
+// its per-(ε, degree class) table, or with jsonOut the per-target results.
 func runSweep(opts experiment.SuiteOptions, jsonOut bool) error {
 	loaded, err := opts.LoadDataset("wiki-vote")
 	if err != nil {
@@ -110,6 +112,7 @@ func runSweep(opts experiment.SuiteOptions, jsonOut bool) error {
 		Epsilons:       []float64{0.1, 0.25, 0.5, 1, 2, 3, 5},
 		TargetFraction: 0.10,
 		MaxTargets:     opts.MaxTargets,
+		LaplaceTrials:  opts.LaplaceTrials,
 		Seed:           opts.Seed,
 	})
 	if err != nil {

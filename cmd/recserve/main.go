@@ -5,7 +5,7 @@
 //
 //	recserve -graph social.txt -epsilon 1 -budget 100 -addr :8080
 //	recserve -graph social.txt -epsilon 1 -per-user-budget 5
-//	recserve -snapshot social.srsnap -store mmap
+//	recserve -snapshot social.srsnap
 //	recserve -graph social.txt -live -rebuild-interval 100ms -max-pending 1024
 //	recserve -snapshot social.srsnap -live -persist-snapshot social.srsnap
 //	recserve -graph social.txt -live -wal-dir wal/ -fsync always
@@ -31,17 +31,18 @@
 //
 // Startup: -graph re-parses a SNAP edge list and rebuilds adjacency —
 // minutes on large graphs. -snapshot cold-starts from the checksummed
-// binary snapshot in milliseconds; with -store mmap (or the default auto)
-// the adjacency is served zero-copy straight from the page cache, so peak
-// RSS stays near zero extra and multiple processes share one physical
-// copy. Produce snapshots with recgen -out g.srsnap or
+// binary snapshot in milliseconds. Where the platform can memory-map the
+// file, the adjacency is served zero-copy straight from the page cache, so
+// peak RSS stays near zero extra and multiple processes share one physical
+// copy; elsewhere, or when mapping fails, the file is decoded into the
+// heap. Produce snapshots with recgen -out g.srsnap or
 // socialrec.WriteSnapshotFile.
 //
 // With -live the graph accepts streaming mutations while serving:
 //
-//	POST   /edges   {"from":1,"to":2}  insert an edge
-//	DELETE /edges?from=1&to=2          remove an edge (JSON body also accepted)
-//	POST   /nodes                      append a new isolated node
+//	POST   /v1/edges   {"from":1,"to":2}  insert an edge
+//	DELETE /v1/edges?from=1&to=2          remove an edge (JSON body also accepted)
+//	POST   /v1/nodes                      append a new isolated node
 //
 // Mutations are journaled into a delta log and folded into the serving
 // snapshot by a background rebuilder, debounced by -rebuild-interval and
@@ -107,7 +108,6 @@ func main() {
 	var (
 		path      = flag.String("graph", "", "edge-list file (this or -snapshot is required)")
 		snapPath  = flag.String("snapshot", "", "binary .srsnap snapshot file (this or -graph is required)")
-		storeMode = flag.String("store", "auto", "snapshot backend: auto, heap, or mmap (with -snapshot)")
 		directed  = flag.Bool("directed", false, "treat the edge list as directed (with -graph)")
 		epsilon   = flag.Float64("epsilon", 1, "per-recommendation privacy parameter")
 		budget    = flag.Float64("budget", 100, "total privacy budget across all users (0 disables the global cap)")
@@ -116,7 +116,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		seed      = flag.Int64("seed", 0, "seed (0 = time-based; use non-zero only for testing)")
 		cache     = flag.Int("cache", socialrec.DefaultCacheSize, "utility-vector cache entries (0 disables caching, negative selects the default)")
-		live      = flag.Bool("live", false, "accept streaming graph mutations (POST /edges, DELETE /edges, POST /nodes)")
+		live      = flag.Bool("live", false, "accept streaming graph mutations (POST /v1/edges, DELETE /v1/edges, POST /v1/nodes)")
 		deltaInv  = flag.Bool("delta-invalidation", false, "retain cached utility vectors a rebuild's delta batch provably did not touch, instead of flushing the cache at every snapshot swap (with -live and -cache)")
 		interval  = flag.Duration("rebuild-interval", socialrec.DefaultRebuildInterval, "debounce interval for folding mutations into the serving snapshot (with -live)")
 		maxPend   = flag.Int("max-pending", socialrec.DefaultMaxPendingDeltas, "pending mutations that force an immediate snapshot rebuild (with -live)")
@@ -196,13 +196,9 @@ func main() {
 		source string
 	)
 	if *snapPath != "" {
-		mode, perr := socialrec.ParseSnapshotMode(*storeMode)
-		if perr != nil {
-			log.Fatalf("recserve: %v", perr)
-		}
-		opts = append(opts, socialrec.WithSnapshotFileMode(*snapPath, mode))
+		opts = append(opts, socialrec.WithSnapshotFile(*snapPath))
 		rec, err = socialrec.NewRecommender(nil, opts...)
-		source = fmt.Sprintf("snapshot %s (%s)", *snapPath, mode)
+		source = fmt.Sprintf("snapshot %s", *snapPath)
 	} else {
 		var g *socialrec.Graph
 		g, err = socialrec.ReadGraphFile(*path, *directed)

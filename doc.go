@@ -115,10 +115,10 @@
 // cache fill and Precompute (one pass that counts and collects the distinct
 // values, one exact-size fill of node IDs and codes or values), the
 // utility's Sparse gathers it into plain slices (the form the §7
-// experiments and the DP audit of internal/dpcheck evaluate), and
-// utility.Vector scatters it into the dense vector that only
-// internal/bounds still reads. The mechanisms have no dense form outside
-// their tests: each has one streamed draw and, when it admits one, one
+// experiments, the DP audit of internal/dpcheck and the partially
+// sensitive ceiling of internal/bounds evaluate), and utility.Vector
+// scatters it into the dense vector that only tests read. The mechanisms
+// have no dense form outside their tests: each has one streamed draw and, when it admits one, one
 // sparse closed form, and both the draws and the audit read those.
 //
 // The two sources are DP-equivalent for the strongest possible reason:
@@ -146,8 +146,7 @@
 // The Accountant therefore enforces budgets at two scopes. The global cap
 // (NewAccountant's totalEpsilon) preserves the original deployment-wide
 // semantics; PerPrincipalBudget adds a cap on each principal's cumulative
-// spend — the target node by default, or API keys/tenants via
-// PrincipalKeyFunc and the RecommendAs variants. Exhaustion is per
+// spend, and the principal is always the target node. Exhaustion is per
 // principal: one user at their cap is refused (ErrBudgetExhausted,
 // carrying a *BudgetError naming the refused scope) while every other
 // user keeps serving.
@@ -372,8 +371,10 @@
 //
 // Everything above the graph package serves from a narrow read-only
 // snapshot interface (degrees, sorted neighbor spans, the two neighborhood
-// scans the utilities are built from), with two interchangeable backends
-// behind it, selected at load time and invisible to the mechanism layer.
+// scans the utilities are built from). An in-memory graph serves from a
+// heap CSR; a snapshot file serves from a memory mapping of the same
+// layout, or from a heap decode where mapping is impossible. The platform,
+// not an option, picks which, and the mechanism layer cannot tell.
 //
 // Snapshots persist in the .srsnap binary format: an 8-byte magic and
 // versioned 64-byte header followed by the four CSR sections (out-index,
@@ -387,38 +388,36 @@
 //		socialrec.WithSnapshotFile("social.srsnap"))
 //	defer rec.Close()
 //
-// The heap backend (SnapshotHeap) decodes the file into process memory —
-// the same CSR layout Graph.Snapshot builds, minus the edge-list re-parse
-// and adjacency-map construction that dominate cold start. The mmap
-// backend (SnapshotMmap; SnapshotAuto picks it where available) goes
-// further: it lays []int32 views directly over the memory-mapped file and
-// serves zero-copy out of the OS page cache. Opening either backend costs
-// one sequential checksum-and-validation pass over the file — linear in
-// its size, but running at disk/memory bandwidth with no parsing and (for
-// mmap) no per-edge allocation, so it is far cheaper than re-parsing the
-// edge list. Beyond that pass the mmap backend's peak RSS no longer pays
-// the build-then-flatten 2× transient, processes mapping the same file
-// share one physical copy, and steady-state serving pages rows on demand,
-// so the graph may exceed RAM.
-// The trade-off: first-touch scans can take page faults where the heap
-// backend would have warm memory, so latency-critical deployments with
-// small graphs may prefer SnapshotHeap.
+// WithSnapshotFile lays []int32 views directly over the memory-mapped file
+// and serves zero-copy out of the OS page cache. Opening it costs one
+// sequential checksum-and-validation pass over the file — linear in its
+// size, but running at disk/memory bandwidth with no parsing and no
+// per-edge allocation, so it is far cheaper than re-parsing the edge list.
+// Beyond that pass peak RSS no longer pays the build-then-flatten 2×
+// transient, processes mapping the same file share one physical copy, and
+// steady-state serving pages rows on demand, so the graph may exceed RAM.
+// Where the platform cannot map the file (non-unix hosts, big-endian
+// hosts) or mapping fails at run time (filesystems without mmap support),
+// the file is decoded into the heap instead: the same CSR layout
+// Graph.Snapshot builds, minus the edge-list re-parse and adjacency-map
+// construction that dominate cold start.
 //
-// Live mutations compose with either backend: rebuilds patch rows out of
+// Live mutations compose with either store: rebuilds patch rows out of
 // the current store into fresh heap CSRs (a writable copy-on-write overlay
 // never aliasing the mapping), and WithSnapshotPersist writes every
 // swapped snapshot back to disk atomically, so a restart resumes from the
 // newest persisted graph.
 //
-// Why the storage layer is DP-safe: the backend changes the
-// representation of the snapshot, never its content or the mechanism
-// consuming it. Both backends expose bit-identical adjacency decoded from
-// the same checksummed sections, every utility vector computed over them
+// Why the storage layer is DP-safe: the store changes the representation
+// of the snapshot, never its content or the mechanism consuming it. The
+// mapping and the heap decode expose bit-identical adjacency read from the
+// same checksummed sections, every utility vector computed over them
 // is identical, and the privacy-bearing noise is drawn after that
 // deterministic stage — so the mechanism's output distribution, and
 // therefore the ε-DP guarantee and budget accounting, is invariant to
 // which store serves the graph (this is pinned by a property test
-// comparing heap- and mmap-served Recommenders output-for-output).
+// comparing Recommenders served from the in-memory graph, the mapping and
+// the heap decode output-for-output).
 //
 // # Static analysis
 //

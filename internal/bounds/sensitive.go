@@ -68,13 +68,12 @@ func SensitiveCommonNeighborsCeiling(g utility.View, r int, eps float64, policy 
 	if policy == nil {
 		policy = AllEdgesSensitive
 	}
-	full, err := utility.Vector(utility.CommonNeighbors{}, g, r)
+	idx, val, err := utility.CommonNeighbors{}.Sparse(g, r)
 	if err != nil {
 		return SensitiveCeilingResult{}, err
 	}
 	candidates := utility.Candidates(g, r)
-	vec := utility.Compact(full, candidates)
-	umax := utility.Max(vec)
+	umax := utility.Max(val)
 	if umax == 0 {
 		return SensitiveCeilingResult{}, ErrNoMax
 	}
@@ -96,11 +95,14 @@ func SensitiveCommonNeighborsCeiling(g utility.View, r int, eps float64, policy 
 
 	// Find the candidate x with the cheapest all-sensitive promotion. The
 	// strongest bound uses a minimal-probability (lowest-utility) node, so
-	// scan zero-utility candidates only.
+	// scan zero-utility candidates only. The support idx is an ascending
+	// subset of the ascending candidates, so one merge skips it.
 	best := SensitiveCeilingResult{Bounded: false, Ceiling: 1, Candidate: -1}
 	bestT := -1
-	for i, x := range candidates {
-		if vec[i] != 0 {
+	next := 0
+	for _, x := range candidates {
+		if next < len(idx) && int(idx[next]) == x {
+			next++
 			continue // promote only zero-utility (V_lo) candidates
 		}
 		avail := 0
@@ -144,7 +146,7 @@ func SensitiveCommonNeighborsCeiling(g utility.View, r int, eps float64, policy 
 	if bestT < 0 {
 		return best, nil
 	}
-	ceiling, err := TightestAccuracyBound(vec, eps, bestT)
+	ceiling, err := TightestAccuracyBoundSparse(val, len(candidates), eps, bestT)
 	if err != nil {
 		return SensitiveCeilingResult{}, err
 	}

@@ -64,6 +64,27 @@ func TestSensitiveCeilingAllSensitiveMatchesStandardBound(t *testing.T) {
 	}
 }
 
+// TestSensitiveCeilingPromotesZeroUtilityOnly: the promoted node must start
+// at utility 0. Target 0 has neighbors 1–4; node 5 shares neighbor 1 with
+// it (utility 1 = u_max) and node 6 shares none. Both could be wired to
+// u_max+1 = 2 more of 0's neighbors, so only the utility rule excludes the
+// lower-numbered node 5.
+func TestSensitiveCeilingPromotesZeroUtilityOnly(t *testing.T) {
+	g := graph.New(7)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {5, 1}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := SensitiveCommonNeighborsCeiling(g, 0, 1, AllEdgesSensitive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Bounded || res.Candidate != 6 || res.T != 2 {
+		t.Errorf("got %+v, want candidate 6 bounded at t=2", res)
+	}
+}
+
 func TestSensitiveCeilingNilPolicyDefaultsToAllSensitive(t *testing.T) {
 	g := sensitiveTestGraph(t)
 	r := pickCNTarget(t, g)

@@ -4,8 +4,7 @@
 // Differential privacy composes additively per user: every answered query
 // spends another ε of a principal's budget, so the quantity a deployment
 // must enforce is the cumulative spend of each individual principal — the
-// target node by default, an API key or tenant under a custom extractor —
-// optionally alongside a global cap across all principals. A single global
+// target node, in socialrec's Accountant — optionally alongside a global cap across all principals. A single global
 // counter (the original socialrec.Accountant) conflates the two: one hot
 // user exhausts everyone's budget, and nothing bounds how much any
 // individual target has leaked.

@@ -33,7 +33,10 @@ func smallDirected(t *testing.T, seed int64, n, m int) *graph.Graph {
 // TestExponentialIsPrivate is the theorem-4 end-to-end check: the
 // exponential mechanism with the utility's declared sensitivity satisfies
 // ε-DP against every single-edge neighbor, for every utility function, on
-// both undirected and directed graphs.
+// both undirected and directed graphs. The sparse graph leaves target 0
+// few positive-utility candidates and a long zero tail, so the tail's
+// bookkeeping carries most of the audited mass (see
+// TestTailBookkeepingCaught).
 func TestExponentialIsPrivate(t *testing.T) {
 	utilities := []utility.Function{
 		utility.CommonNeighbors{},
@@ -44,6 +47,7 @@ func TestExponentialIsPrivate(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"undirected": smallGraph(t, 1, 14, 30),
 		"directed":   smallDirected(t, 2, 14, 40),
+		"sparse":     smallGraph(t, 1, 24, 24),
 	}
 	for gname, g := range graphs {
 		for _, f := range utilities {
@@ -161,29 +165,39 @@ func (e tailOnceExponential) ProbabilitiesSparse(s mechanism.SparseVec) ([]float
 // TestTailBookkeepingCaught: the audit reads the served support-plus-tail
 // law, so a normaliser that miscounts the zero tail must fail it on the
 // graph where the correct exponential mechanism passes. The miscount is an
-// additive error in the normaliser, so it shows against the multiplicative
-// e^ε bound at small ε: here 1.16 against e^0.1 ≈ 1.105, where the correct
-// mechanism reads 1.04.
+// additive error in the normaliser, so on a dense graph with a short tail
+// it shows against the multiplicative e^ε bound only at small ε: 1.16
+// against e^0.1 ≈ 1.105, where the correct mechanism reads 1.04. On the
+// sparse graph of TestExponentialIsPrivate the tail holds most candidates,
+// and the bug shows at the ε that test audits: 2.28 against e^0.5 ≈ 1.649,
+// where the correct mechanism reads 1.27.
 func TestTailBookkeepingCaught(t *testing.T) {
-	g := smallGraph(t, 6, 12, 26)
-	const eps = 0.1
-	rep, err := Check(g, utility.CommonNeighbors{}, Exponential(eps), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Satisfies(eps) {
-		t.Fatalf("correct exponential mechanism fails the audit (ratio %g)", rep.MaxRatio)
-	}
-	buggy := func(sens float64) mechanism.SparseDistribution {
-		return tailOnceExponential{mechanism.Exponential{Epsilon: eps, Sensitivity: sens}}
-	}
-	rep, err = Check(g, utility.CommonNeighbors{}, buggy, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("tail counted once: max ratio %g (worst edge %v), e^eps = %g", rep.MaxRatio, rep.WorstEdge, math.Exp(eps))
-	if rep.Satisfies(eps) {
-		t.Errorf("a normaliser counting the zero tail once went unnoticed (ratio %g)", rep.MaxRatio)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		eps  float64
+	}{
+		{"dense", smallGraph(t, 6, 12, 26), 0.1},
+		{"sparse", smallGraph(t, 1, 24, 24), 0.5},
+	} {
+		rep, err := Check(c.g, utility.CommonNeighbors{}, Exponential(c.eps), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Satisfies(c.eps) {
+			t.Fatalf("%s: correct exponential mechanism fails the audit (ratio %g)", c.name, rep.MaxRatio)
+		}
+		buggy := func(sens float64) mechanism.SparseDistribution {
+			return tailOnceExponential{mechanism.Exponential{Epsilon: c.eps, Sensitivity: sens}}
+		}
+		rep, err = Check(c.g, utility.CommonNeighbors{}, buggy, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: tail counted once: max ratio %g (worst edge %v), e^eps = %g", c.name, rep.MaxRatio, rep.WorstEdge, math.Exp(c.eps))
+		if rep.Satisfies(c.eps) {
+			t.Errorf("%s: a normaliser counting the zero tail once went unnoticed (ratio %g)", c.name, rep.MaxRatio)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"os"
 	"unsafe"
+
+	"socialrec/internal/fault"
 )
 
 // Mapped is the zero-copy snapshot backend: a CSR whose Index/Adj (and
@@ -29,29 +31,28 @@ import (
 type Mapped struct {
 	CSR
 	data []byte // the live mapping; nil after Close or in heap-fallback mode
-	path string
 }
 
 // hostLittleEndian reports whether in-place []int32 views over the
 // little-endian file image are valid on this host.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{0x34, 0x12}) == 0x1234
 
-// MmapAvailable reports whether OpenMapped can serve zero-copy on this
+// mmapAvailable reports whether OpenMapped can serve zero-copy on this
 // platform (mmap support plus a little-endian host). When false,
-// OpenMapped falls back to a heap decode; callers that require the
-// mapping should check this first and fail fast instead of paying for a
-// decode they will discard.
-func MmapAvailable() bool { return mmapSupported && hostLittleEndian }
+// OpenMapped decodes into the heap without trying to map.
+func mmapAvailable() bool { return mmapSupported && hostLittleEndian }
 
 // OpenMapped opens the .srsnap file at path as a memory-mapped store,
 // verifying the header and every section checksum before serving from it.
+// Where the platform cannot map the file, or mapping fails at run time, it
+// decodes the file into the heap instead; Mapped reports which happened.
 func OpenMapped(path string) (*Mapped, error) {
-	if !MmapAvailable() {
+	if !mmapAvailable() {
 		c, err := ReadSnapshotFile(path)
 		if err != nil {
 			return nil, err
 		}
-		return &Mapped{CSR: *c, path: path}, nil
+		return &Mapped{CSR: *c}, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -66,19 +67,21 @@ func OpenMapped(path string) (*Mapped, error) {
 	if size < snapshotHeaderSize {
 		return nil, fmt.Errorf("%s: %w: %d-byte file shorter than header", path, ErrSnapshotFormat, size)
 	}
-	data, err := mmapFile(f, int(size))
+	var data []byte
+	if err = fault.Inject("graph.mmap"); err == nil {
+		data, err = mmapFile(f, int(size))
+	}
 	if err != nil {
 		// Runtime mmap failures happen on filesystems without mmap
 		// support (9p, some FUSE mounts) or under map-count pressure;
 		// fall back to the heap decode of the same file, as documented.
-		// Callers that require the mapping check Mapped().
 		c, rerr := ReadSnapshotFile(path)
 		if rerr != nil {
 			return nil, fmt.Errorf("%s: mmap: %w (heap fallback also failed: %v)", path, err, rerr)
 		}
-		return &Mapped{CSR: *c, path: path}, nil
+		return &Mapped{CSR: *c}, nil
 	}
-	m, err := overlay(data, path)
+	m, err := overlay(data)
 	if err != nil {
 		munmapFile(data)
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -88,7 +91,7 @@ func OpenMapped(path string) (*Mapped, error) {
 
 // overlay decodes and verifies the mapped image and lays int32 section
 // views over it.
-func overlay(data []byte, path string) (*Mapped, error) {
+func overlay(data []byte) (*Mapped, error) {
 	h, err := decodeSnapshotHeader(data)
 	if err != nil {
 		return nil, err
@@ -96,7 +99,7 @@ func overlay(data []byte, path string) (*Mapped, error) {
 	if int64(len(data)) != h.fileSize() {
 		return nil, fmt.Errorf("%w: file is %d bytes, header implies %d", ErrSnapshotFormat, len(data), h.fileSize())
 	}
-	m := &Mapped{CSR: CSR{directed: h.directed}, data: data, path: path}
+	m := &Mapped{CSR: CSR{directed: h.directed}, data: data}
 	off := int64(snapshotHeaderSize)
 	section := func(count int, crc uint32, name string) ([]int32, error) {
 		raw := data[off : off+4*int64(count)]
@@ -152,9 +155,6 @@ func (m *Mapped) Patch(deltas []Delta) *CSR {
 // Mapped reports whether the store is backed by a live memory mapping
 // (false after Close and in heap-fallback mode).
 func (m *Mapped) Mapped() bool { return m.data != nil }
-
-// Path returns the snapshot file the store was opened from.
-func (m *Mapped) Path() string { return m.path }
 
 // Close releases the mapping. It is idempotent; the store must not be used
 // after the first Close.

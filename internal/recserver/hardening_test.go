@@ -164,7 +164,7 @@ func TestDegradedServingUnderFailpoints(t *testing.T) {
 	}
 
 	fault.Arm("snapshot.persist", fault.Config{Mode: fault.Error})
-	if w, _ := do(t, srv, http.MethodPost, "/edges", `{"from":0,"to":4}`); w.Code != http.StatusCreated {
+	if w, _ := do(t, srv, http.MethodPost, "/v1/edges", `{"from":0,"to":4}`); w.Code != http.StatusCreated {
 		t.Fatalf("mutation while persist failing: %d", w.Code)
 	}
 	if err := rec.Rebuild(); err != nil {
@@ -191,7 +191,7 @@ func TestDegradedServingUnderFailpoints(t *testing.T) {
 
 	// Disk recovers: the next rebuild persists, and health returns to ok.
 	fault.Reset()
-	if w, _ := do(t, srv, http.MethodPost, "/edges", `{"from":1,"to":5}`); w.Code != http.StatusCreated {
+	if w, _ := do(t, srv, http.MethodPost, "/v1/edges", `{"from":1,"to":5}`); w.Code != http.StatusCreated {
 		t.Fatalf("mutation after recovery: %d", w.Code)
 	}
 	if err := rec.Rebuild(); err != nil {

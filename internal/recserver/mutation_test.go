@@ -56,9 +56,9 @@ func do(t *testing.T, srv http.Handler, method, path, body string) (*httptest.Re
 
 func TestAddEdgeEndpoint(t *testing.T) {
 	srv, rec := liveServer(t)
-	w, body := do(t, srv, http.MethodPost, "/edges", `{"from":1,"to":4}`)
+	w, body := do(t, srv, http.MethodPost, "/v1/edges", `{"from":1,"to":4}`)
 	if w.Code != http.StatusCreated {
-		t.Fatalf("POST /edges = %d %s, want 201", w.Code, w.Body)
+		t.Fatalf("POST /v1/edges = %d %s, want 201", w.Code, w.Body)
 	}
 	if body["from"].(float64) != 1 || body["to"].(float64) != 4 {
 		t.Fatalf("ack body %v", body)
@@ -70,42 +70,48 @@ func TestAddEdgeEndpoint(t *testing.T) {
 		t.Fatalf("recommender pending = %d, want 1", rec.PendingDeltas())
 	}
 
-	// Versioned alias, duplicate, self-loop, range, bad body.
+	// Duplicate, self-loop, range, bad body, and the unversioned path,
+	// which is not served.
 	if w, _ := do(t, srv, http.MethodPost, "/v1/edges", `{"from":1,"to":4}`); w.Code != http.StatusConflict {
 		t.Fatalf("duplicate = %d, want 409", w.Code)
 	}
-	if w, _ := do(t, srv, http.MethodPost, "/edges", `{"from":2,"to":2}`); w.Code != http.StatusBadRequest {
+	if w, _ := do(t, srv, http.MethodPost, "/v1/edges", `{"from":2,"to":2}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("self loop = %d, want 400", w.Code)
 	}
-	if w, _ := do(t, srv, http.MethodPost, "/edges", `{"from":2,"to":99}`); w.Code != http.StatusNotFound {
+	if w, _ := do(t, srv, http.MethodPost, "/v1/edges", `{"from":2,"to":99}`); w.Code != http.StatusNotFound {
 		t.Fatalf("out of range = %d, want 404", w.Code)
 	}
-	if w, _ := do(t, srv, http.MethodPost, "/edges", `{"frm":2}`); w.Code != http.StatusBadRequest {
+	if w, _ := do(t, srv, http.MethodPost, "/v1/edges", `{"frm":2}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad body = %d, want 400", w.Code)
+	}
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/edges", strings.NewReader(`{"from":1,"to":5}`)))
+	if w.Code != http.StatusNotFound {
+		t.Fatalf("POST /edges = %d, want 404", w.Code)
 	}
 }
 
 func TestRemoveEdgeEndpoint(t *testing.T) {
 	srv, _ := liveServer(t)
-	if w, _ := do(t, srv, http.MethodDelete, "/edges?from=0&to=1", ""); w.Code != http.StatusOK {
+	if w, _ := do(t, srv, http.MethodDelete, "/v1/edges?from=0&to=1", ""); w.Code != http.StatusOK {
 		t.Fatalf("DELETE query = %d, want 200", w.Code)
 	}
 	if w, _ := do(t, srv, http.MethodDelete, "/v1/edges", `{"from":0,"to":2}`); w.Code != http.StatusOK {
 		t.Fatalf("DELETE body = %d, want 200", w.Code)
 	}
-	if w, _ := do(t, srv, http.MethodDelete, "/edges?from=0&to=1", ""); w.Code != http.StatusNotFound {
+	if w, _ := do(t, srv, http.MethodDelete, "/v1/edges?from=0&to=1", ""); w.Code != http.StatusNotFound {
 		t.Fatalf("DELETE missing = %d, want 404", w.Code)
 	}
-	if w, _ := do(t, srv, http.MethodDelete, "/edges?from=0&to=x", ""); w.Code != http.StatusBadRequest {
+	if w, _ := do(t, srv, http.MethodDelete, "/v1/edges?from=0&to=x", ""); w.Code != http.StatusBadRequest {
 		t.Fatalf("DELETE bad query = %d, want 400", w.Code)
 	}
 }
 
 func TestAddNodeEndpoint(t *testing.T) {
 	srv, rec := liveServer(t)
-	w, body := do(t, srv, http.MethodPost, "/nodes", "")
+	w, body := do(t, srv, http.MethodPost, "/v1/nodes", "")
 	if w.Code != http.StatusCreated {
-		t.Fatalf("POST /nodes = %d %s, want 201", w.Code, w.Body)
+		t.Fatalf("POST /v1/nodes = %d %s, want 201", w.Code, w.Body)
 	}
 	if body["node"].(float64) != 6 {
 		t.Fatalf("node = %v, want 6", body["node"])
@@ -118,9 +124,9 @@ func TestAddNodeEndpoint(t *testing.T) {
 func TestMutationsDisabledWithoutLive(t *testing.T) {
 	srv, _, _ := testServer(t, 0)
 	for _, c := range []struct{ method, path, body string }{
-		{http.MethodPost, "/edges", `{"from":0,"to":1}`},
-		{http.MethodDelete, "/edges?from=0&to=1", ""},
-		{http.MethodPost, "/nodes", ""},
+		{http.MethodPost, "/v1/edges", `{"from":0,"to":1}`},
+		{http.MethodDelete, "/v1/edges?from=0&to=1", ""},
+		{http.MethodPost, "/v1/nodes", ""},
 	} {
 		if w, _ := do(t, srv, c.method, c.path, c.body); w.Code != http.StatusNotImplemented {
 			t.Fatalf("%s %s on static server = %d, want 501", c.method, c.path, w.Code)
@@ -142,7 +148,7 @@ func TestHealthReportsLiveStats(t *testing.T) {
 		t.Fatalf("pending_deltas = %v, want 0", live["pending_deltas"])
 	}
 
-	if w, _ := do(t, srv, http.MethodPost, "/edges", `{"from":1,"to":4}`); w.Code != http.StatusCreated {
+	if w, _ := do(t, srv, http.MethodPost, "/v1/edges", `{"from":1,"to":4}`); w.Code != http.StatusCreated {
 		t.Fatalf("POST /edges = %d", w.Code)
 	}
 	if err := rec.Rebuild(); err != nil {

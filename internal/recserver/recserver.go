@@ -62,14 +62,15 @@
 //
 // Live mutations: when the Recommender is built with live mutations
 // (socialrec.WithLiveMutations, recserve -live), the server additionally
-// accepts writes — POST /edges, DELETE /edges, POST /nodes — which journal
-// deltas into the mutable graph; a background rebuilder debounces them into
-// atomic snapshot swaps, so reads never block on writes. Mutation responses
-// carry the current snapshot version and pending-delta count, and /healthz
-// exports the same as gauges. Applying deltas is pre-processing of the next
-// graph snapshot — not perturbation of any released output — so each served
-// recommendation keeps its ε guarantee with respect to the snapshot that
-// served it; see the socialrec live.go commentary.
+// accepts writes — POST /v1/edges, DELETE /v1/edges, POST /v1/nodes —
+// which journal deltas into the mutable graph; a background rebuilder
+// debounces them into atomic snapshot swaps, so reads never block on
+// writes. Mutation responses carry the current snapshot version and
+// pending-delta count, and /healthz exports the same as gauges. Applying
+// deltas is pre-processing of the next graph snapshot — not perturbation of
+// any released output — so each served recommendation keeps its ε
+// guarantee with respect to the snapshot that served it; see the socialrec
+// live.go commentary.
 //
 // Like /audit, the write endpoints carry no authentication of their own and
 // are strictly more dangerous: anyone who can reach them can rewrite the
@@ -206,15 +207,10 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /v1/budget", s.handleBudget)
 	// Write path (live mutations). Registered unconditionally and answered
 	// with 501 when the Recommender is not live, so clients get a stable
-	// error shape instead of a bare 404. Both the versioned and the bare
-	// spellings are served.
-	for _, p := range []string{"/edges", "/v1/edges"} {
-		mux.HandleFunc("POST "+p, s.handleAddEdge)
-		mux.HandleFunc("DELETE "+p, s.handleRemoveEdge)
-	}
-	for _, p := range []string{"/nodes", "/v1/nodes"} {
-		mux.HandleFunc("POST "+p, s.handleAddNode)
-	}
+	// error shape instead of a bare 404.
+	mux.HandleFunc("POST /v1/edges", s.handleAddEdge)
+	mux.HandleFunc("DELETE /v1/edges", s.handleRemoveEdge)
+	mux.HandleFunc("POST /v1/nodes", s.handleAddNode)
 	if cfg.EnablePprof {
 		// Explicit registrations rather than the package's init-time
 		// DefaultServeMux side effects, which this mux never serves.
@@ -531,8 +527,8 @@ func (s *Server) writeRecommendError(w http.ResponseWriter, err error) {
 	}
 }
 
-// edgeRequest is the body of POST /edges and (optionally) DELETE /edges;
-// DELETE also accepts ?from=&to= query parameters.
+// edgeRequest is the body of POST /v1/edges and (optionally) DELETE
+// /v1/edges; DELETE also accepts ?from=&to= query parameters.
 type edgeRequest struct {
 	From int `json:"from"`
 	To   int `json:"to"`

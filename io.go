@@ -29,11 +29,18 @@ func WriteGraph(w io.Writer, g *Graph) error { return dataset.Write(w, g) }
 // WriteGraphFile stores g at path, gzip-compressing ".gz" names.
 func WriteGraphFile(path string, g *Graph) error { return dataset.WriteFile(path, g) }
 
+// Snapshot and codec errors re-exported from the storage layer.
+var (
+	ErrSnapshotFormat   = graph.ErrSnapshotFormat
+	ErrSnapshotVersion  = graph.ErrSnapshotVersion
+	ErrSnapshotChecksum = graph.ErrSnapshotChecksum
+)
+
 // WriteSnapshotFile persists a binary .srsnap snapshot of g at path,
-// written atomically (temp file + rename). The file cold-starts a serving
-// process via OpenSnapshot or WithSnapshotFile in milliseconds — no
-// edge-list re-parse, no adjacency rebuild — and can be memory-mapped to
-// serve straight from the page cache.
+// written atomically (temp file + rename). WithSnapshotFile cold-starts a
+// serving process from the file in milliseconds — no edge-list re-parse,
+// no adjacency rebuild — serving it memory-mapped, straight from the page
+// cache, where the platform allows.
 func WriteSnapshotFile(path string, g *Graph) error {
 	if g == nil {
 		return ErrNilGraph

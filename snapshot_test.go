@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"socialrec/internal/fault"
 	"socialrec/internal/graph"
 )
 
@@ -32,38 +33,47 @@ func writeTestSnapshot(t *testing.T, directed bool) (*Graph, string) {
 }
 
 // TestSnapshotBackendsBitIdentical is the storage-layer DP-safety property:
-// the same .srsnap file served by the heap and mmap backends — and the
-// original in-memory graph — must yield bit-identical Recommend,
-// RecommendTopK, and ExpectedAccuracy outputs for fixed seeds, proving the
-// backend changes representation only, never the mechanism's output
-// distribution.
+// the same graph served from memory, from its .srsnap file through the
+// memory mapping, and from that file through the heap fallback (the
+// graph.mmap failpoint makes the mapping fail) must yield bit-identical
+// Recommend, RecommendTopK, and ExpectedAccuracy outputs for fixed seeds,
+// proving the store changes representation only, never the mechanism's
+// output distribution.
 func TestSnapshotBackendsBitIdentical(t *testing.T) {
+	defer fault.Reset()
 	for _, directed := range []bool{false, true} {
 		for _, kind := range []MechanismKind{MechanismExponential, MechanismLaplace, MechanismSmoothing} {
 			g, path := writeTestSnapshot(t, directed)
-
-			heapSnap, err := OpenSnapshot(path, SnapshotHeap)
+			probe, err := graph.OpenMapped(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mmapSnap, err := OpenSnapshot(path, SnapshotAuto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mmapSnap.Close()
+			platformMaps := probe.Mapped()
+			probe.Close()
 
 			opts := []Option{WithSeed(42), WithEpsilon(1), WithMechanism(kind)}
+			fromFile := func() *Recommender {
+				t.Helper()
+				r, err := NewRecommender(nil, append(opts, WithSnapshotFile(path))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { r.Close() })
+				return r
+			}
 			fromGraph, err := NewRecommender(g, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromHeap, err := NewRecommenderFromSnapshot(heapSnap, opts...)
-			if err != nil {
-				t.Fatal(err)
+			fromMmap := fromFile()
+			fault.Arm("graph.mmap", fault.Config{Mode: fault.Error})
+			fromHeap := fromFile()
+			fault.Disarm("graph.mmap")
+			if fromMmap.ownedSnap.Mapped() != platformMaps {
+				t.Fatalf("WithSnapshotFile mapped=%v, graph.OpenMapped mapped=%v", fromMmap.ownedSnap.Mapped(), platformMaps)
 			}
-			fromMmap, err := NewRecommenderFromSnapshot(mmapSnap, opts...)
-			if err != nil {
-				t.Fatal(err)
+			if fromHeap.ownedSnap.Mapped() {
+				t.Fatal("graph.mmap failpoint armed, yet the file is served mapped")
 			}
 
 			for target := 0; target < g.NumNodes(); target += 7 {
@@ -138,44 +148,6 @@ func TestWithSnapshotFileOwnership(t *testing.T) {
 	}
 }
 
-func TestSnapshotModes(t *testing.T) {
-	g, path := writeTestSnapshot(t, true)
-
-	for _, mode := range []SnapshotMode{SnapshotAuto, SnapshotHeap, SnapshotMmap} {
-		snap, err := OpenSnapshot(path, mode)
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		if snap.NumNodes() != g.NumNodes() || snap.NumEdges() != g.NumEdges() || !snap.Directed() {
-			t.Errorf("mode %v: snapshot shape %d/%d/%v != graph %d/%d", mode,
-				snap.NumNodes(), snap.NumEdges(), snap.Directed(), g.NumNodes(), g.NumEdges())
-		}
-		if mode == SnapshotHeap && snap.Mapped() {
-			t.Error("heap mode reports a mapping")
-		}
-		back, err := snap.Graph()
-		if err != nil {
-			t.Fatalf("mode %v: Graph(): %v", mode, err)
-		}
-		if !back.Equal(g) {
-			t.Errorf("mode %v: materialized graph differs from original", mode)
-		}
-		if err := snap.Close(); err != nil {
-			t.Errorf("mode %v: Close: %v", mode, err)
-		}
-	}
-
-	for spelling, want := range map[string]SnapshotMode{"auto": SnapshotAuto, "heap": SnapshotHeap, "mmap": SnapshotMmap, "": SnapshotAuto} {
-		got, err := ParseSnapshotMode(spelling)
-		if err != nil || got != want {
-			t.Errorf("ParseSnapshotMode(%q) = %v, %v", spelling, got, err)
-		}
-	}
-	if _, err := ParseSnapshotMode("floppy"); err == nil {
-		t.Error("ParseSnapshotMode accepted junk")
-	}
-}
-
 // TestLiveRebuildPersistsSnapshot exercises the rebuilder's atomic
 // persistence: after mutations are folded in, the persisted file reopens to
 // exactly the mutated graph, so a restart resumes from the newest state.
@@ -220,12 +192,11 @@ func TestLiveRebuildPersistsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenSnapshot(persistPath, SnapshotAuto)
+	reopened, err := graph.ReadSnapshotFile(persistPath)
 	if err != nil {
 		t.Fatalf("reopening persisted snapshot: %v", err)
 	}
-	defer reopened.Close()
-	got, err := reopened.Graph()
+	got, err := graph.FromStore(reopened)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,21 +205,30 @@ func TestLiveRebuildPersistsSnapshot(t *testing.T) {
 	}
 }
 
-// TestFromStoreMatchesSnapshot pins the Graph() materialization against the
-// storage layer for both directednesses.
+// TestFromStoreMatchesSnapshot pins graph.FromStore, which materializes
+// the mutable basis of a live Recommender served from a snapshot file,
+// against the source graph, over both stores that serve the file, for both
+// directednesses.
 func TestFromStoreMatchesSnapshot(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		g, path := writeTestSnapshot(t, directed)
-		c, err := graph.ReadSnapshotFile(path)
+		heap, err := graph.ReadSnapshotFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := graph.FromStore(c)
+		mapped, err := graph.OpenMapped(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !back.Equal(g) {
-			t.Fatalf("directed=%v: FromStore(ReadSnapshotFile) differs from source graph", directed)
+		defer mapped.Close()
+		for name, st := range map[string]graph.Store{"heap": heap, "mapped": mapped} {
+			back, err := graph.FromStore(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !back.Equal(g) {
+				t.Fatalf("directed=%v: FromStore(%s) differs from source graph", directed, name)
+			}
 		}
 	}
 }

@@ -165,7 +165,7 @@ type Recommender struct {
 
 	// ownedSnap is the snapshot file this Recommender opened itself (via
 	// WithSnapshotFile) and therefore closes in Close.
-	ownedSnap *Snapshot
+	ownedSnap *graph.Mapped
 
 	// persistPath, when non-empty, is where every swapped-in snapshot is
 	// atomically persisted (temp file + rename); see WithSnapshotPersist.
@@ -185,13 +185,12 @@ type Recommender struct {
 	health healthTracker
 
 	// pendingLive and the rebuild knobs carry the live-mutation options
-	// from option application to construction, and pendingSnapshotFile/-Mode
-	// do the same for WithSnapshotFile.
+	// from option application to construction, and pendingSnapshotFile
+	// does the same for WithSnapshotFile.
 	pendingLive         bool
 	pendingInterval     time.Duration
 	pendingMaxPending   int
 	pendingSnapshotFile string
-	pendingSnapshotMode SnapshotMode
 	pendingWALDir       string
 	pendingFsync        FsyncMode
 	pendingFsyncSet     bool
@@ -280,16 +279,16 @@ func configureRecommender(opts []Option) (*Recommender, error) {
 // initFromSnapshotFile cold-starts the Recommender from the WithSnapshotFile
 // path, taking ownership of the opened snapshot.
 func (r *Recommender) initFromSnapshotFile() error {
-	snap, err := OpenSnapshot(r.pendingSnapshotFile, r.pendingSnapshotMode)
+	snap, err := graph.OpenMapped(r.pendingSnapshotFile)
 	if err != nil {
 		return err
 	}
-	st, err := r.buildStateFromSnap(snap.store, 0)
+	st, err := r.buildStateFromSnap(snap, 0)
 	if err != nil {
 		snap.Close()
 		return err
 	}
-	if err := r.finishInit(st, func() (*Graph, error) { return graph.FromStore(snap.store) }); err != nil {
+	if err := r.finishInit(st, func() (*Graph, error) { return graph.FromStore(snap) }); err != nil {
 		snap.Close()
 		return err
 	}
