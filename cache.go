@@ -63,12 +63,14 @@ type CacheStats struct {
 	// Capacity is the configured entry cap.
 	Capacity int `json:"capacity"`
 	// Bytes approximates the resident size of all cached entries. Sparse
-	// entries cost O(nonzeros), not O(n). An entry with at most 256
-	// distinct utilities — every common-neighbour entry on the bundled
-	// graphs — costs 5 B per nonzero (4 B node ID, 1 B level code) plus
-	// 8 B per distinct utility; one with more keeps 12 B per nonzero
-	// (4 B node ID, 8 B utility). The exponential mechanism adds 0.25 B
-	// per nonzero for the CDF's one 8 B prefix sum per 32 nonzeros.
+	// entries cost O(nonzeros), not O(n). Node IDs are gap-coded: about
+	// 1 B per nonzero on the bundled graphs (one uvarint per gap) plus a
+	// 4 B offset per 32 nonzeros. An entry with at most 256 distinct
+	// utilities — every common-neighbour entry on the bundled graphs —
+	// adds 1 B per nonzero (a level code) plus 8 B per distinct utility;
+	// one with more keeps an 8 B utility per nonzero. The exponential
+	// mechanism adds 0.25 B per nonzero for the CDF's one 8 B prefix sum
+	// per 32 nonzeros.
 	Bytes int64 `json:"approx_bytes"`
 	// Retained counts entries carried across snapshot swaps by delta-aware
 	// invalidation (re-keyed to the new epoch instead of discarded).
@@ -83,30 +85,34 @@ type CacheStats struct {
 // cachedVector is the immutable per-target pre-processing result, held in
 // sparse form: on sparse graphs a target's utility vector has a few hundred
 // nonzeros out of n, so an entry costs O(nnz) bytes instead of the O(n) a
-// dense vector + candidate list would. The utilities are level-coded when
-// they take at most 256 distinct values: the paper's path-count utilities
-// are small integers (a common-neighbour support of ~1,000 nodes has ~16
-// distinct counts), so a one-byte code into a short table of levels
-// replaces the 8 B float64 per node, and decoding returns the very
-// float64 the kernel produced. The slices are shared between the cache and
-// all readers and must never be mutated after insertion.
+// dense vector + candidate list would. The node IDs are gap-coded: a
+// utility's support is the target's 2–3-hop neighbourhood, so its
+// ascending IDs sit close together and almost every gap is one uvarint
+// byte. The utilities are level-coded when they take at most 256 distinct
+// values: the paper's path-count utilities are small integers (a
+// common-neighbour support of ~1,000 nodes has ~16 distinct counts), so a
+// one-byte code into a short table of levels replaces the 8 B float64 per
+// node, and decoding returns the very float64 the kernel produced. The
+// slices are shared between the cache and all readers and must never be
+// mutated after insertion.
 // umax == 0 records a negative result (the target has no positive-utility
 // candidate), so repeated requests for hopeless targets are served without
 // a graph scan too.
 type cachedVector struct {
-	// idx holds the candidate node IDs with nonzero utility, ascending;
-	// (code, val) the matching utilities under package stream's convention,
-	// as stream.Encode gathered them from the utility's kernel: with code
-	// non-nil, val holds the at most 256 ascending distinct utilities and
-	// node idx[j]'s is val[code[j]]; with code nil, val holds one per node.
-	idx  []int32
+	// ids holds the candidate node IDs with nonzero utility, ascending and
+	// gap-coded; (code, val) the matching utilities under package stream's
+	// convention, as stream.Encode gathered them from the utility's
+	// kernel: with code non-nil, val holds the at most 256 ascending
+	// distinct utilities and entry j's is val[code[j]]; with code nil, val
+	// holds one per node.
+	ids  stream.IDs
 	code []uint8
 	val  []float64
 	// umax is the maximum utility (R_best's score).
 	umax float64
-	// ncand is the total candidate-domain size: len(idx) nonzeros plus
-	// ncand-len(idx) implicit zero-utility candidates. A zero-tail rank maps
-	// back to a node ID through the target's out-row and idx (see
+	// ncand is the total candidate-domain size: len() nonzeros plus
+	// ncand-len() implicit zero-utility candidates. A zero-tail rank maps
+	// back to a node ID through the target's out-row and the support (see
 	// streamComplementSelect).
 	ncand int
 	// cdf is the exponential mechanism's sparse cumulative-weight form
@@ -122,8 +128,11 @@ func (cv *cachedVector) sparseVec() mechanism.SparseVec {
 
 // slice is the entry's support as a Scorer.
 func (cv *cachedVector) slice() stream.Slice {
-	return stream.Slice{Idx: cv.idx, Code: cv.code, Val: cv.val}
+	return stream.Slice{IDs: cv.ids, Code: cv.code, Val: cv.val}
 }
+
+// len returns the number of support entries.
+func (cv *cachedVector) len() int { return stream.Len(cv.code, cv.val) }
 
 // at returns support entry j's utility.
 func (cv *cachedVector) at(j int) float64 { return stream.At(cv.code, cv.val, j) }
@@ -142,21 +151,23 @@ func (cv *cachedVector) values() []float64 {
 }
 
 // streamPick converts a cached CDF draw into the streamed pick form, reading
-// a support pick's node ID and utility off the cached arrays.
+// a support pick's node ID (decoding at most 31 gaps) and utility off the
+// cached entry.
 func (cv *cachedVector) streamPick(p mechanism.Pick) mechanism.StreamPick {
 	if p.IsTail() {
 		return mechanism.StreamPick{IsTail: true, Tail: p.Tail}
 	}
-	return mechanism.StreamPick{Node: cv.idx[p.Support], Util: cv.at(p.Support)}
+	return mechanism.StreamPick{Node: cv.ids.At(p.Support), Util: cv.at(p.Support)}
 }
 
 // bytes approximates the entry's resident footprint, reported through
-// CacheStats for capacity planning: the struct (three slice headers and
-// three 8-byte fields), node IDs, codes, levels or per-node utilities, and
-// the CDF. code and val are counted once: the CDF aliases them, and
-// cdf.Bytes counts only the block sums.
+// CacheStats for capacity planning: the struct (four slice headers and
+// three 8-byte fields), the gap-coded node IDs with their block offsets,
+// codes, levels or per-node utilities, and the CDF. code and val are
+// counted once: the CDF aliases them, and cdf.Bytes counts only the block
+// sums.
 func (cv *cachedVector) bytes() int {
-	b := 96 + 4*len(cv.idx) + len(cv.code) + 8*len(cv.val)
+	b := 120 + cv.ids.Bytes() + len(cv.code) + 8*len(cv.val)
 	if cv.cdf != nil {
 		b += cv.cdf.Bytes()
 	}

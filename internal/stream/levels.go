@@ -1,18 +1,20 @@
 package stream
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
+	"sync"
 )
 
 // levelSlots is the size of Encode's table of distinct utilities: twice
 // MaxLevels, so open addressing keeps probes short at the fullest.
 const levelSlots = 2 * MaxLevels
 
-// levelTable is a stack-resident hash set of distinct utilities keyed by
-// their float64 bits, which for the positive values a Scorer yields is
-// exactly float64 equality. A zero key marks an empty slot; +0 is never
-// stored.
+// levelTable is a stack-resident hash map from distinct utilities, keyed by
+// their float64 bits (which for the positive values a Scorer yields is
+// exactly float64 equality), to their first-seen numbers. A zero key
+// marks an empty slot; +0 is never stored.
 type levelTable struct {
 	keys [levelSlots]uint64
 	code [levelSlots]uint8
@@ -27,25 +29,52 @@ func (t *levelTable) slot(bits uint64) int {
 	return s
 }
 
-// Encode drains sc into a materialized support (idx, code, val) under the
-// convention in stream.go: the level-coded form when sc yields at most
-// MaxLevels distinct utilities, one utility per entry otherwise. It makes
-// two passes — the first counts the entries and collects the distinct
-// values into a stack table, the second fills exactly-sized slices — so
-// the result keeps no slack capacity and nothing else is allocated. sc is
-// rewound first and left exhausted; the caller still owns and closes it.
-// This is the serving cache's miss path, not a per-request path.
-func Encode(sc Scorer) (idx []int32, code []uint8, val []float64) {
+// encodeScratch is Encode's pooled staging: the gap-coded IDs and block
+// offsets, each entry's utility and its level's first-seen number, grown
+// in place across cache misses. Encode is not on the per-request path, so
+// the scratch sits in a plain sync.Pool, not a registered Pool.
+type encodeScratch struct {
+	gaps  []byte
+	off   []uint32
+	val   []float64
+	first []uint8
+}
+
+var encodePool = sync.Pool{New: func() any { return new(encodeScratch) }}
+
+// Encode drains sc into a materialized support (ids, code, val) under the
+// convention in stream.go: gap-coded IDs, and the level-coded form when sc
+// yields at most MaxLevels distinct utilities, one utility per entry
+// otherwise. One walk stages everything in pooled scratch, numbering the
+// levels in the order they are first seen; after the walk the levels are
+// sorted, the first-seen numbers remapped to ascending codes, and the
+// result copied into exactly-sized slices, so it keeps no slack capacity.
+// sc is rewound first and left exhausted; the caller still owns and
+// closes it. This is the serving cache's miss path, not a per-request
+// path.
+func Encode(sc Scorer) (ids IDs, code []uint8, val []float64) {
+	es := encodePool.Get().(*encodeScratch)
+	defer encodePool.Put(es)
+	gaps, off, vals, first := es.gaps[:0], es.off[:0], es.val[:0], es.first[:0]
 	var t levelTable
 	var levels [MaxLevels]float64
-	d, n, coded := 0, 0, true
+	d, coded := 0, true
+	var prev uint32
 	sc.Reset()
 	for {
-		_, x, ok := sc.Next()
+		i, x, ok := sc.Next()
 		if !ok {
 			break
 		}
-		n++
+		g := uint32(i)
+		if len(vals)%IDBlock == 0 {
+			off = append(off, uint32(len(gaps)))
+		} else {
+			g -= prev
+		}
+		prev = uint32(i)
+		gaps = binary.AppendUvarint(gaps, uint64(g))
+		vals = append(vals, x)
 		if !coded {
 			continue
 		}
@@ -56,38 +85,42 @@ func Encode(sc Scorer) (idx []int32, code []uint8, val []float64) {
 			continue
 		}
 		bits := math.Float64bits(x)
-		if s := t.slot(bits); t.keys[s] == 0 {
+		s := t.slot(bits)
+		if t.keys[s] == 0 {
 			if d == MaxLevels {
 				coded = false
 				continue
 			}
-			t.keys[s] = bits
+			t.keys[s], t.code[s] = bits, uint8(d)
 			levels[d] = x
 			d++
 		}
+		first = append(first, t.code[s])
 	}
-	idx = make([]int32, 0, n)
-	if coded {
-		code = make([]uint8, 0, n)
-		val = slices.Clone(levels[:d])
-		slices.Sort(val)
-		for k, x := range val {
-			t.code[t.slot(math.Float64bits(x))] = uint8(k)
-		}
-	} else {
-		val = make([]float64, 0, n)
+	es.gaps, es.off, es.val, es.first = gaps, off, vals, first
+
+	if len(vals) > 0 {
+		ids.Gaps = make([]byte, len(gaps))
+		copy(ids.Gaps, gaps)
+		ids.Off = make([]uint32, len(off))
+		copy(ids.Off, off)
 	}
-	sc.Reset()
-	for {
-		i, x, ok := sc.Next()
-		if !ok {
-			return idx, code, val
-		}
-		idx = append(idx, i)
-		if coded {
-			code = append(code, t.code[t.slot(math.Float64bits(x))])
-		} else {
-			val = append(val, x)
-		}
+	if !coded {
+		val = make([]float64, len(vals))
+		copy(val, vals)
+		return ids, nil, val
 	}
+	val = make([]float64, d)
+	copy(val, levels[:d])
+	slices.Sort(val)
+	var perm [MaxLevels]uint8
+	for f, x := range levels[:d] {
+		r, _ := slices.BinarySearch(val, x)
+		perm[f] = uint8(r)
+	}
+	code = make([]uint8, len(first))
+	for j, f := range first {
+		code[j] = perm[f]
+	}
+	return ids, code, val
 }

@@ -23,6 +23,8 @@
 // pool, never to the heap.
 package stream
 
+import "encoding/binary"
+
 // Scorer is the pull iterator over a sparse utility support. See the
 // package comment for the full contract.
 type Scorer interface {
@@ -38,8 +40,11 @@ type Scorer interface {
 // distinct utilities (the entry's levels) and entry j's utility is
 // Val[Code[j]]. The lookup returns the very float64 the kernel produced,
 // so the coded form is a lossless one-byte-per-entry encoding of
-// small-integer utilities such as common-neighbour counts. Encode builds
-// it from a Scorer.
+// small-integer utilities such as common-neighbour counts. The support's
+// ascending node IDs sit next to it either as one int32 per entry or
+// gap-coded (IDs): a graph kernel's support is a target's 2–3-hop
+// neighbourhood, so consecutive IDs lie close together and almost every
+// gap fits one byte. Encode builds both coded forms from a Scorer.
 
 // MaxLevels is the most distinct utilities a coded support holds: the
 // number of values a uint8 code addresses.
@@ -61,14 +66,59 @@ func At(code []uint8, val []float64, j int) float64 {
 	return val[j]
 }
 
-// Slice is a Scorer over a caller-provided support (Idx, Code, Val), for
-// tests and for feeding mechanisms from an already-materialized support;
-// see the convention above. Close is a no-op; the caller owns the slices.
+// IDBlock is the number of entries per block of a gap-coded ID list: each
+// block starts at an absolute ID, so a random access decodes at most
+// IDBlock-1 gaps, and the block offsets cost 4/IDBlock B per entry.
+const IDBlock = 32
+
+// IDs is a support's ascending node IDs in gap-coded form. Entry j is one
+// uvarint in Gaps: its absolute ID when j is a multiple of IDBlock, its
+// gap from entry j-1 otherwise. Off[b] is the byte offset in Gaps of entry
+// b·IDBlock, so every block decodes on its own. IDs are read as uint32
+// and wrap, so any int32 sequence round-trips; ascending ones are short.
+type IDs struct {
+	Gaps []byte
+	Off  []uint32
+}
+
+// uvarint decodes the uvarint at b[p:] and returns it with the offset
+// past it. A gap below 128 — nearly every one — is a single byte.
+func uvarint(b []byte, p int) (uint32, int) {
+	if c := b[p]; c < 0x80 {
+		return uint32(c), p + 1
+	}
+	x, w := binary.Uvarint(b[p:])
+	return uint32(x), p + w
+}
+
+// At returns entry j's node ID.
+func (d *IDs) At(j int) int32 {
+	id, p := uvarint(d.Gaps, int(d.Off[j/IDBlock]))
+	for range j % IDBlock {
+		var g uint32
+		g, p = uvarint(d.Gaps, p)
+		id += g
+	}
+	return int32(id)
+}
+
+// Bytes returns the encoded size: the gaps plus the block offsets.
+func (d *IDs) Bytes() int { return len(d.Gaps) + 4*len(d.Off) }
+
+// Slice is a Scorer over a caller-provided support (Idx or IDs, Code,
+// Val), for tests and for feeding mechanisms from an already-materialized
+// support; see the convention above. With neither Idx nor IDs set, every
+// entry reads node 0. Close is a no-op; the caller owns the slices.
 type Slice struct {
 	Idx  []int32
+	IDs  IDs
 	Code []uint8
 	Val  []float64
 	pos  int
+	// at is the byte offset of entry pos in IDs.Gaps and id the ID of
+	// entry pos-1: a sequential walk decodes one uvarint per Next.
+	at int
+	id uint32
 }
 
 // NewSlice returns a Slice over a per-entry support, positioned at the
@@ -85,12 +135,21 @@ func (s *Slice) Next() (int32, float64, bool) {
 	var id int32
 	if i < len(s.Idx) {
 		id = s.Idx[i]
+	} else if s.IDs.Gaps != nil {
+		var g uint32
+		g, s.at = uvarint(s.IDs.Gaps, s.at)
+		if i%IDBlock == 0 {
+			s.id = g
+		} else {
+			s.id += g
+		}
+		id = int32(s.id)
 	}
 	return id, At(s.Code, s.Val, i), true
 }
 
 // Reset implements Scorer.
-func (s *Slice) Reset() { s.pos = 0 }
+func (s *Slice) Reset() { s.pos, s.at, s.id = 0, 0, 0 }
 
 // Close implements Scorer.
 func (*Slice) Close() {}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
@@ -73,7 +74,7 @@ func TestPoolCounters(t *testing.T) {
 // exactly MaxLevels distinct utilities is coded, one more keeps a float64
 // per entry, and so does a support holding a value outside the positive
 // utilities a Scorer promises. Either way the result is exactly sized and
-// a coded Slice replays the source stream bit for bit.
+// a Slice over it replays the source stream bit for bit.
 func TestEncode(t *testing.T) {
 	support := func(distinct int, extra ...float64) ([]int32, []float64) {
 		var idx []int32
@@ -106,13 +107,16 @@ func TestEncode(t *testing.T) {
 			idx, val := support(tc.n, tc.extra...)
 			src := NewSlice(idx, val)
 			src.Next() // Encode rewinds first
-			gotIdx, code, levels := Encode(src)
+			ids, code, levels := Encode(src)
 			if (code != nil) != tc.coded {
 				t.Fatalf("coded = %v, want %v", code != nil, tc.coded)
 			}
-			if cap(gotIdx) != len(idx) || cap(code) != len(code) || cap(levels) != len(levels) {
-				t.Fatalf("slack capacity: idx %d/%d, code %d/%d, levels %d/%d",
-					len(gotIdx), cap(gotIdx), len(code), cap(code), len(levels), cap(levels))
+			if cap(ids.Gaps) != len(ids.Gaps) || cap(ids.Off) != len(ids.Off) || cap(code) != len(code) || cap(levels) != len(levels) {
+				t.Fatalf("slack capacity: gaps %d/%d, offsets %d/%d, code %d/%d, levels %d/%d",
+					len(ids.Gaps), cap(ids.Gaps), len(ids.Off), cap(ids.Off), len(code), cap(code), len(levels), cap(levels))
+			}
+			if len(ids.Off) != (len(idx)+IDBlock-1)/IDBlock {
+				t.Fatalf("%d block offsets for %d entries", len(ids.Off), len(idx))
 			}
 			if tc.coded {
 				if len(levels) != tc.n || !slices.IsSorted(levels) {
@@ -124,7 +128,7 @@ func TestEncode(t *testing.T) {
 			if Len(code, levels) != len(idx) {
 				t.Fatalf("Len = %d, want %d", Len(code, levels), len(idx))
 			}
-			s := &Slice{Idx: gotIdx, Code: code, Val: levels}
+			s := &Slice{IDs: ids, Code: code, Val: levels}
 			for j := range idx {
 				i, x, ok := s.Next()
 				if !ok || i != idx[j] || math.Float64bits(x) != math.Float64bits(val[j]) {
@@ -136,4 +140,80 @@ func TestEncode(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fuzzSupport builds an ascending support from FuzzEncode's inputs: the
+// first node ID, then one uvarint per entry in steps, each the gap to the
+// next ID less one, for at most 4,096 entries below 2^31. Entry j's
+// utility is (1 + j·mult mod distinct)/8, so distinct bounds the number of
+// levels.
+func fuzzSupport(first uint32, steps []byte, distinct, mult uint16) ([]int32, []float64) {
+	const maxEntries = 4096
+	d := max(int(distinct), 1)
+	var idx []int32
+	var val []float64
+	for id := int64(first & math.MaxInt32); len(idx) < maxEntries; {
+		idx = append(idx, int32(id))
+		val = append(val, float64(1+len(val)*int(mult)%d)/8)
+		u, w := binary.Uvarint(steps)
+		if w <= 0 {
+			break
+		}
+		steps = steps[w:]
+		if id += 1 + int64(u); u >= math.MaxInt32 || id > math.MaxInt32 {
+			break
+		}
+	}
+	return idx, val
+}
+
+// FuzzEncode checks that Encode followed by a Slice replay reproduces an
+// arbitrary ascending support bit for bit, twice across a Reset, that
+// random access by position agrees with the sequential walk, and that the
+// support is level-coded exactly when it has at most MaxLevels distinct
+// utilities.
+func FuzzEncode(f *testing.F) {
+	ones := func(n int) []byte { return make([]byte, n) }         // gap 1 each
+	f.Add(uint32(0), ones(0), uint16(1), uint16(1))               // node 0 alone
+	f.Add(uint32(7114), ones(0), uint16(1), uint16(1))            // node n-1 alone
+	f.Add(uint32(0), ones(4095), uint16(16), uint16(7))           // nodes 0 to n-1 of n = 4,096
+	f.Add(uint32(math.MaxInt32-3), ones(3), uint16(2), uint16(1)) // ends at 2^31-1
+	f.Add(uint32(5), binary.AppendUvarint(nil, 127), uint16(1), uint16(1))
+	f.Add(uint32(5), binary.AppendUvarint(nil, 16383), uint16(1), uint16(1))
+	f.Add(uint32(5), binary.AppendUvarint(binary.AppendUvarint(ones(40), 200), 20000), uint16(3), uint16(1))
+	for _, n := range []int{31, 32, 33, 64, 65} { // block boundaries
+		f.Add(uint32(3), binary.AppendUvarint(ones(n-2), 1<<20), uint16(5), uint16(3))
+	}
+	f.Add(uint32(1), ones(3*MaxLevels), uint16(MaxLevels), uint16(1))
+	f.Add(uint32(1), ones(3*MaxLevels), uint16(MaxLevels+1), uint16(1))
+	f.Fuzz(func(t *testing.T, first uint32, steps []byte, distinct, mult uint16) {
+		idx, val := fuzzSupport(first, steps, distinct, mult)
+		levels := make(map[float64]bool)
+		for _, x := range val {
+			levels[x] = true
+		}
+		ids, code, vals := Encode(NewSlice(idx, val))
+		if (code != nil) != (len(levels) <= MaxLevels) {
+			t.Fatalf("%d levels: coded = %v", len(levels), code != nil)
+		}
+		if len(ids.Off) != (len(idx)+IDBlock-1)/IDBlock || cap(ids.Gaps) != len(ids.Gaps) || cap(ids.Off) != len(ids.Off) {
+			t.Fatalf("%d entries: %d/%d gap bytes, %d/%d offsets", len(idx), len(ids.Gaps), cap(ids.Gaps), len(ids.Off), cap(ids.Off))
+		}
+		s := &Slice{IDs: ids, Code: code, Val: vals}
+		for pass := range 2 {
+			for j := range idx {
+				i, x, ok := s.Next()
+				if !ok || i != idx[j] || math.Float64bits(x) != math.Float64bits(val[j]) {
+					t.Fatalf("pass %d entry %d: got (%d, %v, %v), want (%d, %v)", pass, j, i, x, ok, idx[j], val[j])
+				}
+				if at := ids.At(j); at != i {
+					t.Fatalf("entry %d: At %d, sequential walk %d", j, at, i)
+				}
+			}
+			if _, _, ok := s.Next(); ok {
+				t.Fatalf("pass %d: Slice yields past its last entry", pass)
+			}
+			s.Reset()
+		}
+	})
 }

@@ -18,7 +18,7 @@ func equalCachedVector(a, b *cachedVector) bool {
 	if a.umax != b.umax || a.ncand != b.ncand {
 		return false
 	}
-	if !slices.Equal(a.idx, b.idx) || !slices.Equal(a.code, b.code) || !slices.Equal(a.val, b.val) {
+	if !slices.Equal(a.nodes(), b.nodes()) || !slices.Equal(a.code, b.code) || !slices.Equal(a.val, b.val) {
 		return false
 	}
 	if (a.cdf == nil) != (b.cdf == nil) {
@@ -70,8 +70,8 @@ func verifyRetainedEntries(t *testing.T, rec *Recommender) {
 		}
 		if !equalCachedVector(cv, want) {
 			t.Fatalf("target %d: cached entry diverges from fresh recompute after rebuild\ncached: idx=%v code=%v val=%v umax=%g ncand=%d\nwant:   idx=%v code=%v val=%v umax=%g ncand=%d",
-				target, cv.idx, cv.code, cv.val, cv.umax, cv.ncand,
-				want.idx, want.code, want.val, want.umax, want.ncand)
+				target, cv.nodes(), cv.code, cv.val, cv.umax, cv.ncand,
+				want.nodes(), want.code, want.val, want.umax, want.ncand)
 		}
 	}
 }

@@ -4,22 +4,39 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"socialrec/internal/distribution"
 	"socialrec/internal/gen"
 )
 
+// nodes decodes the entry's support node IDs in order; tests read cached
+// IDs through it.
+func (cv *cachedVector) nodes() []int32 {
+	out := make([]int32, 0, cv.len())
+	sc := cv.slice()
+	for {
+		i, _, ok := sc.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, i)
+	}
+}
+
 // TestCacheBytesPerNode pins the cache's cost per support node on the
 // paper's common-neighbour utility, warmed with every target of the
 // Wiki-Vote-like graph. Each entry is level-coded (one byte per node into
-// a table of its distinct counts), and its decoded utilities equal the
-// kernel's Sparse output bit for bit. CacheStats.Bytes comes to 4 B node
-// ID, 1 B code and 0.25 B of CDF block sums per node, plus about 340 B per
-// entry for the entry struct (96 B), the CDF header (112 B) and the level
-// table (8 B per distinct count): about 5.57 B per node at the graph's mean
-// support of ~1,050 nodes, where a float64 per node reads 12.4 B. The
-// bound, 5.6 B, leaves no room for a second byte per node or a second
-// float64 per level.
+// a table of its distinct counts) with gap-coded node IDs, its decoded
+// nodes and utilities equal the kernel's Sparse output bit for bit, and
+// CacheStats.Bytes adds up every field of every entry exactly. It comes
+// to about 1 B per node of ID gaps, 0.125 B of block offsets, 1 B code
+// and 0.25 B of CDF block sums, plus about 360 B per entry for the entry
+// struct (120 B), the CDF header (112 B) and the level table (8 B per
+// distinct count): about 2.75 B per node at the graph's mean support of
+// ~1,050 nodes, where a 4 B node ID per node read 5.57 B and a float64
+// per node 12.4 B. The bound, 3.0 B, leaves no room for a second byte per
+// gap or a 4 B ID per node.
 func TestCacheBytesPerNode(t *testing.T) {
 	g, err := gen.WikiVoteLike(distribution.NewRNG(7))
 	if err != nil {
@@ -38,8 +55,12 @@ func TestCacheBytesPerNode(t *testing.T) {
 		t.Fatalf("warmed %d of %d targets", warmed, n)
 	}
 	st := rec.state.Load()
-	var nnz int
+	var nnz, want int
 	for target, cv := range cachedAt(rec, st.epoch) {
+		want += int(unsafe.Sizeof(*cv)) + len(cv.ids.Gaps) + 4*len(cv.ids.Off) + len(cv.code) + 8*len(cv.val)
+		if cv.cdf != nil {
+			want += int(unsafe.Sizeof(*cv.cdf)) + 8*len(cv.cdf.Blocks)
+		}
 		idx, val, err := rec.util.Sparse(st.snap, target)
 		if err != nil {
 			t.Fatal(err)
@@ -47,12 +68,13 @@ func TestCacheBytesPerNode(t *testing.T) {
 		if len(idx) > 0 && cv.code == nil {
 			t.Fatalf("target %d: %d nodes stored one float64 each, want level-coded", target, len(idx))
 		}
-		if len(cv.idx) != len(idx) {
-			t.Fatalf("target %d: cached %d nodes, Sparse %d", target, len(cv.idx), len(idx))
+		nodes := cv.nodes()
+		if len(nodes) != len(idx) {
+			t.Fatalf("target %d: cached %d nodes, Sparse %d", target, len(nodes), len(idx))
 		}
 		for j := range idx {
-			if cv.idx[j] != idx[j] || math.Float64bits(cv.at(j)) != math.Float64bits(val[j]) {
-				t.Fatalf("target %d entry %d: cached (%d, %v), Sparse (%d, %v)", target, j, cv.idx[j], cv.at(j), idx[j], val[j])
+			if nodes[j] != idx[j] || math.Float64bits(cv.at(j)) != math.Float64bits(val[j]) {
+				t.Fatalf("target %d entry %d: cached (%d, %v), Sparse (%d, %v)", target, j, nodes[j], cv.at(j), idx[j], val[j])
 			}
 		}
 		nnz += len(idx)
@@ -61,10 +83,13 @@ func TestCacheBytesPerNode(t *testing.T) {
 	if stats.Entries != n {
 		t.Fatalf("%d entries cached, want %d", stats.Entries, n)
 	}
+	if stats.Bytes != int64(want) {
+		t.Fatalf("CacheStats.Bytes = %d, entry fields add up to %d", stats.Bytes, want)
+	}
 	perNode := float64(stats.Bytes) / float64(nnz)
 	t.Logf("%d entries, %d support nodes, %d B: %.3f B per node", stats.Entries, nnz, stats.Bytes, perNode)
-	if perNode > 5.6 {
-		t.Fatalf("cache costs %.3f B per support node, want <= 5.6", perNode)
+	if perNode > 3.0 {
+		t.Fatalf("cache costs %.3f B per support node, want <= 3.0", perNode)
 	}
 }
 
@@ -131,12 +156,12 @@ func TestLevelBoundaryCachedMatchesUncached(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantVals := len(cv.idx)
+			wantVals := cv.len()
 			if distinct <= 256 {
 				wantVals = distinct
 			}
 			if (cv.code != nil) != (distinct <= 256) || len(cv.val) != wantVals {
-				t.Fatalf("%d distinct: coded=%v with %d values for %d nodes", distinct, cv.code != nil, len(cv.val), len(cv.idx))
+				t.Fatalf("%d distinct: coded=%v with %d values for %d nodes", distinct, cv.code != nil, len(cv.val), cv.len())
 			}
 			if kind == MechanismExponential && cv.cdf == nil {
 				t.Fatalf("%d distinct: no cached CDF", distinct)

@@ -18,7 +18,7 @@ func smallSupportTarget(t *testing.T, rec *Recommender) (int, *cachedVector) {
 		if err != nil {
 			continue
 		}
-		if len(v.idx) >= 2 && len(v.idx) <= 6 && v.ncand > len(v.idx) {
+		if v.len() >= 2 && v.len() <= 6 && v.ncand > v.len() {
 			return cand, v
 		}
 	}
@@ -47,14 +47,14 @@ func TestConcurrentCachedDrawsIndependentGOF(t *testing.T) {
 	defer cached.Close()
 	target, cv := smallSupportTarget(t, cached)
 	cellOf := func(node int) int {
-		for i, id := range cv.idx {
+		for i, id := range cv.nodes() {
 			if int(id) == node {
 				return i
 			}
 		}
-		return len(cv.idx) // the zero-utility tail
+		return cv.len() // the zero-utility tail
 	}
-	cells := len(cv.idx) + 1
+	cells := cv.len() + 1
 
 	const trials = 60000
 	const workers = 16

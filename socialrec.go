@@ -489,10 +489,10 @@ func (r *Recommender) computeVector(st *snapState, target int) (*cachedVector, e
 	if err != nil {
 		return nil, err
 	}
-	idx, code, val := stream.Encode(sc)
+	ids, code, val := stream.Encode(sc)
 	sc.Close()
 	cv := &cachedVector{
-		idx:   idx,
+		ids:   ids,
 		code:  code,
 		val:   val,
 		umax:  utility.Max(val),

@@ -103,11 +103,11 @@ func sparseServingProbs(t *testing.T, r *Recommender, sd mechanism.SparseDistrib
 		t.Fatal(err)
 	}
 	out := make(map[int]float64, cv.ncand)
-	for i, node := range cv.idx {
+	for i, node := range cv.nodes() {
 		out[int(node)] = support[i]
 	}
 	sc := cv.slice()
-	for rank := 0; rank < cv.ncand-len(cv.idx); rank++ {
+	for rank := 0; rank < cv.ncand-cv.len(); rank++ {
 		out[streamComplementSelect(st.snap.Out(target), &sc, target, rank)] = tailEach
 	}
 	return out
@@ -237,12 +237,12 @@ func TestSparseTailMappingBijective(t *testing.T) {
 			}
 			want := utility.Candidates(st.snap, target)
 			seen := make(map[int]bool, cv.ncand)
-			for _, node := range cv.idx {
+			for _, node := range cv.nodes() {
 				seen[int(node)] = true
 			}
 			sc := cv.slice()
 			src := source{sc: &sc, cv: cv, ncand: cv.ncand, umax: cv.umax}
-			for rank := 0; rank < cv.ncand-len(cv.idx); rank++ {
+			for rank := 0; rank < cv.ncand-cv.len(); rank++ {
 				got := src.recommendation(st.snap, target, mechanism.StreamPick{IsTail: true, Tail: rank})
 				node, u := got.Node, got.Utility
 				if u != 0 {
@@ -299,7 +299,7 @@ func TestSparseServingLaplaceGOF(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			if len(v.idx) >= 2 && len(v.idx) <= 6 && v.ncand > len(v.idx) {
+			if v.len() >= 2 && v.len() <= 6 && v.ncand > v.len() {
 				target, cv = cand, v
 				break
 			}
@@ -317,15 +317,15 @@ func TestSparseServingLaplaceGOF(t *testing.T) {
 		l := mechanism.Laplace{Epsilon: 1, Sensitivity: st.sens}
 
 		cellOf := func(node int) int {
-			for i, id := range cv.idx {
+			for i, id := range cv.nodes() {
 				if int(id) == node {
 					return i
 				}
 			}
-			return len(cv.idx)
+			return cv.len()
 		}
 		const trials = 60000
-		cells := len(cv.idx) + 1
+		cells := cv.len() + 1
 		dense := make([]int, cells)
 		rng = rand.New(rand.NewSource(101))
 		for i := 0; i < trials; i++ {

@@ -146,7 +146,7 @@ func (r *Recommender) smoothingTopK(cv *cachedVector, k int, rng *rand.Rand) ([]
 		// accumulated mass.
 		chosen.set(supportPick)
 		remaining -= support[supportPick]
-		picks = append(picks, mechanism.StreamPick{Node: cv.idx[supportPick], Util: cv.at(supportPick)})
+		picks = append(picks, mechanism.StreamPick{Node: cv.ids.At(supportPick), Util: cv.at(supportPick)})
 	}
 	return picks, nil
 }
