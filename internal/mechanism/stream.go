@@ -12,11 +12,11 @@ import (
 // The draws. Every mechanism draws from a stream.Scorer — the pull
 // iterator the utility kernels expose, or a stream.Slice over a cached
 // support — so each private draw has exactly one implementation that its
-// ε-DP argument is checked against. Consumers are multi-pass where the
+// ε-DP argument is checked against. Consumers gather the support where the
 // draw needs it (the exponential mechanism's weight normalization needs
-// the max before the weights, so it scans the stream once for the max and
-// once for the cumulative mass) and single-pass where it does not (noisy
-// max folds the per-candidate noise into a running best). The zero tail is
+// the max before the weights, so it gathers the stream once into pooled
+// scratch and weighs it there) and stream it where they do not (noisy max
+// folds the per-candidate noise into a running best). The zero tail is
 // never streamed: it is sampled in closed form. The only other draw is the
 // cached exponential CDF (SampleSparseCDF), which is bit-identical to
 // RecommendStream for a fixed seed. Over a stream of every candidate (no
@@ -116,62 +116,24 @@ func resolveUniform(sc stream.Scorer, j, nnz int) StreamPick {
 	return StreamPick{IsTail: true, Tail: j - nnz}
 }
 
-// RecommendStream implements StreamMechanism for the exponential mechanism.
-// The cumulative weights never materialize: pass one finds u_max, pass two
-// accumulates the support mass Σ exp(scale·(u_i - u_max)) into a single
-// running float, and — only when the single uniform variate lands in the
-// support mass — pass three re-runs the identical prefix accumulation until
-// it crosses the draw. The running prefix reproduces SparseCDF's block
-// sums and its in-block re-accumulation bit for bit. The linear crossing
-// therefore finds the exact candidate SampleSparseCDF's block search finds,
-// from the same rng.Float64().
+// RecommendStream implements StreamMechanism for the exponential mechanism
+// as one round of the peel (see peelScratch.peel): the support is gathered
+// once into pooled scratch, each weight exp(scale·(u_i - u_max)) is
+// computed once, the support mass sums the stored weights, and — only
+// when the single uniform variate lands in the support mass — a linear
+// scan re-accumulates them until it crosses the draw. The running prefix
+// reproduces SparseCDF's block sums and its in-block re-accumulation bit
+// for bit, so the crossing finds the exact candidate SampleSparseCDF's
+// block search finds, from the same rng.Float64(). Validation precedes
+// the draw, so the error paths consume no randomness.
 func (e Exponential) RecommendStream(sc stream.Scorer, n int, rng *rand.Rand) (StreamPick, error) {
-	if err := e.validate(); err != nil {
+	ps := getPeelScratch()
+	defer peelPool.Put(ps)
+	ps.gather(sc)
+	if err := ps.peel(e.Epsilon, e.Sensitivity, n, 1, rng); err != nil {
 		return StreamPick{}, err
 	}
-	nnz, vmax, err := scanStream(sc, n)
-	if err != nil {
-		return StreamPick{}, err
-	}
-	scale := e.Epsilon / e.Sensitivity
-	sc.Reset()
-	var zs float64
-	var lastIdx int32
-	var lastVal float64
-	for {
-		i, x, ok := sc.Next()
-		if !ok {
-			break
-		}
-		zs += math.Exp(scale * (x - vmax))
-		lastIdx, lastVal = i, x
-	}
-	tail := n - nnz
-	tw := math.Exp(-scale * vmax)
-	target := rng.Float64() * (zs + float64(tail)*tw)
-	if target < zs {
-		sc.Reset()
-		var acc float64
-		for {
-			i, x, ok := sc.Next()
-			if !ok {
-				break
-			}
-			acc += math.Exp(scale * (x - vmax))
-			if acc > target {
-				return StreamPick{Node: i, Util: x}, nil
-			}
-		}
-	} else if tail > 0 {
-		rank := int((target - zs) / tw)
-		if rank >= tail {
-			rank = tail - 1 // rounding falls through to the last tail slot
-		}
-		return StreamPick{IsTail: true, Tail: rank}, nil
-	}
-	// Rounding fell through the support mass with no tail to absorb it;
-	// mirror SampleSparseCDF by resolving to the last support entry.
-	return StreamPick{Node: lastIdx, Util: lastVal}, nil
+	return ps.picks[0], nil
 }
 
 // RecommendStream implements StreamMechanism for the Laplace mechanism:
@@ -360,9 +322,21 @@ func getPeelScratch() *peelScratch {
 	return ps
 }
 
+// gather rewinds sc and appends its support to the scratch.
+func (ps *peelScratch) gather(sc stream.Scorer) {
+	sc.Reset()
+	for {
+		i, x, ok := sc.Next()
+		if !ok {
+			return
+		}
+		ps.vals = append(ps.vals, x)
+		ps.ids = append(ps.ids, i)
+	}
+}
+
 // reweigh recomputes the maximum, its tie count and every weight
-// exp(scale·(x - u_max)) — the per-entry arithmetic RecommendStream
-// performs.
+// exp(scale·(x - u_max)).
 func (ps *peelScratch) reweigh(scale float64) {
 	umax := 0.0
 	for _, x := range ps.vals {
@@ -403,13 +377,12 @@ func (ps *peelScratch) remove(i int) (stale bool) {
 // the remaining maximum, so they are computed once and recomputed only
 // when that maximum changes; each round then costs two add-only passes —
 // the support mass, and a linear scan for the first cumulative weight
-// above the draw. The running sums are RecommendStream's prefix sums bit
-// for bit, which SparseCDF keeps one per block and re-accumulates within a
-// block, so the scan finds the candidate SampleSparseCDF finds from the
-// same single rng.Float64(), and the tail and rounding cases resolve as it
-// does. The
+// above the draw. The running sums are the prefix sums SparseCDF keeps one
+// per block and re-accumulates within a block, bit for bit, so the scan
+// finds the candidate SampleSparseCDF finds from the same single
+// rng.Float64(), and the tail and rounding cases resolve as it does. The
 // picks, in selection order with tail ranks remapped to the original tail,
-// are left in ps.picks.
+// are left in ps.picks. With k = 1 this is RecommendStream's draw.
 func (ps *peelScratch) peel(eps, sens float64, n, k int, rng *rand.Rand) error {
 	if !(eps > 0) {
 		return ErrBadEpsilon
@@ -474,15 +447,7 @@ func (ps *peelScratch) peel(eps, sens float64, n, k int, rng *rand.Rand) error {
 func TopKPeelStream(eps, sens float64, sc stream.Scorer, n, k int, rng *rand.Rand) ([]StreamPick, error) {
 	ps := getPeelScratch()
 	defer peelPool.Put(ps)
-	sc.Reset()
-	for {
-		i, x, ok := sc.Next()
-		if !ok {
-			break
-		}
-		ps.vals = append(ps.vals, x)
-		ps.ids = append(ps.ids, i)
-	}
+	ps.gather(sc)
 	if err := ps.peel(eps, sens, n, k, rng); err != nil {
 		return nil, err
 	}
