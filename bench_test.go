@@ -280,7 +280,7 @@ func BenchmarkTableEpsilonSweep(b *testing.B) {
 
 // BenchmarkAblationPathLen compares the weighted-paths utility at the
 // paper's length-3 truncation against length-2 (pure common neighbors
-// rescaling) and length-4, measuring utility-vector computation cost.
+// rescaling) and length-4, measuring the sparse utility kernel's cost.
 func BenchmarkAblationPathLen(b *testing.B) {
 	wiki, _ := benchGraphs(b)
 	snap := wiki.Snapshot()
@@ -289,7 +289,7 @@ func BenchmarkAblationPathLen(b *testing.B) {
 		b.Run(map[int]string{2: "len2", 3: "len3", 4: "len4"}[maxLen], func(b *testing.B) {
 			u := utility.WeightedPaths{Gamma: 0.005, MaxLen: maxLen}
 			for i := 0; i < b.N; i++ {
-				if _, err := utility.Vector(u, snap, i%snap.NumNodes()); err != nil {
+				if _, _, err := u.Sparse(snap, i%snap.NumNodes()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -297,7 +297,7 @@ func BenchmarkAblationPathLen(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCSR compares utility-vector computation on the mutable
+// BenchmarkAblationCSR compares the sparse utility kernel on the mutable
 // map-adjacency graph against the immutable CSR snapshot — the
 // representation ablation DESIGN.md calls out.
 func BenchmarkAblationCSR(b *testing.B) {
@@ -306,14 +306,14 @@ func BenchmarkAblationCSR(b *testing.B) {
 	cn := utility.CommonNeighbors{}
 	b.Run("map", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := utility.Vector(cn, wiki, i%wiki.NumNodes()); err != nil {
+			if _, _, err := cn.Sparse(wiki, i%wiki.NumNodes()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("csr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := utility.Vector(cn, snap, i%snap.NumNodes()); err != nil {
+			if _, _, err := cn.Sparse(snap, i%snap.NumNodes()); err != nil {
 				b.Fatal(err)
 			}
 		}

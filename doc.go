@@ -52,9 +52,13 @@
 // The paper's path-count utilities are small integers, so an entry whose
 // support takes at most 256 distinct utilities — every common-neighbour
 // entry on the bundled graphs — stores them level-coded: a table of the
-// distinct values plus a one-byte code per node, about 5.25 B per node in
-// all instead of 12.25 B. Decoding returns the very float64 the kernel
-// produced, so every draw reads the same numbers either way.
+// distinct values plus a one-byte code per node. The support is a
+// target's 2-3-hop neighbourhood, so its ascending node IDs sit close
+// together and are stored as uvarint gaps, about one byte each, with an
+// absolute ID and a 4 B offset every 32 nodes. An entry costs about 2.4 B
+// per node in all instead of 12.25 B. Decoding returns the very node IDs
+// and float64 utilities the kernel produced, so every draw reads the same
+// numbers either way.
 //
 // BatchRecommend and Precompute fan work for many targets across a
 // runtime.GOMAXPROCS(0) worker pool, and RefreshSnapshot swaps in a new
@@ -82,8 +86,9 @@
 // nonzero support as a stream.Scorer: Next() yields (node, utility) pairs
 // ascending by node ID, Reset() rewinds for multi-pass consumers, Close()
 // returns the scratch to its per-P pool. The mechanism consumes the stream
-// directly — the exponential mechanism folds the incremental CDF into a
-// running mass and finds the winning prefix crossing; the noisy-max family
+// directly — the exponential mechanism gathers the support into pooled
+// scratch, weighs each entry once and finds the winning prefix crossing;
+// the noisy-max family
 // folds per-candidate noise into a running best; top-k offers noisy scores
 // straight into a bounded O(k) heap. The only per-request state beyond
 // pooled scratch is a handful of running scalars, so steady-state serving
@@ -112,14 +117,15 @@
 // /healthz so a leak (news tracking gets) is observable in production.
 // There is one kernel per utility: StreamSparse, which utility.Function
 // embeds. Uncached requests consume it lazily. stream.Encode drains it for
-// cache fill and Precompute (one pass that counts and collects the distinct
-// values, one exact-size fill of node IDs and codes or values), the
-// utility's Sparse gathers it into plain slices (the form the §7
-// experiments, the DP audit of internal/dpcheck and the partially
-// sensitive ceiling of internal/bounds evaluate), and utility.Vector
-// scatters it into the dense vector that only tests read. The mechanisms
-// have no dense form outside their tests: each has one streamed draw and, when it admits one, one
-// sparse closed form, and both the draws and the audit read those.
+// cache fill and Precompute (one walk that stages gap-coded node IDs,
+// values and level numbers in pooled scratch, then one exact-size copy of
+// the IDs and the codes or values), and the utility's Sparse gathers it
+// into plain slices (the form the §7 experiments, the DP audit of
+// internal/dpcheck and the partially sensitive ceiling of internal/bounds
+// evaluate). Neither the utilities nor the mechanisms have a dense form
+// outside their tests: each mechanism has one streamed draw and, when it
+// admits one, one sparse closed form, and both the draws and the audit
+// read those.
 //
 // The two sources are DP-equivalent for the strongest possible reason:
 // they yield the same pairs, and the draws depend on nothing else, so for a
@@ -193,7 +199,7 @@
 //	Smoothing draw               O(n)                 O(nnz)
 //	top-k release                O(n log k) / O(k·n)  O(nnz + k) / O(k·nnz)
 //	expected accuracy (audit)    O(n)                 O(nnz)
-//	cache entry memory           ~24n bytes           ~5.25·nnz + 8·levels B; ~12.25·nnz past 256 levels
+//	cache entry memory           ~24n bytes           ~2.4·nnz + 8·levels B; ~9.4·nnz past 256 levels
 //
 // The weighted-paths walk tracks touched nodes only while a level stays
 // sparse. A level whose expansion bound (Σ out-degree over its frontier)

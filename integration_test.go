@@ -160,11 +160,10 @@ func TestUtilityViewsAgreeUnderPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := utility.Vector(cn, g, target)
+		vec, err := denseVector(cn, g, target)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vec := utility.Compact(full, utility.Candidates(g, target))
 		want, err := mechanism.ExpectedAccuracySparse(mechanism.Exponential{Epsilon: 1, Sensitivity: 2}, mechanism.SparseVec{Val: vec, N: len(vec)})
 		if err != nil {
 			t.Fatal(err)

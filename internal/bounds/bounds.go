@@ -65,32 +65,19 @@ func Corollary1Accuracy(n, k int, c, eps float64, t int) (float64, error) {
 	return bound, nil
 }
 
-// TightestAccuracyBound evaluates the per-target theoretical ceiling the
-// experiments plot: Corollary 1 holds for every choice of c in (0,1) with
-// k(c) = |{i : u_i > (1-c)·u_max}|, so the bound is minimized over the
-// thresholds induced by the distinct utility values of u. t is the exact
-// rewiring count for the target (utility.Function.RewireCount).
-func TightestAccuracyBound(u []float64, eps float64, t int) (float64, error) {
-	// Only the positive utilities induce usable thresholds (θ <= 0 gives
-	// c >= 1, outside Corollary 1's range), so the dense vector reduces to
-	// its positive support plus the candidate count.
-	val := make([]float64, 0, len(u))
-	for _, x := range u {
-		if x > 0 {
-			val = append(val, x)
-		}
-	}
-	return TightestAccuracyBoundSparse(val, len(u), eps, t)
-}
-
-// TightestAccuracyBoundSparse is TightestAccuracyBound over the sparse
-// utility form: the positive support val plus ncand-len(val) implicit
-// zeros. The zeros carry no threshold of their own — they enter only
-// through the candidate count n and the c → 1 probe — so the scan costs
-// O(nnz log nnz) instead of O(n log n).
+// TightestAccuracyBoundSparse evaluates the per-target theoretical ceiling
+// the experiments plot over the sparse utility form: the positive support
+// val plus ncand-len(val) implicit zeros. Corollary 1 holds for every
+// choice of c in (0,1) with k(c) = |{i : u_i > (1-c)·u_max}|, so the bound
+// is minimized over the thresholds induced by the distinct utility values.
+// Only the positive utilities induce usable thresholds (θ <= 0 gives
+// c >= 1, outside Corollary 1's range); the zeros enter only through the
+// candidate count n and the c → 1 probe, so the scan costs O(nnz log nnz)
+// instead of O(n log n). t is the exact rewiring count for the target
+// (utility.Function.RewireCount).
 func TightestAccuracyBoundSparse(val []float64, ncand int, eps float64, t int) (float64, error) {
 	if !(eps > 0) || t < 1 {
-		return 0, fmt.Errorf("%w: TightestAccuracyBound(eps=%g, t=%d)", ErrParams, eps, t)
+		return 0, fmt.Errorf("%w: TightestAccuracyBoundSparse(eps=%g, t=%d)", ErrParams, eps, t)
 	}
 	n := ncand
 	if n < 2 {

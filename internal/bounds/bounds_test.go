@@ -268,7 +268,7 @@ func TestTightestAccuracyBoundSimple(t *testing.T) {
 	// for small ε and exact-t rewiring.
 	u := make([]float64, 1000)
 	u[7] = 5
-	b, err := TightestAccuracyBound(u, 0.5, 6)
+	b, err := tightestAccuracyBound(u, 0.5, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,16 +278,16 @@ func TestTightestAccuracyBoundSimple(t *testing.T) {
 }
 
 func TestTightestAccuracyBoundAllZero(t *testing.T) {
-	if _, err := TightestAccuracyBound(make([]float64, 5), 1, 2); !errors.Is(err, ErrNoMax) {
+	if _, err := tightestAccuracyBound(make([]float64, 5), 1, 2); !errors.Is(err, ErrNoMax) {
 		t.Error("want ErrNoMax")
 	}
 }
 
 func TestTightestAccuracyBoundErrors(t *testing.T) {
-	if _, err := TightestAccuracyBound([]float64{1, 2}, 0, 2); !errors.Is(err, ErrParams) {
+	if _, err := tightestAccuracyBound([]float64{1, 2}, 0, 2); !errors.Is(err, ErrParams) {
 		t.Error("eps=0 accepted")
 	}
-	if _, err := TightestAccuracyBound([]float64{1}, 1, 2); !errors.Is(err, ErrParams) {
+	if _, err := tightestAccuracyBound([]float64{1}, 1, 2); !errors.Is(err, ErrParams) {
 		t.Error("single candidate accepted")
 	}
 }
@@ -299,7 +299,7 @@ func TestTightestBoundLoosensWithEpsilon(t *testing.T) {
 	u[12] = 1
 	prev := -1.0
 	for _, eps := range []float64{0.25, 0.5, 1, 2, 4} {
-		b, err := TightestAccuracyBound(u, eps, 5)
+		b, err := tightestAccuracyBound(u, eps, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func TestBoundDominatesExponentialMechanism(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ceiling, err := TightestAccuracyBound(u, eps, tt)
+		ceiling, err := tightestAccuracyBound(u, eps, tt)
 		if err != nil {
 			return false
 		}

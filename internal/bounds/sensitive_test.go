@@ -45,14 +45,13 @@ func TestSensitiveCeilingAllSensitiveMatchesStandardBound(t *testing.T) {
 	}
 
 	// Compare against the standard pipeline with the §7.1 t.
-	full, err := utility.Vector(utility.CommonNeighbors{}, g, r)
+	vec, err := denseVector(utility.CommonNeighbors{}, g, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := utility.Compact(full, utility.Candidates(g, r))
 	umax := utility.Max(vec)
 	tStd := (utility.CommonNeighbors{}).RewireCount(umax, g.OutDegree(r))
-	want, err := TightestAccuracyBound(vec, eps, tStd)
+	want, err := tightestAccuracyBound(vec, eps, tStd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,44 @@ import (
 	"socialrec/internal/utility"
 )
 
+// denseVector returns f's utility for every candidate of target r in
+// candidate order, zeros included: the kernel's stream scattered over
+// zeros and gathered at the candidates.
+func denseVector(f utility.Function, v utility.View, r int) ([]float64, error) {
+	sc, err := f.StreamSparse(v, r)
+	if err != nil {
+		return nil, err
+	}
+	defer sc.Close()
+	full := make([]float64, v.NumNodes())
+	for {
+		i, x, ok := sc.Next()
+		if !ok {
+			break
+		}
+		full[i] = x
+	}
+	candidates := utility.Candidates(v, r)
+	out := make([]float64, len(candidates))
+	for k, c := range candidates {
+		out[k] = full[c]
+	}
+	return out, nil
+}
+
+// positive returns vec's positive entries in order: the support the bound
+// reads next to the candidate count. Zeros passed as support would count
+// as positive-utility nodes in the bound's c → 1 probe.
+func positive(vec []float64) []float64 {
+	var out []float64
+	for _, x := range vec {
+		if x > 0 {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 // TestRunMatchesDenseOracle evaluates every target of the test graph and
 // checks Run's sparse evaluation against the mechanisms over the target's
 // compacted candidate vector, every candidate in the support and no zero
@@ -28,11 +66,10 @@ func TestRunMatchesDenseOracle(t *testing.T) {
 		}
 		skipped := 0
 		for r := 0; r < g.NumNodes(); r++ {
-			full, err := utility.Vector(u, snap, r)
+			vec, err := denseVector(u, snap, r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			vec := utility.Compact(full, utility.Candidates(snap, r))
 			dense := mechanism.SparseVec{Val: vec, N: len(vec)}
 			umax := utility.Max(vec)
 			j, ok := evaluated[r]
@@ -65,7 +102,7 @@ func TestRunMatchesDenseOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bound, err := bounds.TightestAccuracyBound(vec, eps, tcount)
+				bound, err := bounds.TightestAccuracyBoundSparse(positive(vec), len(vec), eps, tcount)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -20,10 +20,10 @@ const cdfBlock = 32
 // the zero tail. The per-entry prefix sums are not stored; a draw rebuilds
 // the ones it needs from the support (Code, Val), which aliases the
 // SparseVec's and reads through the code when it is level-coded. Next to
-// the cached support (4 B node ID plus 1 B code, or 8 B utility when the
-// support has more than 256 distinct utilities) a support entry costs
-// 8/cdfBlock B here: 5.25 B in all for a coded entry, 12.25 B otherwise,
-// instead of the 20 B of a per-entry prefix sum. A cached draw costs
+// the cached support (about 1.1 B of gap-coded node ID plus 1 B code, or
+// 8 B utility when the support has more than 256 distinct utilities) a
+// support entry costs 8/cdfBlock B here: about 2.4 B in all for a coded
+// entry, 9.4 B otherwise, instead of the 20 B of a per-entry prefix sum. A cached draw costs
 // O(log(nnz/cdfBlock) + cdfBlock) instead of RecommendStream's O(nnz)
 // weight passes.
 type SparseCDF struct {

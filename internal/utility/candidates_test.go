@@ -42,11 +42,11 @@ func TestCandidatesIsolatedNode(t *testing.T) {
 
 func TestCompact(t *testing.T) {
 	vec := []float64{9, 8, 7, 6}
-	got := Compact(vec, []int{0, 3})
+	got := compact(vec, []int{0, 3})
 	if len(got) != 2 || got[0] != 9 || got[1] != 6 {
 		t.Errorf("Compact = %v", got)
 	}
-	if len(Compact(vec, nil)) != 0 {
+	if len(compact(vec, nil)) != 0 {
 		t.Error("empty candidate list should compact to empty")
 	}
 }

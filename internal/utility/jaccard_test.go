@@ -14,7 +14,7 @@ func TestJaccardVectorKnownValues(t *testing.T) {
 	g := kite(t)
 	// From r=0: N(0)={1,2}. Candidate 3: N(3)={1,2,4}, inter=2, union=3.
 	// Candidate 4: N(4)={3}, inter=0.
-	vec, err := Vector(Jaccard{}, g, 0)
+	vec, err := denseVector(Jaccard{}, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestJaccardScoresBounded(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 4+rng.Intn(10), directedFlag, 0.4)
 		r := rng.Intn(g.NumNodes())
-		vec, err := Vector(Jaccard{}, g, r)
+		vec, err := denseVector(Jaccard{}, g, r)
 		if err != nil {
 			return false
 		}
@@ -58,7 +58,7 @@ func TestJaccardPerfectScore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vec, err := Vector(Jaccard{}, g, 0)
+	vec, err := denseVector(Jaccard{}, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestJaccardPerfectScore(t *testing.T) {
 
 func TestJaccardValidationAndParams(t *testing.T) {
 	g := kite(t)
-	if _, err := Vector(Jaccard{}, g, -1); !errors.Is(err, ErrTarget) {
+	if _, err := denseVector(Jaccard{}, g, -1); !errors.Is(err, ErrTarget) {
 		t.Error("bad target accepted")
 	}
 	if got := (Jaccard{}).Sensitivity(g); got != 2 {
@@ -87,7 +87,7 @@ func TestJaccardSensitivityEmpirical(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 5+rng.Intn(8), directedFlag, 0.4)
 		r := rng.Intn(g.NumNodes())
-		before, err := Vector(Jaccard{}, g, r)
+		before, err := denseVector(Jaccard{}, g, r)
 		if err != nil {
 			return false
 		}
@@ -101,7 +101,7 @@ func TestJaccardSensitivityEmpirical(t *testing.T) {
 		} else {
 			g.AddEdge(u, v)
 		}
-		after, err := Vector(Jaccard{}, g, r)
+		after, err := denseVector(Jaccard{}, g, r)
 		if err != nil {
 			return false
 		}
@@ -141,11 +141,11 @@ func TestJaccardExchangeability(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ug, err := Vector(Jaccard{}, g, r)
+		ug, err := denseVector(Jaccard{}, g, r)
 		if err != nil {
 			return false
 		}
-		uh, err := Vector(Jaccard{}, h, r)
+		uh, err := denseVector(Jaccard{}, h, r)
 		if err != nil {
 			return false
 		}

@@ -57,7 +57,7 @@ func TestRewireCountPromotesCommonNeighbors(t *testing.T) {
 		if g.OutDegree(r) == 0 {
 			return true // vacuous: no neighborhood to rewire into
 		}
-		full, err := Vector(CommonNeighbors{}, g, r)
+		full, err := denseVector(CommonNeighbors{}, g, r)
 		if err != nil {
 			return false
 		}
@@ -80,7 +80,7 @@ func TestRewireCountPromotesCommonNeighbors(t *testing.T) {
 			t.Logf("construction used %d edits, declared t = %d", added, declared)
 			return false
 		}
-		after, err := Vector(CommonNeighbors{}, work, r)
+		after, err := denseVector(CommonNeighbors{}, work, r)
 		if err != nil {
 			return false
 		}
@@ -113,7 +113,7 @@ func TestRewireCountPromotesWeightedPaths(t *testing.T) {
 			return true
 		}
 		wp := WeightedPaths{Gamma: 1e-6}
-		full, err := Vector(wp, g, r)
+		full, err := denseVector(wp, g, r)
 		if err != nil {
 			return false
 		}
@@ -134,7 +134,7 @@ func TestRewireCountPromotesWeightedPaths(t *testing.T) {
 		// has spare neighbors; the tiny gamma keeps longer paths from
 		// overturning the count order.
 		promoteCommonNeighbors(t, work, r, x, int(umax))
-		after, err := Vector(wp, work, r)
+		after, err := denseVector(wp, work, r)
 		if err != nil {
 			return false
 		}

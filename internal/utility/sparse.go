@@ -25,8 +25,7 @@ func checkTarget(v View, r int) error {
 // contributions in the same (ascending-index) order as the dense reference
 // computation, so the nonzero values are bit-identical to the dense
 // vector's. Each utility exposes its accumulation once, as StreamSparse
-// (stream.go); gather and Vector below turn that stream into the sparse
-// and dense forms.
+// (stream.go); gather below turns that stream into the sparse form.
 
 // spanner is the fast-path neighbor access every snapshot store (CSR,
 // Mapped, graph.Store) provides; the mutable *graph.Graph falls back to a
@@ -248,27 +247,6 @@ func gather(sc stream.Scorer, err error) ([]int32, []float64, error) {
 		}
 		idx = append(idx, i)
 		val = append(val, x)
-	}
-}
-
-// Vector returns f's utility for recommending every node to target r as a
-// dense length-v.NumNodes() slice owned by the caller: the kernel's stream
-// scattered over zeros, so existing neighbors of r and r itself read 0.
-// It serves exhaustive evaluation (experiments, DP audits, bounds); the
-// serving paths read the stream or Sparse.
-func Vector(f Function, v View, r int) ([]float64, error) {
-	sc, err := f.StreamSparse(v, r)
-	if err != nil {
-		return nil, err
-	}
-	defer sc.Close()
-	vec := make([]float64, v.NumNodes())
-	for {
-		i, x, ok := sc.Next()
-		if !ok {
-			return vec, nil
-		}
-		vec[i] = x
 	}
 }
 

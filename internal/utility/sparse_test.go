@@ -46,7 +46,7 @@ func sparseTestGraph(t *testing.T, n, m int, directed bool, seed int64) *graph.G
 }
 
 // checkSparseMatchesDense checks f's forms for target r on v, a view of g.
-// Sparse and the dense Vector both read f's kernel stream, so they must
+// Sparse and the dense denseVector both read f's kernel stream, so they must
 // agree entry for entry and Sparse must list exactly the nonzero,
 // non-excluded entries. That alone cannot catch a wrong kernel, so the
 // utilities with a closed pairwise form are also checked against a
@@ -60,9 +60,9 @@ func checkSparseMatchesDense(t *testing.T, f Function, g *graph.Graph, v View, r
 	if len(idx) != len(val) {
 		t.Fatalf("%s Sparse(%d): len(idx)=%d len(val)=%d", f.Name(), r, len(idx), len(val))
 	}
-	dense, err := Vector(f, v, r)
+	dense, err := denseVector(f, v, r)
 	if err != nil {
-		t.Fatalf("%s Vector(%d): %v", f.Name(), r, err)
+		t.Fatalf("%s denseVector(%d): %v", f.Name(), r, err)
 	}
 	// idx ascending, values positive and bit-identical to the dense entry.
 	for i := range idx {
@@ -92,7 +92,7 @@ func checkSparseMatchesDense(t *testing.T, f Function, g *graph.Graph, v View, r
 	if want := pairwiseReference(f, g, r); want != nil {
 		for i := range want {
 			if dense[i] != want[i] {
-				t.Fatalf("%s Vector(%d): node %d kernel %v, pairwise reference %v", f.Name(), r, i, dense[i], want[i])
+				t.Fatalf("%s denseVector(%d): node %d kernel %v, pairwise reference %v", f.Name(), r, i, dense[i], want[i])
 			}
 		}
 	}
@@ -221,7 +221,7 @@ func TestScratchPoolReuseIsClean(t *testing.T) {
 	want := map[int][]float64{}
 	cn := CommonNeighbors{}
 	for r := 0; r < 30; r++ {
-		vec, err := Vector(cn, snap, r)
+		vec, err := denseVector(cn, snap, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestScratchPoolReuseIsClean(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := Vector(cn, snap, r)
+			got, err := denseVector(cn, snap, r)
 			if err != nil {
 				t.Fatal(err)
 			}

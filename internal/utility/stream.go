@@ -6,8 +6,8 @@ import "socialrec/internal/stream"
 // the utility's pooled accumulation and hands the result out as a
 // stream.Scorer over the accumulator itself, so the serving path consumes
 // the pairs in place and never materializes the support. The Scorer owns
-// the sparseScratch until Close. Sparse (gather) and Vector read the same
-// stream, so every form of a utility's output carries identical pairs,
+// the sparseScratch until Close. Sparse (gather) and the tests' dense
+// vector read the same stream, so every form of a utility's output carries identical pairs,
 // which is what lets an uncached request reproduce a cached entry's draws
 // exactly.
 

@@ -47,9 +47,9 @@ var ErrTarget = errors.New("utility: target node out of range")
 // Function is one graph link-analysis utility measure. Its one kernel is
 // StreamSparse, from the embedded Streamer: a pooled accumulation that
 // streams the target's nonzero support. Sparse gathers that stream into
-// caller-owned slices, and the package-level Vector scatters it into a
-// dense vector, so every form of a utility's output comes from the same
-// accumulation. A utility defined outside this package must stream too.
+// caller-owned slices (the dense vector exists only in the tests, which
+// scatter the same stream), so every form of a utility's output comes
+// from the same accumulation. A utility defined outside this package must stream too.
 type Function interface {
 	// Name returns a short stable identifier ("common-neighbors", ...).
 	Name() string
@@ -146,16 +146,6 @@ func Candidates(v View, r int) []int {
 		if !excluded.has(i) {
 			out = append(out, i)
 		}
-	}
-	return out
-}
-
-// Compact gathers vec's entries at the candidate indices, producing the
-// dense utility vector mechanisms sample over.
-func Compact(vec []float64, candidates []int) []float64 {
-	out := make([]float64, len(candidates))
-	for i, c := range candidates {
-		out[i] = vec[c]
 	}
 	return out
 }

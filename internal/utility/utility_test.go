@@ -48,7 +48,7 @@ func randomGraph(rng *rand.Rand, n int, directed bool, density float64) *graph.G
 
 func TestCommonNeighborsVector(t *testing.T) {
 	g := kite(t)
-	vec, err := Vector(CommonNeighbors{}, g, 0)
+	vec, err := denseVector(CommonNeighbors{}, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestCommonNeighborsVector(t *testing.T) {
 
 func TestCommonNeighborsVectorOnCSR(t *testing.T) {
 	g := kite(t)
-	gv, err := Vector(CommonNeighbors{}, g, 3)
+	gv, err := denseVector(CommonNeighbors{}, g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := Vector(CommonNeighbors{}, g.Snapshot(), 3)
+	cv, err := denseVector(CommonNeighbors{}, g.Snapshot(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +81,10 @@ func TestCommonNeighborsVectorOnCSR(t *testing.T) {
 
 func TestCommonNeighborsTargetOutOfRange(t *testing.T) {
 	g := kite(t)
-	if _, err := Vector(CommonNeighbors{}, g, 17); !errors.Is(err, ErrTarget) {
+	if _, err := denseVector(CommonNeighbors{}, g, 17); !errors.Is(err, ErrTarget) {
 		t.Errorf("want ErrTarget, got %v", err)
 	}
-	if _, err := Vector(CommonNeighbors{}, g, -1); !errors.Is(err, ErrTarget) {
+	if _, err := denseVector(CommonNeighbors{}, g, -1); !errors.Is(err, ErrTarget) {
 		t.Errorf("want ErrTarget, got %v", err)
 	}
 }
@@ -114,11 +114,11 @@ func TestWeightedPathsReducesToCommonNeighborsAsGammaVanishes(t *testing.T) {
 	wp := WeightedPaths{Gamma: 1e-12}
 	cn := CommonNeighbors{}
 	for r := 0; r < g.NumNodes(); r++ {
-		wv, err := Vector(wp, g, r)
+		wv, err := denseVector(wp, g, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cv, err := Vector(cn, g, r)
+		cv, err := denseVector(cn, g, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestWeightedPathsCountsLength3(t *testing.T) {
 		}
 	}
 	const gamma = 0.05
-	vec, err := Vector(WeightedPaths{Gamma: gamma}, g, 0)
+	vec, err := denseVector(WeightedPaths{Gamma: gamma}, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,16 +155,16 @@ func TestWeightedPathsCountsLength3(t *testing.T) {
 
 func TestWeightedPathsValidation(t *testing.T) {
 	g := kite(t)
-	if _, err := Vector(WeightedPaths{Gamma: 0}, g, 0); err == nil {
+	if _, err := denseVector(WeightedPaths{Gamma: 0}, g, 0); err == nil {
 		t.Error("gamma=0 accepted")
 	}
-	if _, err := Vector(WeightedPaths{Gamma: 1.5}, g, 0); err == nil {
+	if _, err := denseVector(WeightedPaths{Gamma: 1.5}, g, 0); err == nil {
 		t.Error("gamma>1 accepted")
 	}
-	if _, err := Vector(WeightedPaths{Gamma: 0.5, MaxLen: 1}, g, 0); err == nil {
+	if _, err := denseVector(WeightedPaths{Gamma: 0.5, MaxLen: 1}, g, 0); err == nil {
 		t.Error("maxLen=1 accepted")
 	}
-	if _, err := Vector(WeightedPaths{Gamma: 0.5}, g, 99); !errors.Is(err, ErrTarget) {
+	if _, err := denseVector(WeightedPaths{Gamma: 0.5}, g, 99); !errors.Is(err, ErrTarget) {
 		t.Error("want ErrTarget")
 	}
 }
@@ -200,7 +200,7 @@ func TestWeightedPathsName(t *testing.T) {
 
 func TestDegreeVector(t *testing.T) {
 	g := kite(t)
-	vec, err := Vector(Degree{}, g, 4)
+	vec, err := denseVector(Degree{}, g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestDegreeVector(t *testing.T) {
 	if got := (Degree{}).RewireCount(5, 3); got != 6 {
 		t.Errorf("t = %d", got)
 	}
-	if _, err := Vector(Degree{}, g, -2); !errors.Is(err, ErrTarget) {
+	if _, err := denseVector(Degree{}, g, -2); !errors.Is(err, ErrTarget) {
 		t.Error("want ErrTarget")
 	}
 }
@@ -225,7 +225,7 @@ func TestDegreeVector(t *testing.T) {
 func TestPageRankVectorBasics(t *testing.T) {
 	g := kite(t)
 	pr := PageRank{}
-	vec, err := Vector(pr, g, 4)
+	vec, err := denseVector(pr, g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestPageRankDanglingMassRestartsAtRoot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vec, err := Vector(PageRank{}, g, 0)
+	vec, err := denseVector(PageRank{}, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +268,10 @@ func TestPageRankDanglingMassRestartsAtRoot(t *testing.T) {
 
 func TestPageRankValidation(t *testing.T) {
 	g := kite(t)
-	if _, err := Vector(PageRank{Alpha: 1.5}, g, 0); err == nil {
+	if _, err := denseVector(PageRank{Alpha: 1.5}, g, 0); err == nil {
 		t.Error("alpha>1 accepted")
 	}
-	if _, err := Vector(PageRank{}, g, 9); !errors.Is(err, ErrTarget) {
+	if _, err := denseVector(PageRank{}, g, 9); !errors.Is(err, ErrTarget) {
 		t.Error("want ErrTarget")
 	}
 	if got := (PageRank{Alpha: 0.2}).Sensitivity(g); math.Abs(got-8) > 1e-12 {
@@ -321,11 +321,11 @@ func TestExchangeabilityAxiom(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				ug, err := Vector(f, g, r)
+				ug, err := denseVector(f, g, r)
 				if err != nil {
 					return false
 				}
-				uh, err := Vector(f, h, r)
+				uh, err := denseVector(f, h, r)
 				if err != nil {
 					return false
 				}
@@ -361,7 +361,7 @@ func TestSensitivityBoundsEmpirical(t *testing.T) {
 				g := randomGraph(rng, n, directedFlag, 0.4)
 				r := rng.Intn(n)
 				sens := f.Sensitivity(g)
-				before, err := Vector(f, g, r)
+				before, err := denseVector(f, g, r)
 				if err != nil {
 					return false
 				}
@@ -380,7 +380,7 @@ func TestSensitivityBoundsEmpirical(t *testing.T) {
 				// Sensitivity is declared against the original graph's
 				// dmax; adding an edge can only grow dmax by one, which the
 				// weighted-paths bound absorbs at these sizes.
-				after, err := Vector(f, g, r)
+				after, err := denseVector(f, g, r)
 				if err != nil {
 					return false
 				}

@@ -474,9 +474,10 @@ func (r *Recommender) buildMech(st *snapState) mechanism.StreamMechanism {
 }
 
 // computeVector runs the deterministic pre-processing stage for target.
-// stream.Encode drains the utility's kernel stream into exact-size node IDs
-// and level-coded values (per-node past 256 distinct utilities): nonzero
-// support only, O(nnz) work and memory, no length-n pass. For the
+// stream.Encode drains the utility's kernel stream into exact-size
+// gap-coded node IDs and level-coded values (per-node past 256 distinct
+// utilities): nonzero support only, O(nnz) work and memory, no length-n
+// pass. For the
 // exponential mechanism behind a cache it adds the sparse cumulative-weight
 // form that turns each later draw into a binary search over per-block
 // prefix sums and a re-accumulation of at most one block. The CDF aliases

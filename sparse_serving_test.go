@@ -63,18 +63,43 @@ func candidateStream(candidates []int, vec []float64) stream.Scorer {
 	return stream.NewSlice(idx, vec)
 }
 
+// denseVector returns u's utility for every candidate of target in
+// candidate order, zeros included: the kernel's stream scattered over
+// zeros and gathered at the candidates. It is the dense form the serving
+// tests hold the sparse path to.
+func denseVector(u UtilityFunction, v utility.View, target int) ([]float64, error) {
+	sc, err := u.StreamSparse(v, target)
+	if err != nil {
+		return nil, err
+	}
+	defer sc.Close()
+	full := make([]float64, v.NumNodes())
+	for {
+		i, x, ok := sc.Next()
+		if !ok {
+			break
+		}
+		full[i] = x
+	}
+	candidates := utility.Candidates(v, target)
+	out := make([]float64, len(candidates))
+	for k, c := range candidates {
+		out[k] = full[c]
+	}
+	return out, nil
+}
+
 // denseServingProbs computes the reference per-node recommendation
 // probabilities through the dense pipeline the serving layer used before
 // sparsification.
 func denseServingProbs(t *testing.T, g *Graph, u UtilityFunction, d mechanism.SparseDistribution, target int) map[int]float64 {
 	t.Helper()
 	snap := g.Snapshot()
-	full, err := utility.Vector(u, snap, target)
+	vec, err := denseVector(u, snap, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	candidates := utility.Candidates(snap, target)
-	vec := utility.Compact(full, candidates)
 	if utility.Max(vec) == 0 {
 		return nil
 	}
@@ -191,11 +216,10 @@ func TestSparseServingExpectedAccuracyMatchesDense(t *testing.T) {
 					continue
 				}
 				checked++
-				full, err := utility.Vector(u, snap, target)
+				vec, err := denseVector(u, snap, target)
 				if err != nil {
 					t.Fatal(err)
 				}
-				vec := utility.Compact(full, utility.Candidates(snap, target))
 				want, err := mechanism.ExpectedAccuracySparse(e, mechanism.SparseVec{Val: vec, N: len(vec)})
 				if err != nil {
 					t.Fatal(err)
@@ -308,12 +332,11 @@ func TestSparseServingLaplaceGOF(t *testing.T) {
 			t.Fatal("no target with a small support found")
 		}
 		snap := g.Snapshot()
-		full, verr := utility.Vector(rec.util, snap, target)
+		vec, verr := denseVector(rec.util, snap, target)
 		if verr != nil {
 			t.Fatal(verr)
 		}
-		candidates := utility.Candidates(snap, target)
-		dsc := candidateStream(candidates, utility.Compact(full, candidates))
+		dsc := candidateStream(utility.Candidates(snap, target), vec)
 		l := mechanism.Laplace{Epsilon: 1, Sensitivity: st.sens}
 
 		cellOf := func(node int) int {
@@ -329,7 +352,7 @@ func TestSparseServingLaplaceGOF(t *testing.T) {
 		dense := make([]int, cells)
 		rng = rand.New(rand.NewSource(101))
 		for i := 0; i < trials; i++ {
-			p, err := l.RecommendStream(dsc, len(candidates), rng)
+			p, err := l.RecommendStream(dsc, len(vec), rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,16 +408,15 @@ func TestSparseServingNoTailBitIdentical(t *testing.T) {
 		snap := g.Snapshot()
 		e := mechanism.Exponential{Epsilon: 1, Sensitivity: u.Sensitivity(snap)}
 		for target := 0; target < 25; target++ {
-			full, err := utility.Vector(u, snap, target)
+			vec, err := denseVector(u, snap, target)
 			if err != nil {
 				t.Fatal(err)
 			}
-			candidates := utility.Candidates(snap, target)
-			dsc := candidateStream(candidates, utility.Compact(full, candidates))
+			dsc := candidateStream(utility.Candidates(snap, target), vec)
 			denseRNG := rand.New(rand.NewSource(int64(1000 + target)))
 			sparseRNG := rand.New(rand.NewSource(int64(1000 + target)))
 			for i := 0; i < 50; i++ {
-				p, err := e.RecommendStream(dsc, len(candidates), denseRNG)
+				p, err := e.RecommendStream(dsc, len(vec), denseRNG)
 				if err != nil {
 					t.Fatal(err)
 				}

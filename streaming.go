@@ -17,8 +17,8 @@ import (
 //   - with no cache, the utility kernel's pooled stream.Scorer, so the
 //     vector is never materialized;
 //   - through the cache, a pooled stream.Slice over the cached entry's
-//     idx and level-coded or per-node utilities, which stream.Encode
-//     gathered from that same kernel.
+//     gap-coded node IDs and level-coded or per-node utilities, which
+//     stream.Encode gathered from that same kernel.
 //
 // Both sources yield the same ascending (node, utility) pairs, and every
 // mechanism's streaming draw depends only on those pairs, so a cached and
