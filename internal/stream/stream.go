@@ -23,8 +23,6 @@
 // pool, never to the heap.
 package stream
 
-import "encoding/binary"
-
 // Scorer is the pull iterator over a sparse utility support. See the
 // package comment for the full contract.
 type Scorer interface {
@@ -81,14 +79,19 @@ type IDs struct {
 	Off  []uint32
 }
 
-// uvarint decodes the uvarint at b[p:] and returns it with the offset
-// past it. A gap below 128 — nearly every one — is a single byte.
+// uvarint decodes the uvarint (as binary.AppendUvarint writes it) at b[p:]
+// and returns it with the offset past it. It is small enough to inline:
+// a gap below 128 — nearly every one — is a single byte.
 func uvarint(b []byte, p int) (uint32, int) {
-	if c := b[p]; c < 0x80 {
-		return uint32(c), p + 1
+	var x uint32
+	for s := 0; ; s += 7 {
+		c := b[p]
+		p++
+		x |= uint32(c&0x7f) << s
+		if c < 0x80 {
+			return x, p
+		}
 	}
-	x, w := binary.Uvarint(b[p:])
-	return uint32(x), p + w
 }
 
 // At returns entry j's node ID.
