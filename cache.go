@@ -110,8 +110,8 @@ type cachedVector struct {
 	val  []float64
 	// umax is the maximum utility (R_best's score).
 	umax float64
-	// ncand is the total candidate-domain size: len() nonzeros plus
-	// ncand-len() implicit zero-utility candidates. A zero-tail rank maps
+	// ncand is the total candidate-domain size: the support's nonzeros
+	// plus the implicit zero-utility candidates. A zero-tail rank maps
 	// back to a node ID through the target's out-row and the support (see
 	// streamComplementSelect).
 	ncand int
@@ -130,9 +130,6 @@ func (cv *cachedVector) sparseVec() mechanism.SparseVec {
 func (cv *cachedVector) slice() stream.Slice {
 	return stream.Slice{IDs: cv.ids, Code: cv.code, Val: cv.val}
 }
-
-// len returns the number of support entries.
-func (cv *cachedVector) len() int { return stream.Len(cv.code, cv.val) }
 
 // at returns support entry j's utility.
 func (cv *cachedVector) at(j int) float64 { return stream.At(cv.code, cv.val, j) }

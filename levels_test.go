@@ -8,7 +8,11 @@ import (
 
 	"socialrec/internal/distribution"
 	"socialrec/internal/gen"
+	"socialrec/internal/stream"
 )
+
+// len returns the number of the entry's support nodes.
+func (cv *cachedVector) len() int { return stream.Len(cv.code, cv.val) }
 
 // nodes decodes the entry's support node IDs in order; tests read cached
 // IDs through it.
