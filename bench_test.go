@@ -435,38 +435,6 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchRecommend measures the parallel batch path on a cold cache
-// each round (the Precompute/offline-evaluation workload).
-func BenchmarkBatchRecommend(b *testing.B) {
-	wiki, _ := benchGraphs(b)
-	targets := make([]int, 256)
-	for i := range targets {
-		targets[i] = i % wiki.NumNodes()
-	}
-	b.Run("sequential", func(b *testing.B) {
-		rec, err := NewRecommender(wiki, WithEpsilon(1), WithSeed(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, target := range targets {
-				_, _ = rec.Recommend(target)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		rec, err := NewRecommender(wiki, WithEpsilon(1), WithSeed(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = rec.BatchRecommend(targets)
-		}
-	})
-}
-
 // BenchmarkLiveChurn reproduces the cache layer of a live serving mix
 // without HTTP: on a Wiki-Vote-like graph with the cache, live mutations
 // and delta invalidation on, each op is nine reads over Zipf(1.2)-ranked

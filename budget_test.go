@@ -34,14 +34,11 @@ func TestAccountantBasics(t *testing.T) {
 	if _, err := a.Recommend(target); !errors.Is(err, ErrBudgetExhausted) {
 		t.Errorf("fourth call: want ErrBudgetExhausted, got %v", err)
 	}
-	ledger := a.Ledger()
-	if len(ledger) != 3 {
-		t.Fatalf("ledger has %d entries", len(ledger))
+	if a.Calls() != 3 {
+		t.Errorf("Calls() = %d, want 3", a.Calls())
 	}
-	for _, s := range ledger {
-		if s.Target != target || s.K != 1 || s.Epsilon != 1 {
-			t.Errorf("ledger entry %+v", s)
-		}
+	if st := a.TargetStats(target); st.Spent != 3 || st.Calls != 3 {
+		t.Errorf("target stats: %+v", st)
 	}
 }
 
@@ -80,8 +77,11 @@ func TestAccountantRefundsFailedCalls(t *testing.T) {
 	if a.Spent() != 0 {
 		t.Errorf("failed call should refund: spent %g", a.Spent())
 	}
-	if len(a.Ledger()) != 0 {
-		t.Errorf("ledger should be empty after refund")
+	if a.Calls() != 0 {
+		t.Errorf("failed call should refund: calls %d", a.Calls())
+	}
+	if st := a.TargetStats(-1); st.Spent != 0 || st.Calls != 0 {
+		t.Errorf("refunded target stats: %+v", st)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestAccountantValidation(t *testing.T) {
 
 // TestAccountantExhaustionBoundary spends exactly to the cap, then checks
 // that one more request — by a single ε or by any positive sliver past the
-// boundary — fails with ErrBudgetExhausted and leaves the ledger intact.
+// boundary — fails with ErrBudgetExhausted and leaves the spend intact.
 func TestAccountantExhaustionBoundary(t *testing.T) {
 	g := topKGraph(t)
 	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(9))
@@ -139,19 +139,20 @@ func TestAccountantExhaustionBoundary(t *testing.T) {
 	if _, err := a.RecommendTopK(target, 2); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("top-k past the cap: want ErrBudgetExhausted, got %v", err)
 	}
-	// The refusals must not have touched the ledger or the spend.
+	// The refusals must not have touched the spend or the call count.
 	if got := a.Spent(); got != budget {
 		t.Fatalf("refused calls changed Spent() to %g", got)
 	}
-	if got := len(a.Ledger()); got != budget {
-		t.Fatalf("refused calls changed ledger length to %d", got)
+	if got := a.Calls(); got != budget {
+		t.Fatalf("refused calls changed Calls() to %d", got)
 	}
 }
 
 // TestAccountantSpendRace hammers the accountant from spenders, top-k
 // spenders, and concurrent readers of every accessor; run under -race it
-// proves the mutex covers the ledger and counters, and the spend invariant
-// holds under arbitrary interleavings.
+// proves the counters are safe to read mid-flight, and at the end the
+// global and per-target counters equal the test's own tally of granted
+// calls.
 func TestAccountantSpendRace(t *testing.T) {
 	g := topKGraph(t)
 	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(11))
@@ -204,52 +205,49 @@ func TestAccountantSpendRace(t *testing.T) {
 				return
 			}
 			_ = a.Remaining()
-			_ = a.Ledger()
+			_ = a.Calls()
+			_ = a.TargetStats(target)
 			_ = a.Total()
 		}
 	}()
 	wg.Wait()
 
-	if got := granted.Load(); got != budget {
-		t.Errorf("granted %d calls on a budget of %d", got, budget)
+	n := granted.Load()
+	if n != budget {
+		t.Errorf("granted %d calls on a budget of %d", n, budget)
 	}
-	if spent := a.Spent(); spent != budget {
-		t.Errorf("final Spent() = %g, want %d", spent, budget)
-	}
-	if got := len(a.Ledger()); got != budget {
-		t.Errorf("ledger has %d entries, want %d", got, budget)
-	}
+	checkSpendTally(t, a, map[int]int64{target: n}, 1)
 }
 
-// ledgerInvariant checks, in one atomic observation, that the accountant's
-// reported spend equals the sum of its live ledger entries and that its
-// O(1) call counter matches the live entry count. This is the invariant
-// the old append-then-truncate refund corrupted: a refund racing a
-// successful Spend deleted the success's entry instead of its own.
-func ledgerInvariant(t *testing.T, a *Accountant) {
+// checkSpendTally asserts that the accountant's global counters and every
+// tallied target's own scope equal the caller's count of successful calls
+// times eps: the charges a serving path admitted and did not refund, no
+// more and no fewer, each on its own principal.
+func checkSpendTally(t *testing.T, a *Accountant, successes map[int]int64, eps float64) {
 	t.Helper()
-	a.mu.Lock()
-	spent := a.spent
-	var sum float64
-	live := 0
-	for _, e := range a.ledger {
-		if !e.refunded {
-			sum += e.s.Epsilon
-			live++
+	var total int64
+	for target, n := range successes {
+		total += n
+		if st := a.TargetStats(target); st.Calls != n || math.Abs(st.Spent-float64(n)*eps) > 1e-9 {
+			t.Errorf("target %d: stats %+v, want %d calls spending %g", target, st, n, float64(n)*eps)
 		}
 	}
-	a.mu.Unlock()
-	if math.Abs(spent-sum) > 1e-9 {
-		t.Errorf("ledger invariant broken: Spent %g != sum of ledger %g (%d live entries)", spent, sum, live)
+	if got := a.Calls(); got != int(total) {
+		t.Errorf("Calls() = %d, want %d", got, total)
+	}
+	if got, want := a.Spent(), float64(total)*eps; math.Abs(got-want) > 1e-9 {
+		t.Errorf("Spent() = %g, want %g", got, want)
 	}
 }
 
 // TestAccountantRefundRaceHammer is the regression test for the refund
 // bug: concurrent Recommend/RecommendTopK calls across many principals,
 // some failing (out-of-range targets) and refunded, while a checker
-// continuously asserts Spent() == Σ Ledger(). Under the old truncate-last
-// refund, a failed call's refund deleted a concurrent success's entry; the
-// final ledger then disagrees with the success count.
+// continuously asserts that no principal's charged calls fall below its
+// completed successes and that no failing principal keeps a charge. Under
+// the old truncate-last refund, a failed call's refund cancelled a
+// concurrent success's charge; a refund landing on any principal but its
+// own leaves that principal's counters short of the tally.
 func TestAccountantRefundRaceHammer(t *testing.T) {
 	g, err := GenerateSocialGraph(256, 4096, 7)
 	if err != nil {
@@ -274,7 +272,7 @@ func TestAccountantRefundRaceHammer(t *testing.T) {
 		ops     = 120
 		targets = 96
 	)
-	var successes atomic.Int64
+	var successes [targets]atomic.Int64
 	var failures atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -282,6 +280,7 @@ func TestAccountantRefundRaceHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
+				target := (w*ops + i) % targets
 				switch i % 3 {
 				case 0: // guaranteed failure: out-of-range target, refunded
 					if _, err := a.Recommend(-1 - w); !errors.Is(err, ErrBadTarget) {
@@ -290,15 +289,15 @@ func TestAccountantRefundRaceHammer(t *testing.T) {
 					}
 					failures.Add(1)
 				case 1:
-					if _, err := a.Recommend((w*ops + i) % targets); err == nil {
-						successes.Add(1)
+					if _, err := a.Recommend(target); err == nil {
+						successes[target].Add(1)
 					} else if !errors.Is(err, ErrNoCandidates) {
 						t.Errorf("unexpected error: %v", err)
 						return
 					}
 				default:
-					if _, err := a.RecommendTopK((w*ops+i)%targets, 2); err == nil {
-						successes.Add(1)
+					if _, err := a.RecommendTopK(target, 2); err == nil {
+						successes[target].Add(1)
 					} else if !errors.Is(err, ErrNoCandidates) {
 						t.Errorf("unexpected top-k error: %v", err)
 						return
@@ -307,8 +306,11 @@ func TestAccountantRefundRaceHammer(t *testing.T) {
 			}
 		}(w)
 	}
-	// The invariant checker runs while the hammer is live: the ledger and
-	// its sum must agree at every observable instant, not just at the end.
+	// The checker runs while the hammer is live. A success is tallied
+	// after its charge lands, and only a failed call's own refund may
+	// remove a charge, so reading the tally before the stats must never
+	// see a principal charged for fewer calls than it completed. Each
+	// failing principal has at most its one in-flight charge.
 	stop := make(chan struct{})
 	var checker sync.WaitGroup
 	checker.Add(1)
@@ -319,7 +321,19 @@ func TestAccountantRefundRaceHammer(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				ledgerInvariant(t, a)
+			}
+			for target := range successes {
+				done := successes[target].Load()
+				if st := a.TargetStats(target); st.Calls < done {
+					t.Errorf("target %d charged for %d calls after %d successes", target, st.Calls, done)
+					return
+				}
+			}
+			for w := 0; w < workers; w++ {
+				if st := a.TargetStats(-1 - w); st.Calls > 1 {
+					t.Errorf("failing target %d holds %d charges", -1-w, st.Calls)
+					return
+				}
 			}
 		}
 	}()
@@ -327,18 +341,18 @@ func TestAccountantRefundRaceHammer(t *testing.T) {
 	close(stop)
 	checker.Wait()
 
-	// No entry lost, none double-refunded: exactly the successful calls
-	// remain, and the spend is exactly ε per success.
-	ledgerInvariant(t, a)
-	if got, want := len(a.Ledger()), int(successes.Load()); got != want {
-		t.Errorf("ledger has %d entries, want %d (one per success; %d failures refunded)",
-			got, want, failures.Load())
+	// No charge lost, none double-refunded, none moved to another
+	// principal: every scope holds exactly ε per success.
+	tally := make(map[int]int64, targets+workers)
+	for target := range successes {
+		tally[target] = successes[target].Load()
 	}
-	if got, want := a.Spent(), float64(successes.Load()); got != want {
-		t.Errorf("Spent() = %g, want %g", got, want)
+	for w := 0; w < workers; w++ {
+		tally[-1-w] = 0
 	}
-	if got, want := a.Calls(), int(successes.Load()); got != want {
-		t.Errorf("Calls() = %d, want %d", got, want)
+	checkSpendTally(t, a, tally, 1)
+	if failures.Load() == 0 {
+		t.Error("hammer refunded nothing")
 	}
 	if a.Principals() < 64 {
 		t.Errorf("hammer touched %d principals, want >= 64", a.Principals())
@@ -495,12 +509,9 @@ func TestAccountantCallsCounter(t *testing.T) {
 	if _, err := a.RecommendTopK(target, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Calls(); got != 2 {
-		t.Errorf("Calls() = %d, want 2 (refunded call excluded)", got)
-	}
-	if got := len(a.Ledger()); got != a.Calls() {
-		t.Errorf("Calls() = %d != len(Ledger()) = %d", a.Calls(), got)
-	}
+	// The refunded call is excluded, from the global count and from its
+	// own principal's.
+	checkSpendTally(t, a, map[int]int64{target: 2, -1: 0}, 1)
 }
 
 func TestAccountantOptionValidation(t *testing.T) {
@@ -527,48 +538,9 @@ func TestAccountantOptionValidation(t *testing.T) {
 	}
 }
 
-// TestAccountantLedgerBoundedUnderRefundLoops: refunded charges tombstone
-// their ledger entry, and compaction must reclaim the tombstones — an
-// endless loop of admitted-then-refunded calls (each failure restores the
-// budget, so it never terminates via exhaustion) must not grow the ledger
-// without bound.
-func TestAccountantLedgerBoundedUnderRefundLoops(t *testing.T) {
-	g := topKGraph(t)
-	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(28))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAccountant(rec, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := pickTarget(t, g)
-	if _, err := a.Recommend(target); err != nil {
-		t.Fatal(err)
-	}
-	const failures = 5000
-	for i := 0; i < failures; i++ {
-		if _, err := a.Recommend(-1); !errors.Is(err, ErrBadTarget) {
-			t.Fatalf("failure %d: want ErrBadTarget, got %v", i, err)
-		}
-	}
-	a.mu.Lock()
-	size := len(a.ledger)
-	a.mu.Unlock()
-	if size > 2048 {
-		t.Errorf("ledger holds %d entries after %d refunded calls (compaction not reclaiming tombstones)", size, failures)
-	}
-	if got := a.Ledger(); len(got) != 1 || got[0].Target != target {
-		t.Errorf("live ledger after refund loop: %v", got)
-	}
-	if a.Spent() != 1 || a.Calls() != 1 {
-		t.Errorf("counters after refund loop: spent=%g calls=%d", a.Spent(), a.Calls())
-	}
-}
-
-// TestAccountantDisableLedger checks the ledger-free mode keeps every
-// counter (spent, remaining, calls, per-principal stats) and admission
-// decision intact while Ledger() reports nothing.
+// TestAccountantDisableLedger checks that the deprecated DisableLedger
+// option changes nothing: an accountant built with it makes the same
+// admission decisions and reports the same counters as one built without.
 func TestAccountantDisableLedger(t *testing.T) {
 	g := topKGraph(t)
 	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(27))
@@ -579,95 +551,29 @@ func TestAccountantDisableLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain, err := NewAccountant(rec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	target := pickTarget(t, g)
-	for i := 0; i < 3; i++ {
-		if _, err := a.Recommend(target); err != nil {
-			t.Fatalf("call %d: %v", i, err)
+	for _, acct := range []*Accountant{a, plain} {
+		for i := 0; i < 3; i++ {
+			if _, err := acct.Recommend(target); err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
 		}
-	}
-	if _, err := a.Recommend(target); !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("fourth call: want ErrBudgetExhausted, got %v", err)
-	}
-	if _, err := a.Recommend(-1); !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("refund path must still see exhaustion first, got %v", err)
-	}
-	if a.Spent() != 3 || a.Remaining() != 0 || a.Calls() != 3 {
-		t.Errorf("counters: spent=%g remaining=%g calls=%d", a.Spent(), a.Remaining(), a.Calls())
-	}
-	if got := a.Ledger(); got != nil {
-		t.Errorf("disabled ledger returned %d entries", len(got))
-	}
-	if st := a.TargetStats(target); st.Spent != 3 || st.Calls != 3 {
-		t.Errorf("target stats: %+v", st)
-	}
-}
-
-// TestAccountantBatchPartialRefusal: one reservation round charges the
-// whole batch, refusing per target. A duplicate target past its principal
-// cap is refused in place while its neighbors proceed, and a granted
-// target that fails evaluation is refunded individually.
-func TestAccountantBatchPartialRefusal(t *testing.T) {
-	g := topKGraph(t)
-	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(26))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAccountant(rec, 0, PerPrincipalBudget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var servable []int
-	for v := 0; v < g.NumNodes() && len(servable) < 2; v++ {
-		if _, err := rec.ExpectedAccuracy(v); err == nil {
-			servable = append(servable, v)
+		if _, err := acct.Recommend(target); !errors.Is(err, ErrBudgetExhausted) {
+			t.Errorf("fourth call: want ErrBudgetExhausted, got %v", err)
 		}
-	}
-	if len(servable) < 2 {
-		t.Fatal("need two servable targets")
-	}
-	// Slots: [granted, refused duplicate (cap 1), granted other, failing
-	// target (granted then refunded)].
-	batch := []int{servable[0], servable[0], servable[1], -1}
-	out := a.BatchRecommend(batch)
-	if out[0].Err != nil {
-		t.Errorf("slot 0: %v", out[0].Err)
-	}
-	if !errors.Is(out[1].Err, ErrBudgetExhausted) {
-		t.Errorf("slot 1 (duplicate past cap): want exhaustion, got %v", out[1].Err)
-	}
-	if out[2].Err != nil {
-		t.Errorf("slot 2 (other principal): %v", out[2].Err)
-	}
-	if !errors.Is(out[3].Err, ErrBadTarget) {
-		t.Errorf("slot 3 (bad target): want ErrBadTarget, got %v", out[3].Err)
-	}
-	// Spend: slots 0 and 2 only; slot 1 never charged, slot 3 refunded.
-	if got := a.Spent(); got != 2 {
-		t.Errorf("Spent() = %g after batch, want 2", got)
-	}
-	if got := len(a.Ledger()); got != 2 {
-		t.Errorf("ledger has %d entries, want 2", got)
-	}
-	// Granted slots are bit-identical to individual calls on a fresh
-	// accountant over the same seed.
-	rec2, err := NewRecommender(g, WithEpsilon(1), WithSeed(26))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := rec2.Recommend(servable[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Recommendation != want {
-		t.Errorf("batch slot 0 = %+v, want %+v", out[0].Recommendation, want)
-	}
-	// Top-k variant: same partial-refusal shape.
-	outK := a.BatchRecommendTopK([]int{servable[0], servable[1]}, 2)
-	if !errors.Is(outK[0].Err, ErrBudgetExhausted) {
-		t.Errorf("top-k slot 0: principal already exhausted, got %v", outK[0].Err)
-	}
-	if !errors.Is(outK[1].Err, ErrBudgetExhausted) {
-		t.Errorf("top-k slot 1: principal already exhausted, got %v", outK[1].Err)
+		if _, err := acct.Recommend(-1); !errors.Is(err, ErrBudgetExhausted) {
+			t.Errorf("refund path must still see exhaustion first, got %v", err)
+		}
+		if acct.Spent() != 3 || acct.Remaining() != 0 || acct.Calls() != 3 {
+			t.Errorf("counters: spent=%g remaining=%g calls=%d", acct.Spent(), acct.Remaining(), acct.Calls())
+		}
+		if st := acct.TargetStats(target); st.Spent != 3 || st.Calls != 3 {
+			t.Errorf("target stats: %+v", st)
+		}
 	}
 }
 

@@ -35,17 +35,6 @@ import (
 // non-positive size.
 const DefaultCacheSize = 4096
 
-// computeCached runs the deterministic pre-noise stage for target and, when
-// a cache is enabled, stores the result. Serving misses and Precompute both
-// go through it.
-func (r *Recommender) computeCached(st *snapState, c *vectorCache, target int) (*cachedVector, error) {
-	cv, err := r.computeVector(st, target)
-	if err == nil && c != nil {
-		c.put(st.epoch, target, cv)
-	}
-	return cv, err
-}
-
 // cacheShardCount must be a power of two; 16 shards keep contention low at
 // typical server parallelism without wasting memory on tiny graphs.
 const cacheShardCount = 16
@@ -257,21 +246,6 @@ func (c *vectorCache) get(epoch uint64, target int) (*cachedVector, bool) {
 	}
 	c.hits.Add(1)
 	return val, true
-}
-
-// contains reports whether (epoch, target) is cached, refreshing its LRU
-// position but NOT the hit/miss counters — cache warmers use it so the
-// exported stats keep reflecting serving traffic only.
-func (c *vectorCache) contains(epoch uint64, target int) bool {
-	s := c.shard(target)
-	key := cacheKey{epoch: epoch, target: target}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if ok {
-		s.lru.MoveToFront(el)
-	}
-	return ok
 }
 
 // put inserts (or refreshes) the entry, evicting the least recently used

@@ -191,58 +191,17 @@ func TestAdvanceRekeyCollisionCountsNeither(t *testing.T) {
 	}
 }
 
-func TestBatchRecommendMatchesSequential(t *testing.T) {
-	g := biggerGraph(t)
-	rec, err := NewRecommender(g, WithSeed(9), WithCache(1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := make([]int, 120)
-	for i := range targets {
-		targets[i] = i - 1 // includes the invalid target -1
-	}
-	got := rec.BatchRecommend(targets)
-	if len(got) != len(targets) {
-		t.Fatalf("got %d results for %d targets", len(got), len(targets))
-	}
-	for i, target := range targets {
-		want, wantErr := rec.Recommend(target)
-		if (wantErr == nil) != (got[i].Err == nil) {
-			t.Fatalf("target %d: errors diverge: %v vs %v", target, got[i].Err, wantErr)
+// warmCache runs the pre-noise stage of every target on the current
+// snapshot through the serving path's miss handling, so each lands in the
+// cache (a hopeless target as a negative entry). It fails the test on an
+// out-of-range target.
+func warmCache(t testing.TB, rec *Recommender, targets []int) {
+	t.Helper()
+	st := rec.state.Load()
+	for _, target := range targets {
+		if _, err := rec.vector(st, target); err != nil && !errors.Is(err, ErrNoCandidates) {
+			t.Fatalf("warming target %d: %v", target, err)
 		}
-		if wantErr == nil && got[i].Recommendation != want {
-			t.Fatalf("target %d: batch %+v != sequential %+v", target, got[i].Recommendation, want)
-		}
-	}
-}
-
-func TestPrecomputeWarmsCache(t *testing.T) {
-	g := biggerGraph(t)
-	rec, err := NewRecommender(g, WithSeed(2), WithCache(1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := []int{0, 1, 2, 3, 4, 5, 6, 7, -1, g.NumNodes()}
-	warmed := rec.Precompute(targets)
-	if warmed != 8 {
-		t.Errorf("warmed %d targets, want 8 (invalid ones skipped)", warmed)
-	}
-	st, _ := rec.CacheStats()
-	missesAfterWarm := st.Misses
-	for _, target := range targets[:8] {
-		_, _ = rec.Recommend(target)
-	}
-	st, _ = rec.CacheStats()
-	if st.Misses != missesAfterWarm {
-		t.Errorf("recommendations after Precompute still missed: %+v", st)
-	}
-
-	noCache, err := NewRecommender(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmed := noCache.Precompute(targets); warmed != 0 {
-		t.Errorf("Precompute without a cache warmed %d", warmed)
 	}
 }
 

@@ -60,10 +60,9 @@
 // and float64 utilities the kernel produced, so every draw reads the same
 // numbers either way.
 //
-// BatchRecommend and Precompute fan work for many targets across a
-// runtime.GOMAXPROCS(0) worker pool, and RefreshSnapshot swaps in a new
-// graph snapshot atomically — advancing the cache epoch so stale entries
-// lazily expire — for deployments that re-ingest their graph periodically.
+// RefreshSnapshot swaps in a new graph snapshot atomically — advancing the
+// cache epoch so stale entries lazily expire — for deployments that
+// re-ingest their graph periodically.
 //
 // What caching does NOT change: privacy budgeting. Each served
 // recommendation still releases ε of information (the Accountant composes
@@ -117,9 +116,9 @@
 // /healthz so a leak (news tracking gets) is observable in production.
 // There is one kernel per utility: StreamSparse, which utility.Function
 // embeds. Uncached requests consume it lazily. stream.Encode drains it for
-// cache fill and Precompute (one walk that stages gap-coded node IDs,
-// values and level numbers in pooled scratch, then one exact-size copy of
-// the IDs and the codes or values), and the utility's Sparse gathers it
+// cache fill (one walk that stages gap-coded node IDs, values and level
+// numbers in pooled scratch, then one exact-size copy of the IDs and the
+// codes or values), and the utility's Sparse gathers it
 // into plain slices (the form the §7 experiments, the DP audit of
 // internal/dpcheck and the partially sensitive ceiling of internal/bounds
 // evaluate). Neither the utilities nor the mechanisms have a dense form
@@ -163,13 +162,9 @@
 // debited before the query runs (concurrent callers cannot jointly
 // overspend) and a failed query refunds exactly its own reservation — by
 // construction a refund can never cancel another request's charge. The
-// optional audit ledger (disable with DisableLedger for
-// millions-of-principals serving) records every admitted call;
-// Spent() == Σ Ledger() is an invariant at every observable instant, and
-// Calls() reads an O(1) counter rather than copying the ledger. The
-// Accountant's batch methods charge a whole evaluation sweep in one
-// reservation round with per-target partial refusal, so an exhausted
-// principal cannot fail the rest of a batch.
+// manager's counters are the one record of each charge: Spent, Remaining,
+// Calls and TargetStats read them in O(1), however many principals and
+// calls there are.
 //
 // Refunds are DP-safe for the same reason errors are: a refused or failed
 // call released nothing about protected edges (refusal depends only on

@@ -66,14 +66,17 @@ func Corollary1Accuracy(n, k int, c, eps float64, t int) (float64, error) {
 }
 
 // TightestAccuracyBoundSparse evaluates the per-target theoretical ceiling
-// the experiments plot over the sparse utility form: the positive support
-// val plus ncand-len(val) implicit zeros. Corollary 1 holds for every
-// choice of c in (0,1) with k(c) = |{i : u_i > (1-c)·u_max}|, so the bound
-// is minimized over the thresholds induced by the distinct utility values.
-// Only the positive utilities induce usable thresholds (θ <= 0 gives
-// c >= 1, outside Corollary 1's range); the zeros enter only through the
-// candidate count n and the c → 1 probe, so the scan costs O(nnz log nnz)
-// instead of O(n log n). t is the exact rewiring count for the target
+// the experiments plot over the sparse utility form: the support val plus
+// ncand-len(val) implicit zeros. A zero entry of val counts as one of the
+// zeros, so a dense candidate vector with ncand = len(val) gives the same
+// bound as its positive entries alone; a negative entry is rejected with
+// ErrParams. Corollary 1 holds for every choice of c in (0,1) with
+// k(c) = |{i : u_i > (1-c)·u_max}|, so the bound is minimized over the
+// thresholds induced by the distinct utility values. Only the positive
+// utilities induce usable thresholds (θ <= 0 gives c >= 1, outside
+// Corollary 1's range); the zeros enter only through the candidate count n
+// and the c → 1 probe, so the scan costs O(nnz log nnz) instead of
+// O(n log n). t is the exact rewiring count for the target
 // (utility.Function.RewireCount).
 func TightestAccuracyBoundSparse(val []float64, ncand int, eps float64, t int) (float64, error) {
 	if !(eps > 0) || t < 1 {
@@ -84,7 +87,14 @@ func TightestAccuracyBoundSparse(val []float64, ncand int, eps float64, t int) (
 		return 0, fmt.Errorf("%w: need at least 2 candidates", ErrParams)
 	}
 	umax := 0.0
+	kpos := 0
 	for _, x := range val {
+		if x < 0 {
+			return 0, fmt.Errorf("%w: negative utility %g", ErrParams, x)
+		}
+		if x > 0 {
+			kpos++
+		}
 		if x > umax {
 			umax = x
 		}
@@ -124,7 +134,7 @@ func TightestAccuracyBoundSparse(val []float64, ncand int, eps float64, t int) (
 		}
 	}
 	// Also probe c -> 1 (θ -> 0): every positive-utility node is "high".
-	if kpos := len(sorted); kpos > 0 && kpos < n {
+	if kpos < n {
 		for _, c := range []float64{0.999, 0.99} {
 			if b, err := Corollary1Accuracy(n, kpos, c, eps, t); err == nil && b < best {
 				best = b

@@ -290,6 +290,43 @@ func TestTightestAccuracyBoundErrors(t *testing.T) {
 	if _, err := tightestAccuracyBound([]float64{1}, 1, 2); !errors.Is(err, ErrParams) {
 		t.Error("single candidate accepted")
 	}
+	if _, err := TightestAccuracyBoundSparse([]float64{2, -1}, 5, 1, 2); !errors.Is(err, ErrParams) {
+		t.Error("negative utility accepted")
+	}
+}
+
+// TestTightestAccuracyBoundZeroPadding: zeros passed in the support are
+// implicit zeros, not positive-utility nodes, so a support padded with
+// zeros up to the candidate count gives the same bound as its positive
+// entries alone. Each case's tightest threshold is the c → 1 probe, whose
+// k is the number of positive entries.
+func TestTightestAccuracyBoundZeroPadding(t *testing.T) {
+	for _, c := range []struct {
+		pos []float64
+		n   int
+		eps float64
+		t   int
+	}{
+		{[]float64{1}, 398, 3, 2},
+		{[]float64{4, 3, 1}, 60, 1, 3},
+		{[]float64{2, 2, 2, 2}, 9, 0.5, 1},
+	} {
+		want, err := TightestAccuracyBoundSparse(c.pos, c.n, c.eps, c.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		padded := make([]float64, c.n)
+		for i, x := range c.pos {
+			padded[2*i+1] = x
+		}
+		got, err := TightestAccuracyBoundSparse(padded, c.n, c.eps, c.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("support %v over %d candidates at eps=%g: padded bound %.17g, positive-only %.17g", c.pos, c.n, c.eps, got, want)
+		}
+	}
 }
 
 func TestTightestBoundLoosensWithEpsilon(t *testing.T) {

@@ -7,16 +7,10 @@ import "socialrec/internal/utility"
 // sparse form only.
 
 // tightestAccuracyBound is TightestAccuracyBoundSparse over a dense
-// candidate vector u: its positive entries are the support and len(u) the
-// candidate count.
+// candidate vector u: len(u) is the candidate count, and u's zeros count
+// as the implicit zeros.
 func tightestAccuracyBound(u []float64, eps float64, t int) (float64, error) {
-	val := make([]float64, 0, len(u))
-	for _, x := range u {
-		if x > 0 {
-			val = append(val, x)
-		}
-	}
-	return TightestAccuracyBoundSparse(val, len(u), eps, t)
+	return TightestAccuracyBoundSparse(u, len(u), eps, t)
 }
 
 // denseVector returns f's utility for every candidate of target r in

@@ -1,10 +1,9 @@
 // Package distribution provides the probability distributions that underlie
 // the differentially private mechanisms in this repository: the Laplace
-// distribution used by the Laplace mechanism (Dwork et al., TCC 2006), the
-// exponential distribution, and the analytic machinery (pdf, cdf, and the
-// distribution of the difference of two independent Laplace variables) needed
-// to verify Lemma 3 of Machanavajjhala et al. (VLDB 2011) against Monte-Carlo
-// estimates.
+// distribution used by the Laplace mechanism (Dwork et al., TCC 2006) and
+// the analytic machinery (pdf, cdf, and the distribution of the difference
+// of two independent Laplace variables) needed to verify Lemma 3 of
+// Machanavajjhala et al. (VLDB 2011) against Monte-Carlo estimates.
 //
 // All samplers take an explicit *rand.Rand so that experiments are
 // reproducible; package rand in this repository derives deterministic
@@ -122,47 +121,6 @@ func sign(x float64) float64 {
 	}
 	return 1
 }
-
-// Exponential is the exponential distribution with the given rate λ.
-type Exponential struct {
-	Rate float64
-}
-
-// NewExponential returns an exponential distribution; ErrBadScale if rate<=0.
-func NewExponential(rate float64) (Exponential, error) {
-	if !(rate > 0) || math.IsInf(rate, 0) {
-		return Exponential{}, ErrBadScale
-	}
-	return Exponential{Rate: rate}, nil
-}
-
-// Sample draws one variate by inverse-CDF sampling.
-func (e Exponential) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	if u == 0 {
-		u = math.Nextafter(0, 1)
-	}
-	return -math.Log(u) / e.Rate
-}
-
-// PDF returns the density at x (0 for x < 0).
-func (e Exponential) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return e.Rate * math.Exp(-e.Rate*x)
-}
-
-// CDF returns P[X <= x].
-func (e Exponential) CDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return 1 - math.Exp(-e.Rate*x)
-}
-
-// Mean returns 1/λ.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
 
 // LaplaceDiff is the distribution of X1 - X2 where X1, X2 are independent
 // Laplace(0, b) variables. Its pdf (for x >= 0, symmetric about 0) is

@@ -117,34 +117,6 @@ func TestLaplaceSampleMatchesCDF(t *testing.T) {
 	}
 }
 
-func TestExponentialBasics(t *testing.T) {
-	if _, err := NewExponential(0); err == nil {
-		t.Error("NewExponential(0): want error")
-	}
-	e, err := NewExponential(2)
-	if err != nil {
-		t.Fatalf("NewExponential: %v", err)
-	}
-	if got := e.Mean(); got != 0.5 {
-		t.Errorf("Mean = %g, want 0.5", got)
-	}
-	if got := e.PDF(-1); got != 0 {
-		t.Errorf("PDF(-1) = %g, want 0", got)
-	}
-	if got := e.CDF(-1); got != 0 {
-		t.Errorf("CDF(-1) = %g, want 0", got)
-	}
-	rng := NewRNG(11)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += e.Sample(rng)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("sample mean %g, want ~0.5", mean)
-	}
-}
-
 func TestLaplaceDiffPDFIntegratesToCDF(t *testing.T) {
 	d, err := NewLaplaceDiff(1.5)
 	if err != nil {

@@ -56,25 +56,6 @@ func ErdosRenyiGNM(n, m int, rng *rand.Rand) (*graph.Graph, error) {
 	return g, nil
 }
 
-// ErdosRenyiGNP returns an undirected G(n, p) graph where each pair is an
-// edge independently with probability p.
-func ErdosRenyiGNP(n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
-	if n < 0 || p < 0 || p > 1 {
-		return nil, fmt.Errorf("%w: G(n=%d, p=%g)", ErrParams, n, p)
-	}
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if rng.Float64() < p {
-				if err := g.AddEdge(u, v); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return g, nil
-}
-
 // BarabasiAlbert returns an undirected preferential-attachment graph: start
 // from a clique on m0 = m+1 nodes; each subsequent node attaches m edges to
 // existing nodes chosen proportionally to their degree. The resulting degree

@@ -46,24 +46,6 @@ func TestErdosRenyiGNMComplete(t *testing.T) {
 	}
 }
 
-func TestErdosRenyiGNP(t *testing.T) {
-	rng := distribution.NewRNG(3)
-	g, err := ErdosRenyiGNP(100, 0.1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Error(err)
-	}
-	// Expected edges = p * n(n-1)/2 = 495; allow wide tolerance.
-	if m := g.NumEdges(); m < 350 || m > 650 {
-		t.Errorf("edge count %d far from expectation 495", m)
-	}
-	if _, err := ErdosRenyiGNP(10, 1.5, rng); err == nil {
-		t.Error("p>1 accepted")
-	}
-}
-
 func TestBarabasiAlbert(t *testing.T) {
 	rng := distribution.NewRNG(4)
 	g, err := BarabasiAlbert(200, 3, rng)

@@ -174,17 +174,6 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// MaxOutDegree returns the maximum OutDegree over all nodes.
-func (g *Graph) MaxOutDegree() int {
-	max := 0
-	for v := range g.out {
-		if d := len(g.out[v]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // OutNeighbors returns the out-neighbors of v in ascending order. The slice
 // is freshly allocated each call.
 func (g *Graph) OutNeighbors(v int) []int {

@@ -210,9 +210,6 @@ func TestMaxDegree(t *testing.T) {
 	if d.MaxDegree() != 2 { // node 1: in 2, out 0
 		t.Errorf("directed MaxDegree = %d", d.MaxDegree())
 	}
-	if d.MaxOutDegree() != 1 {
-		t.Errorf("MaxOutDegree = %d", d.MaxOutDegree())
-	}
 }
 
 func TestDegreeSequence(t *testing.T) {

@@ -42,39 +42,3 @@ func (g *Graph) Relabel(perm []int) (*Graph, error) {
 	}
 	return h, nil
 }
-
-// EditDistanceTo returns the number of single-edge additions and removals
-// needed to transform g into h (graphs over the same node set and
-// directedness). It is the Hamming distance between edge sets — the quantity
-// that edge differential privacy composes over, and the "t" of the
-// lower-bound lemmas when h is the rewired graph.
-func (g *Graph) EditDistanceTo(h *Graph) (int, error) {
-	if g.directed != h.directed {
-		return 0, fmt.Errorf("graph: directedness mismatch")
-	}
-	if len(g.out) != len(h.out) {
-		return 0, fmt.Errorf("graph: node count mismatch %d vs %d", len(g.out), len(h.out))
-	}
-	dist := 0
-	for u := range g.out {
-		for v := range g.out[u] {
-			if !g.directed && v < u {
-				continue
-			}
-			if !h.HasEdge(u, v) {
-				dist++ // removal needed
-			}
-		}
-	}
-	for u := range h.out {
-		for v := range h.out[u] {
-			if !h.directed && v < u {
-				continue
-			}
-			if !g.HasEdge(u, v) {
-				dist++ // addition needed
-			}
-		}
-	}
-	return dist, nil
-}

@@ -94,61 +94,3 @@ func TestPropertyRelabelPreservesStructure(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestEditDistance(t *testing.T) {
-	a := New(3)
-	mustAdd(t, a, [2]int{0, 1})
-	b := New(3)
-	mustAdd(t, b, [2]int{1, 2})
-	d, err := a.EditDistanceTo(b)
-	if err != nil || d != 2 {
-		t.Errorf("EditDistance = %d, %v; want 2", d, err)
-	}
-	self, err := a.EditDistanceTo(a)
-	if err != nil || self != 0 {
-		t.Errorf("self distance = %d", self)
-	}
-}
-
-func TestEditDistanceErrors(t *testing.T) {
-	a := New(3)
-	if _, err := a.EditDistanceTo(NewDirected(3)); err == nil {
-		t.Error("directedness mismatch accepted")
-	}
-	if _, err := a.EditDistanceTo(New(4)); err == nil {
-		t.Error("size mismatch accepted")
-	}
-}
-
-func TestPropertyEditDistanceCountsMutations(t *testing.T) {
-	err := quick.Check(func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, 4+rng.Intn(8), false, 0.3)
-		h := g.Clone()
-		// Apply k distinct mutations (toggle edges), counting them.
-		mutations := 0
-		for i := 0; i < 5; i++ {
-			u := rng.Intn(h.NumNodes())
-			v := rng.Intn(h.NumNodes())
-			if u == v {
-				continue
-			}
-			if h.HasEdge(u, v) {
-				h.RemoveEdge(u, v)
-			} else {
-				h.AddEdge(u, v)
-			}
-			mutations++
-		}
-		d, err := g.EditDistanceTo(h)
-		if err != nil {
-			return false
-		}
-		// Toggling the same pair twice cancels, so distance <= mutations
-		// and has the same parity.
-		return d <= mutations && (mutations-d)%2 == 0
-	}, &quick.Config{MaxCount: 60})
-	if err != nil {
-		t.Error(err)
-	}
-}

@@ -18,7 +18,7 @@ import (
 //
 // Mechanically, inside the root socialrec package the analyzer checks:
 //
-//   - calls to vectorCache.get / put / contains: the epoch argument,
+//   - calls to vectorCache.get / put: the epoch argument,
 //   - composite literals of cacheKey: the epoch field value,
 //   - assignments to a field named epoch: the right-hand side,
 //
@@ -59,7 +59,7 @@ func runEpochKey(pass *Pass) error {
 			return false
 		}
 		switch fn.Name() {
-		case "get", "put", "contains":
+		case "get", "put":
 		default:
 			return false
 		}

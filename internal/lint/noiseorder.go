@@ -8,9 +8,9 @@ import (
 )
 
 // NoiseOrder pins the reservation-before-query rule from the striped
-// budget accountant (PR 5): inside an Accountant request method, the
-// budget must be debited — via Accountant.charge or budget.Manager.Reserve
-// — before anything samples noise. Reserving first is what keeps
+// budget accountant: inside an Accountant request method, the budget must
+// be debited — via the charge helper or budget.Manager.Reserve — before
+// anything samples noise. Reserving first is what keeps
 // concurrent callers from jointly overspending ε: a method that draws
 // first and charges after reopens exactly the overspend race the
 // reservation design closed, and it does so silently, because the answer
@@ -21,10 +21,12 @@ import (
 // on the Recommender (whose request paths all end in a mechanism draw).
 // The check is a source-order approximation of dominance: a sampling call
 // is reported unless a reserve call appears earlier in the same method
-// body. On this codebase every Accountant method is straight-line
-// charge -> query -> (refund on error), so source order and dominance
-// coincide; a refactor that breaks the approximation (sampling in a
-// helper called before charge) is exactly the kind of change that should
+// body. On this codebase every Accountant request method hands its query
+// to charge as a function literal, and charge runs it only after the
+// reservation (refunding on error); the literal sits inside the charge
+// call, so source order and dominance coincide. A refactor that breaks
+// the approximation (sampling in a helper called before charge, or in a
+// literal declared before it) is exactly the kind of change that should
 // trip a loud gate and get a human look.
 var NoiseOrder = &Analyzer{
 	Name: "noiseorder",
@@ -65,7 +67,7 @@ func runNoiseOrder(pass *Pass) error {
 					return true
 				}
 				callee := calleeFunc(info, call)
-				if isMethodOf(callee, modulePath, "Accountant", "charge") ||
+				if (isPkgFunc(callee, modulePath) && callee.Name() == "charge") ||
 					isMethodOf(callee, modulePath+"/internal/budget", "Manager", "Reserve") {
 					if !reservePos.IsValid() || call.Pos() < reservePos {
 						reservePos = call.Pos()

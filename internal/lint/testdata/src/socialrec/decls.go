@@ -28,11 +28,6 @@ func (c *vectorCache) put(epoch uint64, target int, v *cachedVector) {
 	c.entries[cacheKey{epoch: epoch, target: target}] = v
 }
 
-func (c *vectorCache) contains(epoch uint64, target int) bool {
-	_, ok := c.entries[cacheKey{epoch: epoch, target: target}]
-	return ok
-}
-
 type Recommendation struct{}
 
 type Recommender struct{ eps float64 }
@@ -47,17 +42,21 @@ func (r *Recommender) RecommendTopK(target, k int) ([]Recommendation, error) {
 	return nil, nil
 }
 
-type reservation struct{ res *budget.Reservation }
-
 type Accountant struct {
 	rec *Recommender
 	mgr *budget.Manager
 }
 
-func (a *Accountant) charge(principal string, target, k int, eps float64) (reservation, error) {
-	res, err := a.mgr.Reserve(principal, eps)
+func charge[T any](a *Accountant, target int, query func() (T, error)) (T, error) {
+	var zero T
+	res, err := a.mgr.Reserve("p", a.rec.Epsilon())
 	if err != nil {
-		return reservation{}, err
+		return zero, err
 	}
-	return reservation{res: res}, nil
+	v, err := query()
+	if err != nil {
+		res.Refund()
+		return zero, err
+	}
+	return v, nil
 }

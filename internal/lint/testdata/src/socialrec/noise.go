@@ -6,13 +6,12 @@ import "socialrec/internal/mechanism"
 // must be preceded by a budget reservation (charge / Manager.Reserve).
 
 func (a *Accountant) GoodOrder(target int) (Recommendation, error) {
-	eps := a.rec.Epsilon()
-	tok, err := a.charge("p", target, 1, eps)
-	if err != nil {
-		return Recommendation{}, err
-	}
-	_ = tok
-	return a.rec.Recommend(target)
+	return charge(a, target, func() (Recommendation, error) { return a.rec.Recommend(target) })
+}
+
+func (a *Accountant) DrawsBeforeCharge(target int) ([]Recommendation, error) {
+	recs, _ := a.rec.RecommendTopK(target, 2) // want "samples noise via RecommendTopK before the budget reservation"
+	return charge(a, target, func() ([]Recommendation, error) { return recs, nil })
 }
 
 func (a *Accountant) GoodDirectReserve(target int) ([]Recommendation, error) {

@@ -1,7 +1,6 @@
-// Package par provides the bounded worker pool shared by batch serving
-// (socialrec.BatchRecommend and friends) and the experiment pipeline's
-// utility-vector fan-out. Work items are indices, so callers keep results
-// positionally aligned regardless of worker interleaving.
+// Package par provides the bounded worker pool behind the experiment
+// pipeline's per-target fan-out. Work items are indices, so callers keep
+// results positionally aligned regardless of worker interleaving.
 package par
 
 import (
@@ -57,57 +56,6 @@ func ForEach(n int, fn func(i int)) {
 				fn(i)
 			}
 		}()
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-}
-
-// ForEachChunked partitions 0..n-1 into one contiguous half-open range per
-// worker and calls fn(lo, hi) for each range. Compared with ForEach it
-// trades work stealing for scheduling cost: there is one goroutine and one
-// closure call per worker instead of one channel round-trip per index, and
-// each worker writes a contiguous span of the caller's result slice, so it
-// is the right shape for uniform per-item work like batch serving. fn must
-// be safe for concurrent invocation. The pool is bounded by
-// runtime.GOMAXPROCS(0) like ForEach's; with GOMAXPROCS 1 it degenerates
-// to a single fn(0, n) call on the caller's goroutine.
-//
-// Panic safety matches ForEach: the first panic value from any chunk is
-// re-raised on the caller's goroutine once every chunk has finished.
-func ForEachChunked(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var (
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicVal  any
-	)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicOnce.Do(func() { panicVal = p })
-				}
-			}()
-			fn(lo, hi)
-		}(lo, hi)
 	}
 	wg.Wait()
 	if panicVal != nil {

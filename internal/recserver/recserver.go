@@ -186,11 +186,7 @@ func New(cfg Config) (*Server, error) {
 		s.logf = log.Printf
 	}
 	if cfg.TotalEpsilon > 0 || cfg.PerPrincipalEpsilon > 0 {
-		// The server never reads the per-call audit ledger (budget
-		// introspection is served from the O(1) counters), so it runs the
-		// accountant without one: under per-principal-only budgets the
-		// ledger would otherwise grow with every admitted call forever.
-		opts := []socialrec.AccountantOption{socialrec.DisableLedger()}
+		var opts []socialrec.AccountantOption
 		if cfg.PerPrincipalEpsilon > 0 {
 			opts = append(opts, socialrec.PerPrincipalBudget(cfg.PerPrincipalEpsilon))
 		}

@@ -129,7 +129,7 @@ func TestBudgetEnforcement(t *testing.T) {
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("exhausted budget: status %d %v", w.Code, body)
 	}
-	// Budget endpoint reflects the ledger.
+	// Budget endpoint reflects the two admitted charges.
 	w, body = get(t, srv, "/v1/budget")
 	if w.Code != http.StatusOK {
 		t.Fatalf("budget: %d", w.Code)

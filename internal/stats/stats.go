@@ -54,32 +54,6 @@ func Variance(xs []float64) (float64, error) {
 	return sum / float64(len(xs)-1), nil
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// MinMax returns the minimum and maximum of xs.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
 // Quantile returns the q-th empirical quantile of xs (q in [0,1]) using
 // linear interpolation between order statistics. xs need not be sorted.
 func Quantile(xs []float64, q float64) (float64, error) {
@@ -103,9 +77,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac, nil
 }
-
-// Median returns the 0.5 quantile.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
 
 // FractionLE returns the fraction of xs that are <= threshold. This is the
 // y-axis of the paper's figures: "% of nodes receiving recommendations with
@@ -155,15 +126,4 @@ func AccuracyGrid() []float64 {
 		grid[i] = float64(i) / 10
 	}
 	return grid
-}
-
-// Clamp restricts x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

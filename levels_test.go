@@ -55,9 +55,7 @@ func TestCacheBytesPerNode(t *testing.T) {
 	for i := range targets {
 		targets[i] = i
 	}
-	if warmed := rec.Precompute(targets); warmed != n {
-		t.Fatalf("warmed %d of %d targets", warmed, n)
-	}
+	warmCache(t, rec, targets)
 	st := rec.state.Load()
 	var nnz, want int
 	for target, cv := range cachedAt(rec, st.epoch) {

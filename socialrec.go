@@ -528,9 +528,12 @@ func (r *Recommender) vector(st *snapState, target int) (*cachedVector, error) {
 			return cv.check(target)
 		}
 	}
-	cv, err := r.computeCached(st, c, target)
+	cv, err := r.computeVector(st, target)
 	if err != nil {
 		return nil, err
+	}
+	if c != nil {
+		c.put(st.epoch, target, cv)
 	}
 	return cv.check(target)
 }
