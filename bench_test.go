@@ -436,10 +436,10 @@ func BenchmarkTopK(b *testing.B) {
 }
 
 // BenchmarkLiveChurn reproduces the cache layer of a live serving mix
-// without HTTP: on a Wiki-Vote-like graph with the cache, live mutations
-// and delta invalidation on, each op is nine reads over Zipf(1.2)-ranked
-// targets (highest degree first) plus one edge insert, and every 20 inserts
-// are folded into a new snapshot by Rebuild.
+// without HTTP: on a Wiki-Vote-like graph with the cache and live
+// mutations on (so each rebuild runs delta invalidation), each op is nine
+// reads over Zipf(1.2)-ranked targets (highest degree first) plus one edge
+// insert, and every 20 inserts are folded into a new snapshot by Rebuild.
 func BenchmarkLiveChurn(b *testing.B) {
 	const (
 		readsPerWrite = 9
@@ -458,8 +458,7 @@ func BenchmarkLiveChurn(b *testing.B) {
 	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(1),
 		WithCache(DefaultCacheSize),
 		WithRebuildInterval(time.Hour), // only explicit Rebuild swaps
-		WithMaxPendingDeltas(1<<30),
-		WithDeltaInvalidation())
+		WithMaxPendingDeltas(1<<30))
 	if err != nil {
 		b.Fatal(err)
 	}

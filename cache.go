@@ -19,15 +19,15 @@ import (
 // Cached values hold raw (non-private) utilities and must never leave the
 // process; only the Recommendation values derived from fresh noise do.
 //
-// Entries are keyed by (epoch, target). The epoch increments whenever the
-// Recommender swaps in a new graph snapshot (RefreshSnapshot or a live
-// Rebuild). At each swap, advance sweeps every shard once: entries of the
-// outgoing epoch whose target lies outside the delta batch's
-// radius-expanded touched set are re-keyed to the new epoch in place
-// (delta-aware invalidation, see invalidate.go), while touched and
-// dead-epoch entries are removed immediately — so CacheStats never counts
-// unusable residue and a high-churn live graph keeps serving warm. Without
-// delta information (or with WithDeltaInvalidation off) the sweep
+// Entries are keyed by (epoch, target). The epoch increments whenever a
+// live Rebuild swaps in a new graph snapshot. At each swap, advance sweeps
+// every shard once: entries of the outgoing epoch whose target lies
+// outside the delta batch's radius-expanded touched set are re-keyed to the
+// new epoch in place (delta-aware invalidation, see invalidate.go), while
+// touched and dead-epoch entries are removed immediately — so CacheStats
+// never counts unusable residue and a high-churn live graph keeps serving
+// warm. When retention cannot be proven bit-exact (a utility without a
+// radius, a node addition, a change of Δf or x, a lost basis) the sweep
 // degenerates to a full flush. The cache is sharded to keep lock contention
 // negligible under concurrent serving.
 

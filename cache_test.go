@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"socialrec/internal/distribution"
 	"socialrec/internal/gen"
@@ -133,12 +134,18 @@ func TestCacheNegativeResults(t *testing.T) {
 	}
 }
 
-func TestRefreshSnapshotAdvancesEpoch(t *testing.T) {
+// TestRebuildAdvancesEpoch: a live Rebuild is the one way a snapshot
+// changes, and it must not serve a stale cached pick for a target whose
+// neighbourhood the batch rewired.
+func TestRebuildAdvancesEpoch(t *testing.T) {
 	g := demoGraph(t)
-	rec, err := NewRecommender(g, NonPrivate(), WithCache(64))
+	rec, err := NewRecommender(g, NonPrivate(), WithCache(64),
+		WithRebuildInterval(time.Hour), // only the explicit Rebuild swaps
+		WithMaxPendingDeltas(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rec.Close()
 	before, err := rec.Recommend(0)
 	if err != nil {
 		t.Fatal(err)
@@ -147,24 +154,24 @@ func TestRefreshSnapshotAdvancesEpoch(t *testing.T) {
 		t.Fatalf("expected node 3 before rewiring, got %d", before.Node)
 	}
 	// Rewire so node 5 becomes the clear best suggestion for 0 (common
-	// neighbors through 1 and 2), then refresh.
+	// neighbors through 1 and 2), then rebuild.
 	for _, e := range [][2]int{{1, 5}, {2, 5}, {3, 0}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
+		if err := rec.AddEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := rec.RefreshSnapshot(g); err != nil {
+	if err := rec.Rebuild(); err != nil {
 		t.Fatal(err)
+	}
+	if v := rec.SnapshotVersion(); v != 1 {
+		t.Fatalf("SnapshotVersion = %d after one rebuild, want 1", v)
 	}
 	after, err := rec.Recommend(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.Node != 5 {
-		t.Errorf("stale snapshot after refresh: recommended %d, want 5", after.Node)
-	}
-	if err := rec.RefreshSnapshot(nil); !errors.Is(err, ErrNilGraph) {
-		t.Errorf("nil refresh: want ErrNilGraph, got %v", err)
+		t.Errorf("stale snapshot after rebuild: recommended %d, want 5", after.Node)
 	}
 }
 

@@ -117,7 +117,6 @@ func main() {
 		seed      = flag.Int64("seed", 0, "seed (0 = time-based; use non-zero only for testing)")
 		cache     = flag.Int("cache", socialrec.DefaultCacheSize, "utility-vector cache entries (0 disables caching, negative selects the default)")
 		live      = flag.Bool("live", false, "accept streaming graph mutations (POST /v1/edges, DELETE /v1/edges, POST /v1/nodes)")
-		deltaInv  = flag.Bool("delta-invalidation", false, "retain cached utility vectors a rebuild's delta batch provably did not touch, instead of flushing the cache at every snapshot swap (with -live and -cache)")
 		interval  = flag.Duration("rebuild-interval", socialrec.DefaultRebuildInterval, "debounce interval for folding mutations into the serving snapshot (with -live)")
 		maxPend   = flag.Int("max-pending", socialrec.DefaultMaxPendingDeltas, "pending mutations that force an immediate snapshot rebuild (with -live)")
 		persist   = flag.String("persist-snapshot", "", "atomically persist every swapped snapshot to this .srsnap path (with -live)")
@@ -133,6 +132,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "recserve: exactly one of -graph and -snapshot is required")
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *walDir != "" {
+		*live = true // journaled mutations require the mutation API
 	}
 	if *persist != "" && !*live {
 		// Without -live no snapshot swap ever happens, so nothing would
@@ -166,17 +168,11 @@ func main() {
 	if *cache != 0 {
 		opts = append(opts, socialrec.WithCache(*cache)) // negative: the default size
 	}
-	if *walDir != "" {
-		*live = true // journaled mutations require the mutation API
-	}
 	if *live {
 		opts = append(opts,
 			socialrec.WithRebuildInterval(*interval),
 			socialrec.WithMaxPendingDeltas(*maxPend),
 		)
-	}
-	if *deltaInv {
-		opts = append(opts, socialrec.WithDeltaInvalidation())
 	}
 	if *persist != "" {
 		opts = append(opts, socialrec.WithSnapshotPersist(*persist))

@@ -60,9 +60,12 @@
 // and float64 utilities the kernel produced, so every draw reads the same
 // numbers either way.
 //
-// RefreshSnapshot swaps in a new graph snapshot atomically — advancing the
-// cache epoch so stale entries lazily expire — for deployments that
-// re-ingest their graph periodically.
+// A Recommender's snapshot changes only through a live Rebuild (see "Live
+// graphs" below), which advances the cache epoch and sweeps the cache
+// at the swap: entries the swap's delta batch provably did not touch are
+// carried over, the rest are dropped on the spot. Without live mutations
+// the snapshot taken at construction serves for the Recommender's whole
+// life; to serve a different graph, build a new Recommender.
 //
 // What caching does NOT change: privacy budgeting. Each served
 // recommendation still releases ε of information (the Accountant composes
@@ -273,10 +276,10 @@
 //
 // # Cache invalidation
 //
-// By default every snapshot swap flushes the utility-vector cache: the
-// epoch bump orphans all entries, so a live graph under steady mutation
-// traffic serves almost entirely uncached. WithDeltaInvalidation replaces
-// the flush with delta-aware retention built on a per-utility invalidation
+// A snapshot swap bumps the cache epoch. Flushing every entry at each bump
+// would leave a live graph under steady mutation traffic serving almost
+// entirely uncached, so every live rebuild of a cached Recommender runs
+// delta-aware retention instead, built on a per-utility invalidation
 // radius.
 //
 // A utility declares locality by implementing InvalidationRadius() int
@@ -310,9 +313,9 @@
 // radius (Degree scores every node; PageRank propagates mass globally),
 // when the batch adds a node (the candidate count n-1-d(r) baked into every
 // entry's tail ranks changes), when Δf or the smoothing weight changed
-// across the swap (baked into cached CDF weights), when a failed rebuild
-// lost the incremental basis, and on RefreshSnapshot (an arbitrary new
-// graph carries no delta information).
+// across the swap (baked into cached CDF weights), and when a failed
+// rebuild lost the incremental basis (the drained batch is then not the
+// whole diff between the two snapshots).
 //
 // Why retention is DP-safe: a retained entry is pure pre-noise state — raw
 // utilities that never leave the process — and the locality contract makes

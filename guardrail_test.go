@@ -190,7 +190,9 @@ func TestGuardrailShardedAccountant(t *testing.T) {
 // mutation traffic, delta-aware invalidation must keep a strictly higher
 // cache hit rate than the full flush. Both arms serve the identical seeded
 // workload: warm the whole target domain, then alternate mutation batches
-// and synchronous rebuilds with read bursts.
+// and synchronous rebuilds with read bursts. The flush arm also adds a node
+// before each rebuild: a node addition changes every target's candidate
+// count, so it is the one mutation that forces a full flush.
 func TestGuardrailDeltaInvalidationHitRate(t *testing.T) {
 	skipUnderRace(t)
 	const (
@@ -209,18 +211,13 @@ func TestGuardrailDeltaInvalidationHitRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	hitRate := func(deltaAware bool) float64 {
-		opts := []Option{
+		rec, err := NewRecommender(g,
 			WithEpsilon(1), WithSeed(1),
 			// Rebuilds happen only at the explicit Rebuild calls, so both
 			// arms swap snapshots at identical workload points.
 			WithRebuildInterval(time.Hour),
-			WithMaxPendingDeltas(1 << 30),
-			WithCache(2 * distinctTargets),
-		}
-		if deltaAware {
-			opts = append(opts, WithDeltaInvalidation())
-		}
-		rec, err := NewRecommender(g, opts...)
+			WithMaxPendingDeltas(1<<30),
+			WithCache(2*distinctTargets))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,6 +244,11 @@ func TestGuardrailDeltaInvalidationHitRate(t *testing.T) {
 					if err := rec.RemoveEdge(u, v); err != nil {
 						t.Fatal(err)
 					}
+				}
+			}
+			if !deltaAware {
+				if _, err := rec.AddNode(); err != nil {
+					t.Fatal(err)
 				}
 			}
 			if err := rec.Rebuild(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"socialrec/internal/dataset"
 	"socialrec/internal/distribution"
 	"socialrec/internal/dpcheck"
 	"socialrec/internal/gen"
@@ -27,7 +28,7 @@ func TestPublicAPIPrivacyEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eps := range []float64{0.5, 1} {
-		for _, u := range []UtilityFunction{CommonNeighbors(), WeightedPaths(0.05), DegreeUtility(), JaccardUtility()} {
+		for _, u := range []UtilityFunction{CommonNeighbors(), WeightedPaths(0.05), DegreeUtility(), utility.Jaccard{}} {
 			rec, err := NewRecommender(g, WithEpsilon(eps), WithUtility(u))
 			if err != nil {
 				t.Fatal(err)
@@ -59,7 +60,7 @@ func TestFileToRecommendationPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "social.txt.gz")
-	if err := WriteGraphFile(path, g); err != nil {
+	if err := dataset.WriteFile(path, g); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadGraphFile(path, false)

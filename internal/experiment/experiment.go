@@ -25,7 +25,6 @@ import (
 	"socialrec/internal/distribution"
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
-	"socialrec/internal/par"
 	"socialrec/internal/stats"
 	"socialrec/internal/stream"
 	"socialrec/internal/utility"
@@ -118,7 +117,7 @@ func Run(g *graph.Graph, cfg Config) ([]Result, error) {
 		}
 	}
 
-	evals := par.Map(len(targets), func(j int) targetEval {
+	evals := parallelMap(len(targets), func(j int) targetEval {
 		trs, err := evaluateTarget(snap, cfg, sens, targets[j])
 		return targetEval{trs, err}
 	})

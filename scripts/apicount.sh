@@ -4,8 +4,8 @@
 # Prints, for every library package of the root module (commands and
 # examples export nothing), the number of exported top-level funcs and
 # types `go doc -all` lists (methods included, as `func (r *T) M` lines),
-# then their total, then the number of lines of non-test Go outside
-# benchmark/ (the benchmark is a module of its own).
+# then their total, then the number of lines of non-test and of test Go
+# outside benchmark/ (the benchmark is a module of its own).
 # Changes that delete code cite these counts before and after.
 #
 # Usage: scripts/apicount.sh
@@ -22,3 +22,5 @@ printf '%5d  total exported funcs and types\n' "$total"
 
 lines=$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
 printf '%5d  lines of non-test Go outside benchmark/\n' "$lines"
+lines=$(find . -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
+printf '%5d  lines of test Go outside benchmark/\n' "$lines"

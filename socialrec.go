@@ -29,9 +29,6 @@ type Edge = graph.Edge
 // NewGraph returns an undirected graph with n isolated nodes.
 func NewGraph(n int) *Graph { return graph.New(n) }
 
-// NewDirectedGraph returns a directed graph with n isolated nodes.
-func NewDirectedGraph(n int) *Graph { return graph.NewDirected(n) }
-
 // UtilityFunction scores how good each candidate recommendation is for a
 // target, using only the link structure of the graph.
 type UtilityFunction = utility.Function
@@ -53,11 +50,6 @@ func PersonalizedPageRank(alpha float64) UtilityFunction { return utility.PageRa
 // DegreeUtility returns the preferential-attachment utility (candidate
 // out-degree).
 func DegreeUtility() UtilityFunction { return utility.Degree{} }
-
-// JaccardUtility returns the Jaccard-coefficient utility: the size of the
-// shared neighborhood normalized by the union, so that candidates with
-// small but fully-overlapping circles score as well as hubs.
-func JaccardUtility() UtilityFunction { return utility.Jaccard{} }
 
 // MechanismKind selects the private selection algorithm.
 type MechanismKind int
@@ -111,9 +103,10 @@ type Recommendation struct {
 // snapState bundles every piece of Recommender state derived from one graph
 // snapshot: the immutable store itself (heap CSR or mmap-backed, see
 // graph.Store), the utility sensitivity Δf on it, the smoothing weight x
-// (MechanismSmoothing only), and the cache epoch. The bundle is swapped
-// atomically by RefreshSnapshot, so concurrent requests always observe a
-// consistent (snapshot, Δf, x, epoch) quadruple.
+// (MechanismSmoothing only), and the cache epoch. A live Rebuild swaps the
+// bundle atomically, so concurrent requests always observe a consistent
+// (snapshot, Δf, x, epoch) quadruple; without live mutations the bundle
+// built at construction serves for the Recommender's whole life.
 type snapState struct {
 	snap  graph.Store
 	sens  float64
@@ -151,17 +144,9 @@ type Recommender struct {
 	// drawSeq numbers the per-request RNG streams RequestRNG hands out.
 	drawSeq atomic.Uint64
 
-	// deltaInval enables delta-aware cache invalidation across live
-	// snapshot swaps (WithDeltaInvalidation); see invalidate.go.
-	deltaInval bool
-
 	// live is non-nil when the Recommender retains a mutable copy of its
 	// graph for streaming mutations; see live.go.
 	live *liveState
-
-	// refreshMu serializes snapshot writers (RefreshSnapshot and Rebuild);
-	// readers never take it.
-	refreshMu sync.Mutex
 
 	// ownedSnap is the snapshot file this Recommender opened itself (via
 	// WithSnapshotFile) and therefore closes in Close.
@@ -169,7 +154,7 @@ type Recommender struct {
 
 	// persistPath, when non-empty, is where every swapped-in snapshot is
 	// atomically persisted (temp file + rename); see WithSnapshotPersist.
-	// persistMu serializes the disk writes outside refreshMu — a slow
+	// persistMu serializes the disk writes outside the rebuild lock — a slow
 	// persist must not stall snapshot swaps — and guards persistEpoch,
 	// which keeps a delayed older write from clobbering a newer snapshot.
 	persistPath  string
@@ -219,7 +204,9 @@ var (
 // NewRecommender builds a Recommender over a snapshot of g. The default
 // configuration is the exponential mechanism with ε = 1 and the
 // common-neighbors utility. Mutating g afterwards does not affect the
-// Recommender (use RefreshSnapshot to pick up graph changes).
+// Recommender: its snapshot changes only through the live mutation API
+// (WithLiveMutations and Rebuild). To serve a different graph without it,
+// build a new Recommender.
 //
 // With WithSnapshotFile, g must be nil: the Recommender cold-starts from
 // the named .srsnap file instead of an in-memory graph, owns the opened
@@ -400,42 +387,6 @@ func (r *Recommender) buildStateFromSnap(snap graph.Store, epoch uint64) (*snapS
 	}
 	st.mech = r.buildMech(st)
 	return st, nil
-}
-
-// RefreshSnapshot atomically replaces the Recommender's graph snapshot with
-// a fresh snapshot of g, recomputing the sensitivity and smoothing weight
-// for the new graph. In-flight requests keep using the snapshot they
-// started with; new requests see the new one. The utility-vector cache (if
-// enabled) advances to a new epoch and is fully flushed — g is an arbitrary
-// unrelated graph, so unlike a live Rebuild there is no delta batch to
-// drive retention (see invalidate.go) — but serving continues without a
-// stop-the-world pause.
-func (r *Recommender) RefreshSnapshot(g *Graph) error {
-	if g == nil {
-		return ErrNilGraph
-	}
-	if r.live != nil {
-		return errors.New("socialrec: RefreshSnapshot on a live Recommender would desynchronize the mutable graph; mutate via AddEdge/RemoveEdge/AddNode and call Rebuild instead")
-	}
-	st, err := func() (*snapState, error) {
-		r.refreshMu.Lock()
-		defer r.refreshMu.Unlock()
-		cur := r.state.Load()
-		st, err := r.buildState(g, cur.epoch+1)
-		if err != nil {
-			return nil, err
-		}
-		if c := r.cache; c != nil {
-			c.advance(cur.epoch, st.epoch, nil)
-		}
-		r.state.Store(st)
-		return st, nil
-	}()
-	if err != nil {
-		return err
-	}
-	r.persistSwapped(st)
-	return nil
 }
 
 // CacheStats returns a snapshot of the utility-vector cache's counters. The

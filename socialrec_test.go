@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"socialrec/internal/dataset"
 	"socialrec/internal/distribution"
 )
 
@@ -278,10 +279,10 @@ func TestGraphIORoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
+	if err := dataset.Write(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadGraph(&buf, false)
+	back, _, err := dataset.Read(&buf, dataset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestGraphIORoundTrip(t *testing.T) {
 }
 
 func TestReadGraphParsesEdgeList(t *testing.T) {
-	g, err := ReadGraph(strings.NewReader("# c\n0 1\n1 2\n"), true)
+	g, _, err := dataset.Read(strings.NewReader("# c\n0 1\n1 2\n"), dataset.Options{Directed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
