@@ -27,9 +27,9 @@ import (
 // touched and dead-epoch entries are removed immediately — so CacheStats
 // never counts unusable residue and a high-churn live graph keeps serving
 // warm. When retention cannot be proven bit-exact (a utility without a
-// radius, a node addition, a change of Δf or x, a lost basis) the sweep
-// degenerates to a full flush. The cache is sharded to keep lock contention
-// negligible under concurrent serving.
+// radius, a node addition, a change of Δf or x) the sweep degenerates to a
+// full flush. The cache is sharded to keep lock contention negligible under
+// concurrent serving.
 
 // DefaultCacheSize is the entry cap WithCache uses when given a
 // non-positive size.

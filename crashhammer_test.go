@@ -96,7 +96,7 @@ func hammerIteration(t *testing.T, it int) {
 			}
 		}
 		// Occasional mid-script rebuilds: with persistence they snapshot and
-		// truncate covered WAL segments, without it they just drain deltas —
+		// truncate covered WAL segments, without it they just patch deltas in —
 		// recovery must be exact either way.
 		if rng.Intn(20) == 0 {
 			if err := rec.Rebuild(); err != nil {
@@ -237,7 +237,8 @@ func TestConcurrentMutationFailpointHammer(t *testing.T) {
 
 	// Probabilistic failures on the ack path and the rebuild path. Vetoed
 	// mutations return errors (and are excluded from the shadow); rebuilds
-	// retry and occasionally exhaust into forceFull recovery.
+	// retry and occasionally exhaust, leaving their batch pending for the
+	// next rebuild.
 	fault.Arm("wal.append", fault.Config{Mode: fault.Error, Prob: 0.15, Seed: 3})
 	fault.Arm("live.rebuild", fault.Config{Mode: fault.Error, Prob: 0.3, Seed: 4})
 

@@ -243,8 +243,7 @@
 // The paper's setting is a live social network: edges arrive while
 // recommendations are served. A Recommender built with WithLiveMutations
 // (or the knobs implying it, WithRebuildInterval and WithMaxPendingDeltas)
-// retains a concurrency-safe mutable copy of its graph and accepts
-// streaming writes:
+// accepts streaming writes:
 //
 //	rec, _ := socialrec.NewRecommender(g,
 //		socialrec.WithRebuildInterval(100*time.Millisecond),
@@ -255,14 +254,18 @@
 //	rec.RemoveEdge(1, 2)
 //	id, _ := rec.AddNode()
 //
-// Writes are journaled into a delta log and never block reads: readers keep
-// serving the current immutable snapshot until a background rebuilder folds
-// the pending deltas into a fresh snapshot — incrementally patching the CSR
-// for small batches — and swaps it in atomically, advancing the cache
-// epoch. The rebuild is debounced by WithRebuildInterval and forced early
-// once WithMaxPendingDeltas mutations accumulate; Rebuild folds pending
-// deltas synchronously, and SnapshotVersion / PendingDeltas / LiveStats
-// expose the subsystem for monitoring.
+// The live graph is the serving snapshot plus the ordered log of mutations
+// accepted since it; no second copy of the graph is kept. A write is
+// checked against the log and the snapshot, journaled, and appended to the
+// log, and never blocks reads: readers keep serving the current immutable
+// snapshot until a background rebuilder patches it with the pending log,
+// merging each touched row once, and swaps the result in atomically,
+// advancing the cache epoch. If that rebuild fails, the log stays pending
+// and the next one retries it with any newer deltas. The rebuild is
+// debounced by WithRebuildInterval and forced early once
+// WithMaxPendingDeltas mutations accumulate; Rebuild folds pending deltas
+// synchronously, and SnapshotVersion / PendingDeltas / LiveStats expose the
+// subsystem for monitoring.
 //
 // Why live mutation is DP-safe: applying deltas is pre-processing — it
 // changes the input graph that future snapshots are computed from, not any
@@ -287,7 +290,7 @@
 // determined by r's ρ-hop out-ball, and its nonzero support lies inside
 // that ball. CommonNeighbors and Jaccard declare 2, WeightedPaths declares
 // its path-length truncation (3 by default). At each live rebuild, the
-// drained delta batch's endpoints are expanded ρ reverse-BFS hops over the
+// patched delta batch's endpoints are expanded ρ reverse-BFS hops over the
 // post-patch adjacency. One graph suffices: a shortest path from a target
 // to its nearest delta endpoint uses no delta edge (its first one would
 // start at a nearer endpoint), so that path exists before and after the
@@ -313,9 +316,9 @@
 // radius (Degree scores every node; PageRank propagates mass globally),
 // when the batch adds a node (the candidate count n-1-d(r) baked into every
 // entry's tail ranks changes), when Δf or the smoothing weight changed
-// across the swap (baked into cached CDF weights), and when a failed
-// rebuild lost the incremental basis (the drained batch is then not the
-// whole diff between the two snapshots).
+// across the swap (baked into cached CDF weights). A failed rebuild forces
+// no flush: its batch stays pending, so the batch the next rebuild patches
+// is still the whole diff between the two snapshots.
 //
 // Why retention is DP-safe: a retained entry is pure pre-noise state — raw
 // utilities that never leave the process — and the locality contract makes
@@ -336,8 +339,9 @@
 // The ack contract is exact — AddEdge, RemoveEdge, and AddNode return nil
 // only after the record is in the WAL (and, under the default fsync
 // policy, on stable storage), and an append failure vetoes the mutation
-// entirely: it is rolled back from the mutable graph and never becomes
-// pending, so the WAL can never hold less than the acknowledged state.
+// entirely: the journal is consulted before the mutation is applied, so it
+// never reaches the live graph or becomes pending, and the WAL can never
+// hold less than the acknowledged state.
 // On reopen, the log replays onto the initial graph or the newest
 // persisted snapshot; replay is idempotent (records a snapshot already
 // covers skip as no-ops), tolerates torn tails (a partial or corrupt
@@ -358,12 +362,12 @@
 // retries exhaust, the Recommender keeps serving the last good snapshot
 // and reports the failing subsystem via Degraded and LiveStats (recserver
 // surfaces it as "status": "degraded" on /healthz), clearing the flag on
-// the next success. A failed incremental rebuild falls back to a full
-// rebuild from the mutable graph, which still holds every acknowledged
-// mutation.
+// the next success. A failed rebuild leaves its batch pending, and the
+// next rebuild patches it again together with any newer deltas, so no
+// acknowledged mutation is dropped.
 //
 // Why the WAL is DP-safe: the log records accepted graph mutations —
-// pre-noise input state, exactly what the mutable graph already holds —
+// pre-noise input state, exactly what the live graph's log already holds —
 // and replay is pure pre-processing that reconstructs the input graph
 // before any mechanism draw. No released output, no noise, and no budget
 // state flows through the WAL, so recovery neither replays nor re-releases

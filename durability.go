@@ -147,7 +147,7 @@ func walRecord(d graph.Delta) wal.Record {
 	return wal.Record{Op: uint8(d.Op), From: int64(d.From), To: int64(d.To)}
 }
 
-// replayWALRecord applies one recovered mutation to the basis graph.
+// replayWALRecord applies one recovered mutation to the live graph.
 // Replay is idempotent by construction, which is what lets recovery apply
 // the whole surviving log without knowing exactly which prefix the
 // snapshot on disk already covers: an AddEdge already present, a
@@ -157,42 +157,54 @@ func walRecord(d graph.Delta) wal.Record {
 // skipped) the final graph equals the true post-log state. Any other
 // failure means the snapshot/WAL pair is inconsistent — e.g. mismatched
 // files — and aborts recovery rather than serving a corrupt graph.
-func replayWALRecord(g *Graph, rec wal.Record) error {
+func replayWALRecord(m *graph.MutableGraph, rec wal.Record) error {
 	switch graph.DeltaOp(rec.Op) {
 	case graph.DeltaAddEdge:
-		err := g.AddEdge(int(rec.From), int(rec.To))
+		err := m.AddEdge(int(rec.From), int(rec.To))
 		if errors.Is(err, graph.ErrDuplicateEdge) {
 			return nil
 		}
 		return err
 	case graph.DeltaRemoveEdge:
-		err := g.RemoveEdge(int(rec.From), int(rec.To))
+		err := m.RemoveEdge(int(rec.From), int(rec.To))
 		if errors.Is(err, graph.ErrMissingEdge) {
 			return nil
 		}
 		return err
 	case graph.DeltaAddNode:
-		id := int(rec.From)
+		id, n := int(rec.From), m.NumNodes()
 		switch {
-		case id < g.NumNodes():
+		case id < n:
 			return nil // snapshot already covers this node
-		case id == g.NumNodes():
-			g.AddNode()
-			return nil
+		case id == n:
+			_, err := m.AddNode()
+			return err
 		default:
-			return fmt.Errorf("socialrec: WAL add-node %d skips past node count %d (snapshot/WAL mismatch)", id, g.NumNodes())
+			return fmt.Errorf("socialrec: WAL add-node %d skips past node count %d (snapshot/WAL mismatch)", id, n)
 		}
 	default:
 		return fmt.Errorf("socialrec: unknown WAL op %d", rec.Op)
 	}
 }
 
-// replayWAL folds every recovered record into g, in log order.
-func replayWAL(g *Graph, recs []wal.Record) error {
+// replayWAL folds every recovered record into the live graph m, whose base
+// is st.snap, in log order, then patches the snapshot once with what the
+// records changed. It returns the state over the replayed graph (st itself
+// when they change nothing) and leaves m's log empty on its snapshot.
+func (r *Recommender) replayWAL(m *graph.MutableGraph, st *snapState, recs []wal.Record) (*snapState, error) {
 	for i, rec := range recs {
-		if err := replayWALRecord(g, rec); err != nil {
-			return fmt.Errorf("socialrec: WAL replay failed at record %d of %d: %w", i+1, len(recs), err)
+		if err := replayWALRecord(m, rec); err != nil {
+			return nil, fmt.Errorf("socialrec: WAL replay failed at record %d of %d: %w", i+1, len(recs), err)
 		}
 	}
-	return nil
+	base, deltas := m.Batch()
+	if len(deltas) == 0 {
+		return st, nil
+	}
+	replayed, err := r.buildStateFromSnap(base.Patch(deltas), st.epoch)
+	if err != nil {
+		return nil, err
+	}
+	m.Advance(replayed.snap, len(deltas))
+	return replayed, nil
 }

@@ -181,7 +181,10 @@ func TestPersistFailureDegradesButServingContinues(t *testing.T) {
 	}
 }
 
-func TestRebuildFailureDegradesAndForceFullRecovers(t *testing.T) {
+// TestRebuildFailureDegradesAndRetriesBatch pins a failed rebuild: the
+// Recommender reports degraded and keeps serving, the failed batch stays
+// pending, and the next Rebuild installs it together with newer deltas.
+func TestRebuildFailureDegradesAndRetriesBatch(t *testing.T) {
 	defer fault.Reset()
 	rec := newWALRecommender(t, ringGraph(16), t.TempDir())
 	defer rec.Close()
@@ -197,6 +200,10 @@ func TestRebuildFailureDegradesAndForceFullRecovers(t *testing.T) {
 	if deg := rec.Degraded(); deg[subsystemRebuild] == "" {
 		t.Fatalf("Degraded = %v, want rebuild entry", deg)
 	}
+	// The failed batch is in no served snapshot, so it is still pending.
+	if got := rec.PendingDeltas(); got != 1 {
+		t.Fatalf("PendingDeltas after failed Rebuild = %d, want 1", got)
+	}
 	// The last good snapshot keeps serving.
 	if _, err := rec.Recommend(3); err != nil {
 		t.Fatalf("Recommend while rebuild-degraded: %v", err)
@@ -211,8 +218,8 @@ func TestRebuildFailureDegradesAndForceFullRecovers(t *testing.T) {
 	if deg := rec.Degraded(); deg != nil {
 		t.Fatalf("Degraded after recovery = %v, want none", deg)
 	}
-	// The forceFull snapshot must include both the lost-basis delta and
-	// the new one.
+	// The retried batch must include both the failed delta and the new
+	// one.
 	want, _ := rec.CurrentGraph()
 	if !want.HasEdge(0, 8) || !want.HasEdge(1, 9) {
 		t.Fatal("recovered snapshot lost mutations")
@@ -222,10 +229,9 @@ func TestRebuildFailureDegradesAndForceFullRecovers(t *testing.T) {
 	}
 }
 
-// TestFailedRebuildRetriedWithoutNewWrites pins the retry of a rebuild
-// that drained the journal and then failed: with nothing pending, the next
-// Rebuild must still install the drained edges and clear the degraded
-// flag instead of returning early as a no-op.
+// TestFailedRebuildRetriedWithoutNewWrites pins the retry of a failed
+// rebuild with no further writes: its batch stays pending, and the next
+// Rebuild must install it and clear the degraded flag.
 func TestFailedRebuildRetriedWithoutNewWrites(t *testing.T) {
 	defer fault.Reset()
 	rec := newWALRecommender(t, ringGraph(16), t.TempDir())
@@ -238,8 +244,8 @@ func TestFailedRebuildRetriedWithoutNewWrites(t *testing.T) {
 	if err := rec.Rebuild(); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Rebuild = %v, want injected error", err)
 	}
-	if rec.PendingDeltas() != 0 {
-		t.Fatalf("failed rebuild left %d deltas pending, want the journal drained", rec.PendingDeltas())
+	if rec.PendingDeltas() != 1 {
+		t.Fatalf("failed rebuild left %d deltas pending, want its batch of 1", rec.PendingDeltas())
 	}
 	fault.Reset()
 	if err := rec.Rebuild(); err != nil {
@@ -269,7 +275,7 @@ func TestRebuildLoopRetriesFailedRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "a failed rebuild", func() bool {
-		return rec.PendingDeltas() == 0 && rec.Degraded()[subsystemRebuild] != ""
+		return rec.PendingDeltas() == 1 && rec.Degraded()[subsystemRebuild] != ""
 	})
 	fault.Reset()
 	waitFor(t, "the loop to retry", func() bool {

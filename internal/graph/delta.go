@@ -1,19 +1,19 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 )
 
 // Live-graph support: social graphs are streams, not files. Edges arrive
-// continuously while recommendations are being served, so the mutable Graph
-// gains a concurrency-safe wrapper that journals every mutation into a delta
-// log, and the immutable CSR gains an incremental Patch that replays a small
-// delta batch onto an existing snapshot without the map-iteration and
-// per-row sorting cost of a from-scratch Snapshot. Serving layers drain the
-// log periodically (debounced) and swap the patched snapshot in atomically;
-// see socialrec's live rebuilder.
-
+// continuously while recommendations are being served, so the live graph is
+// the serving snapshot plus the ordered log of mutations accepted since it
+// (MutableGraph), and the immutable CSR gains an incremental Patch that
+// replays that log onto the snapshot without the map-iteration and per-row
+// sorting cost of a from-scratch Snapshot. Serving layers patch the log
+// periodically (debounced), swap the patched snapshot in atomically and
+// advance the live graph onto it; see socialrec's live rebuilder.
 // DeltaOp identifies one kind of graph mutation.
 type DeltaOp uint8
 
@@ -34,29 +34,30 @@ type Delta struct {
 	From, To int
 }
 
-// MutableGraph wraps a Graph with a mutex and a delta log, making it safe
-// for concurrent mutation while snapshots are being rebuilt. Every
-// successful mutation is applied to the underlying graph immediately and
-// appended to the log; Drain hands the accumulated deltas to a rebuilder in
-// an O(pending) critical section, so writers are never blocked behind a
-// full snapshot rebuild.
-//
-// The wrapper takes ownership of the graph passed to NewMutable; callers
-// must not mutate it directly afterwards.
+// MutableGraph is a live graph: an immutable base snapshot plus the
+// ordered log of mutations accepted since it, safe for concurrent use. A
+// mutation is validated against the log's overlay (the presence, after the
+// log, of every edge the log touched) and then the base, journaled, and
+// appended to the log; nothing is copied. A rebuilder takes the base and
+// its log with Batch, patches the one with the other, and moves the base
+// forward with Advance once the patched snapshot serves. Until then the
+// batch stays in the log, so a failed rebuild loses nothing.
 type MutableGraph struct {
 	mu      sync.RWMutex
-	g       *Graph
+	base    Store
 	log     []Delta
-	journal JournalFunc
+	overlay map[Edge]bool
+	// nodes and edges count the live graph: the base plus the log.
+	nodes, edges int
+	journal      JournalFunc
 }
 
-// JournalFunc receives each accepted mutation before it is acknowledged,
-// inside the mutation critical section. Returning an error vetoes the
-// mutation: the graph change is rolled back (edges) or never applied
-// (nodes), nothing is appended to the delta log, and the error is
-// returned to the mutator. Write-ahead logging hooks in here — a mutation
-// is in the delta log if and only if its journal call succeeded, so the
-// log and the external journal always agree record-for-record.
+// JournalFunc receives each accepted mutation before it is applied, inside
+// the mutation critical section. Returning an error vetoes the mutation:
+// nothing is appended to the delta log, and the error is returned to the
+// mutator. Write-ahead logging hooks in here — a mutation is in the delta
+// log if and only if its journal call succeeded, so the log and the
+// external journal always agree record-for-record.
 type JournalFunc func(Delta) error
 
 // SetJournal installs fn as the mutation journal (nil to remove). It must
@@ -68,69 +69,103 @@ func (m *MutableGraph) SetJournal(fn JournalFunc) {
 	m.journal = fn
 }
 
-// NewMutable wraps g, taking ownership of it.
-func NewMutable(g *Graph) *MutableGraph {
-	return &MutableGraph{g: g}
+// NewMutable returns a live graph equal to base, with an empty log.
+func NewMutable(base Store) *MutableGraph {
+	return &MutableGraph{
+		base:    base,
+		overlay: make(map[Edge]bool),
+		nodes:   base.NumNodes(),
+		edges:   base.NumEdges(),
+	}
+}
+
+// key normalizes an undirected edge to From < To, so both orientations
+// share one overlay entry.
+func (m *MutableGraph) key(u, v int) Edge {
+	if !m.base.Directed() && u > v {
+		u, v = v, u
+	}
+	return Edge{From: u, To: v}
+}
+
+// hasEdge reports whether u->v is in the live graph; u and v must be in
+// range and m.mu held.
+func (m *MutableGraph) hasEdge(u, v int) bool {
+	if present, ok := m.overlay[m.key(u, v)]; ok {
+		return present
+	}
+	n := m.base.NumNodes()
+	return u < n && v < n && m.base.HasEdge(u, v)
+}
+
+// mutateEdge validates an edge mutation with Graph.AddEdge's and
+// RemoveEdge's sentinels in their order (range, then self loop for adds,
+// then duplicate or missing edge), journals it, and applies it.
+func (m *MutableGraph) mutateEdge(op DeltaOp, u, v int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, x := range [2]int{u, v} {
+		if x < 0 || x >= m.nodes {
+			return fmt.Errorf("%w: %d (graph has %d nodes)", ErrNodeRange, x, m.nodes)
+		}
+	}
+	add := op == DeltaAddEdge
+	if add && u == v {
+		return ErrSelfLoop
+	}
+	if m.hasEdge(u, v) == add {
+		if add {
+			return fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, u, v)
+		}
+		return fmt.Errorf("%w: (%d,%d)", ErrMissingEdge, u, v)
+	}
+	if err := m.record(Delta{Op: op, From: u, To: v}); err != nil {
+		return err
+	}
+	m.overlay[m.key(u, v)] = add
+	if add {
+		m.edges++
+	} else {
+		m.edges--
+	}
+	return nil
+}
+
+// record journals d and appends it to the log; m.mu must be held.
+func (m *MutableGraph) record(d Delta) error {
+	if m.journal != nil {
+		if err := m.journal(d); err != nil {
+			return err
+		}
+	}
+	m.log = append(m.log, d)
+	return nil
 }
 
 // AddEdge inserts the edge u->v (or {u,v}) and journals the delta. It
-// returns the underlying Graph.AddEdge error on invalid input, in which
-// case nothing is journaled.
-func (m *MutableGraph) AddEdge(u, v int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.g.AddEdge(u, v); err != nil {
-		return err
-	}
-	if m.journal != nil {
-		if err := m.journal(Delta{Op: DeltaAddEdge, From: u, To: v}); err != nil {
-			// Roll back so the graph never holds a mutation the journal
-			// rejected; the inverse cannot fail on an edge just added.
-			m.g.RemoveEdge(u, v) //nolint:errcheck
-			return err
-		}
-	}
-	m.log = append(m.log, Delta{Op: DeltaAddEdge, From: u, To: v})
-	return nil
-}
+// returns ErrNodeRange, ErrSelfLoop or ErrDuplicateEdge on invalid input,
+// in which case nothing is journaled.
+func (m *MutableGraph) AddEdge(u, v int) error { return m.mutateEdge(DeltaAddEdge, u, v) }
 
-// RemoveEdge deletes the edge u->v (or {u,v}) and journals the delta.
-func (m *MutableGraph) RemoveEdge(u, v int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.g.RemoveEdge(u, v); err != nil {
-		return err
-	}
-	if m.journal != nil {
-		if err := m.journal(Delta{Op: DeltaRemoveEdge, From: u, To: v}); err != nil {
-			m.g.AddEdge(u, v) //nolint:errcheck // re-adding a just-removed edge cannot fail
-			return err
-		}
-	}
-	m.log = append(m.log, Delta{Op: DeltaRemoveEdge, From: u, To: v})
-	return nil
-}
+// RemoveEdge deletes the edge u->v (or {u,v}) and journals the delta. It
+// returns ErrNodeRange or ErrMissingEdge on invalid input.
+func (m *MutableGraph) RemoveEdge(u, v int) error { return m.mutateEdge(DeltaRemoveEdge, u, v) }
 
 // AddNode appends a new isolated node, journals the delta, and returns the
 // new node's ID — or -1 on error, never 0, which is a valid ID. The only
-// possible error is a journal veto; node addition itself cannot fail. The
-// journal is consulted before the node is materialized because node removal
-// has no inverse to roll back with.
+// possible error is a journal veto; node addition itself cannot fail.
 func (m *MutableGraph) AddNode() (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id := m.g.NumNodes()
-	if m.journal != nil {
-		if err := m.journal(Delta{Op: DeltaAddNode, From: id}); err != nil {
-			return -1, err
-		}
+	id := m.nodes
+	if err := m.record(Delta{Op: DeltaAddNode, From: id}); err != nil {
+		return -1, err
 	}
-	m.g.AddNode()
-	m.log = append(m.log, Delta{Op: DeltaAddNode, From: id})
+	m.nodes++
 	return id, nil
 }
 
-// Pending returns the number of journaled deltas not yet drained.
+// Pending returns the number of logged deltas not yet in the base.
 func (m *MutableGraph) Pending() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -141,75 +176,50 @@ func (m *MutableGraph) Pending() int {
 func (m *MutableGraph) NumNodes() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.g.NumNodes()
+	return m.nodes
 }
 
 // NumEdges returns the current edge count.
 func (m *MutableGraph) NumEdges() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.g.NumEdges()
+	return m.edges
 }
 
-// HasEdge reports whether the edge u->v (or {u,v}) is currently present.
-func (m *MutableGraph) HasEdge(u, v int) bool {
+// Batch returns the base snapshot and the log of every delta accepted
+// since it, leaving both in place: base.Patch(log) is the live graph. The
+// returned log is never written again, so it may be read after later
+// mutations and Advances.
+func (m *MutableGraph) Batch() (Store, []Delta) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.g.HasEdge(u, v)
+	return m.base, m.log[:len(m.log):len(m.log)]
 }
 
-// Clone returns a deep copy of the current graph.
-func (m *MutableGraph) Clone() *Graph {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.g.Clone()
-}
-
-// Validate runs Graph.Validate on the current graph.
-func (m *MutableGraph) Validate() error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.g.Validate()
-}
-
-// Drain atomically takes the pending delta log, leaving it empty. Patching
-// the snapshot that was current at the previous drain with the returned
-// batch yields the graph exactly as of this drain: deltas are totally
-// ordered by the log, so the (snapshot_k = snapshot_{k-1} + batch_k)
-// invariant holds regardless of how writers interleave with rebuilds —
-// provided drains themselves are serialized by the caller.
-func (m *MutableGraph) Drain() []Delta {
+// Advance makes next, which must equal base.Patch of the log's first k
+// deltas, the new base and drops those deltas from the log. Deltas logged
+// after the Batch that returned them stay pending. Callers serialize
+// Batch/Advance pairs.
+func (m *MutableGraph) Advance(next Store, k int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	log := m.log
-	m.log = nil
-	return log
+	m.base = next
+	// A fresh array, so a log handed out by Batch is never overwritten.
+	m.log = slices.Clone(m.log[k:])
+	m.overlay = make(map[Edge]bool, len(m.log))
+	for _, d := range m.log {
+		if d.Op != DeltaAddNode {
+			m.overlay[m.key(d.From, d.To)] = d.Op == DeltaAddEdge
+		}
+	}
 }
 
-// SnapshotAndDrain takes a full CSR snapshot of the current graph and
-// clears the delta log in one critical section. Rebuilders use it when the
-// pending batch is too large for Patch to beat a from-scratch build, or to
-// recover after a failed rebuild lost the incremental basis.
-func (m *MutableGraph) SnapshotAndDrain() (*CSR, []Delta) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap := m.g.Snapshot()
-	log := m.log
-	m.log = nil
-	return snap, log
-}
-
-// rowEdit is one per-row adjacency change derived from a delta.
-type rowEdit struct {
-	add bool
-	v   int32
-}
-
-// Patch returns a new CSR equal to c with the delta batch applied. Rows
-// untouched by the batch are copied wholesale; touched rows are rebuilt by
-// ordered insertion/deletion, so a small batch costs O(n + m) straight
-// array copies plus O(edits · row) work — no map iteration and no per-row
-// re-sorting, which is what dominates a from-scratch Snapshot.
+// Patch returns a new CSR equal to c with the delta batch applied. Each
+// touched row's edits are folded to their net effect and merged with the
+// row once, and untouched rows are copied as they are, so a batch of k
+// edits costs O(n + m + k log k) — no map iteration and no per-row
+// re-sorting, which is what dominates a from-scratch Snapshot, and no
+// per-edit shifting of a hub's row.
 //
 // The batch must be a valid journal (as produced by MutableGraph): every
 // AddEdge absent at its point in the sequence, every RemoveEdge present,
@@ -220,84 +230,89 @@ func (c *CSR) Patch(deltas []Delta) *CSR {
 		return c
 	}
 	n := c.NumNodes()
+	var outEdits, inEdits []uint64
 	for _, d := range deltas {
 		if d.Op == DeltaAddNode {
 			n++
+			continue
+		}
+		outEdits = append(outEdits, rowEdit(d.From, d.To))
+		if c.directed {
+			inEdits = append(inEdits, rowEdit(d.To, d.From))
+		} else {
+			outEdits = append(outEdits, rowEdit(d.To, d.From))
 		}
 	}
 	out := &CSR{directed: c.directed}
-	outEdits := make(map[int][]rowEdit)
-	var inEdits map[int][]rowEdit
+	out.Index, out.Adj = patchAdj(c.Index, c.Adj, n, toggles(outEdits))
 	if c.directed {
-		inEdits = make(map[int][]rowEdit)
-	}
-	for _, d := range deltas {
-		switch d.Op {
-		case DeltaAddEdge, DeltaRemoveEdge:
-			add := d.Op == DeltaAddEdge
-			outEdits[d.From] = append(outEdits[d.From], rowEdit{add: add, v: int32(d.To)})
-			if c.directed {
-				inEdits[d.To] = append(inEdits[d.To], rowEdit{add: add, v: int32(d.From)})
-			} else {
-				outEdits[d.To] = append(outEdits[d.To], rowEdit{add: add, v: int32(d.From)})
-			}
-		}
-	}
-	out.Index, out.Adj = patchAdj(c.Index, c.Adj, n, outEdits)
-	if c.directed {
-		out.inIndex, out.inAdj = patchAdj(c.inIndex, c.inAdj, n, inEdits)
+		out.inIndex, out.inAdj = patchAdj(c.inIndex, c.inAdj, n, toggles(inEdits))
 	}
 	return out
 }
 
-// patchAdj applies per-row ordered edits to one CSR adjacency half,
-// growing the node count to n.
-func patchAdj(index, adj []int32, n int, edits map[int][]rowEdit) ([]int32, []int32) {
+// rowEdit packs an edit of neighbour v in row u into one key that sorts by
+// row, then neighbour.
+func rowEdit(u, v int) uint64 { return uint64(u)<<32 | uint64(uint32(v)) }
+
+// toggles sorts a batch's row edits and keeps, once, each one that occurs
+// an odd number of times, in place. In a valid journal the edits to one
+// (row, neighbour) pair alternate between add and remove, so each flips
+// the neighbour's membership in the row: the batch's net effect is to flip
+// exactly the pairs it edits an odd number of times.
+func toggles(edits []uint64) []uint64 {
+	slices.Sort(edits)
+	net := edits[:0]
+	for i := 0; i < len(edits); {
+		j := i + 1
+		for j < len(edits) && edits[j] == edits[i] {
+			j++
+		}
+		if (j-i)%2 == 1 {
+			net = append(net, edits[i])
+		}
+		i = j
+	}
+	return net
+}
+
+// patchAdj flips the sorted row edits in one CSR adjacency half: a
+// neighbour in its row is removed, one absent is inserted. It grows the
+// node count to n.
+func patchAdj(index, adj []int32, n int, edits []uint64) ([]int32, []int32) {
 	oldN := len(index) - 1
 	newIndex := make([]int32, n+1)
-	var total int32
-	for v := 0; v < n; v++ {
-		deg := 0
-		if v < oldN {
-			deg = int(index[v+1] - index[v])
-		}
-		for _, e := range edits[v] {
-			if e.add {
-				deg++
-			} else {
-				deg--
-			}
-		}
-		total += int32(deg)
-		newIndex[v+1] = total
-	}
-	newAdj := make([]int32, total)
-	var row []int32
-	for v := 0; v < n; v++ {
-		dst := newAdj[newIndex[v]:newIndex[v+1]]
+	newAdj := make([]int32, 0, len(adj)+len(edits))
+	for r := 0; r < n; r++ {
 		var src []int32
-		if v < oldN {
-			src = adj[index[v]:index[v+1]]
+		if r < oldN {
+			src = adj[index[r]:index[r+1]]
 		}
-		es := edits[v]
-		if len(es) == 0 {
-			copy(dst, src)
-			continue
+		k := 0
+		for k < len(edits) && int(edits[k]>>32) == r {
+			k++
 		}
-		row = append(row[:0], src...)
-		for _, e := range es {
-			i, ok := slices.BinarySearch(row, e.v)
-			if e.add {
-				if !ok {
-					row = slices.Insert(row, i, e.v)
-				}
-			} else if ok {
-				row = slices.Delete(row, i, i+1)
-			}
-		}
-		copy(dst, row)
+		newAdj = mergeRow(newAdj, src, edits[:k])
+		edits = edits[k:]
+		newIndex[r+1] = int32(len(newAdj))
 	}
 	return newIndex, newAdj
+}
+
+// mergeRow appends the sorted row src to dst with the neighbours of the
+// sorted edits flipped.
+func mergeRow(dst, src []int32, edits []uint64) []int32 {
+	for _, e := range edits {
+		i, present := slices.BinarySearch(src, int32(e))
+		dst = append(dst, src[:i]...)
+		src = src[i:]
+		if present {
+			src = src[1:]
+		} else {
+			dst = append(dst, int32(e))
+		}
+	}
+	return append(dst, src...)
 }
 
 // Equal reports whether two snapshots have identical directedness and

@@ -1,49 +1,63 @@
 package graph
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// applyScript interprets a byte script as a mutation sequence against m,
-// returning the number of successful mutations. Every third byte selects an
-// op; the next two select endpoints modulo the current node count.
-func applyScript(m *MutableGraph, script []byte) int {
-	applied := 0
+// applyScript interprets a byte script as a mutation sequence and applies
+// every op both to the live graph m and to the plain Graph oracle g, failing
+// t when the two answer an op differently. Every third byte selects an op;
+// the next two select endpoints modulo the current node count, except that
+// a byte of 250 or more names a node past the end, exercising the range
+// check.
+func applyScript(t *testing.T, m *MutableGraph, g *Graph, script []byte) {
+	t.Helper()
+	endpoint := func(b byte, n int) int {
+		if b >= 250 {
+			return n + int(b) - 250
+		}
+		return int(b) % n
+	}
 	for i := 0; i+2 < len(script); i += 3 {
-		n := m.NumNodes()
+		n := g.NumNodes()
 		if n == 0 {
 			break
 		}
-		u, v := int(script[i+1])%n, int(script[i+2])%n
+		u, v := endpoint(script[i+1], n), endpoint(script[i+2], n)
+		var errM, errG error
 		switch script[i] % 8 {
 		case 0, 1, 2: // bias toward adds so graphs grow
-			if m.AddEdge(u, v) == nil {
-				applied++
-			}
+			errM, errG = m.AddEdge(u, v), g.AddEdge(u, v)
 		case 3, 4:
-			if m.RemoveEdge(u, v) == nil {
-				applied++
-			}
+			errM, errG = m.RemoveEdge(u, v), g.RemoveEdge(u, v)
 		case 5:
-			m.AddNode() //nolint:errcheck // no journal installed
-			applied++
-		default: // toggle
-			var err error
-			if m.HasEdge(u, v) {
-				err = m.RemoveEdge(u, v)
-			} else {
-				err = m.AddEdge(u, v)
+			id, err := m.AddNode()
+			if want := g.AddNode(); err != nil || id != want {
+				t.Fatalf("AddNode = (%d, %v), oracle %d", id, err, want)
 			}
-			if err == nil {
-				applied++
+		default: // toggle
+			if g.HasEdge(u, v) {
+				errM, errG = m.RemoveEdge(u, v), g.RemoveEdge(u, v)
+			} else {
+				errM, errG = m.AddEdge(u, v), g.AddEdge(u, v)
 			}
 		}
+		if fmt.Sprint(errM) != fmt.Sprint(errG) {
+			t.Fatalf("op %v on (%d,%d): live graph says %v, oracle %v", script[i:i+3], u, v, errM, errG)
+		}
 	}
-	return applied
 }
 
+// testPatchMatchesSnapshot runs script in chunks against a live graph and
+// a plain Graph oracle. At each checkpoint the live graph's base patched
+// with its log must equal the oracle's from-scratch Snapshot. Every third
+// checkpoint skips Advance, so its batch is patched again together with
+// the next chunk's deltas.
 func testPatchMatchesSnapshot(t *testing.T, directed bool, nodes int, script []byte) {
 	t.Helper()
 	var g *Graph
@@ -52,22 +66,23 @@ func testPatchMatchesSnapshot(t *testing.T, directed bool, nodes int, script []b
 	} else {
 		g = New(nodes)
 	}
-	m := NewMutable(g)
-	cur := m.Clone().Snapshot()
-	// Apply the script in chunks, draining and patching at each checkpoint
-	// so the incremental path is exercised across multiple batches.
-	chunk := 9
-	for lo := 0; lo < len(script); lo += chunk {
+	m := NewMutable(g.Snapshot())
+	const chunk = 9
+	for cp, lo := 0, 0; lo < len(script); cp, lo = cp+1, lo+chunk {
 		hi := min(lo+chunk, len(script))
-		applyScript(m, script[lo:hi])
-		cur = cur.Patch(m.Drain())
-		if err := m.Validate(); err != nil {
-			t.Fatalf("graph invariant broken: %v", err)
-		}
-		want := m.Clone().Snapshot()
-		if !cur.Equal(want) {
+		applyScript(t, m, g, script[lo:hi])
+		base, log := m.Batch()
+		got := base.Patch(log)
+		want := g.Snapshot()
+		if !got.Equal(want) {
 			t.Fatalf("patched CSR diverged from from-scratch snapshot after %d script bytes\npatched: index=%v adj=%v\nwant:    index=%v adj=%v",
-				hi, cur.Index, cur.Adj, want.Index, want.Adj)
+				hi, got.Index, got.Adj, want.Index, want.Adj)
+		}
+		if m.NumNodes() != g.NumNodes() || m.NumEdges() != g.NumEdges() {
+			t.Fatalf("live graph counts %d nodes, %d edges; oracle %d, %d", m.NumNodes(), m.NumEdges(), g.NumNodes(), g.NumEdges())
+		}
+		if cp%3 != 2 {
+			m.Advance(got, len(log))
 		}
 	}
 }
@@ -83,6 +98,16 @@ func TestPatchMatchesSnapshotScripted(t *testing.T) {
 	}
 }
 
+// TestPatchHubRow patches one batch of thousands of edits to a single
+// row, each neighbour's edits alternating in journal order, and checks
+// the result against the oracle's snapshot.
+func TestPatchHubRow(t *testing.T) {
+	base, deltas, g := hubBatch(t, 4000)
+	if got, want := base.Patch(deltas), g.Snapshot(); !got.Equal(want) {
+		t.Fatalf("hub patch diverged: degree %d, want %d", got.OutDegree(0), want.OutDegree(0))
+	}
+}
+
 func TestPatchEmptyBatchReturnsSameSnapshot(t *testing.T) {
 	g := New(4)
 	if err := g.AddEdge(0, 1); err != nil {
@@ -95,11 +120,12 @@ func TestPatchEmptyBatchReturnsSameSnapshot(t *testing.T) {
 }
 
 func TestPatchAddNodeGrowsSnapshot(t *testing.T) {
-	m := NewMutable(New(2))
+	m := NewMutable(New(2).Snapshot())
 	if err := m.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	base, _ := m.SnapshotAndDrain()
+	base, log := m.Batch()
+	m.Advance(base.Patch(log), len(log))
 	id, err := m.AddNode()
 	if err != nil {
 		t.Fatal(err)
@@ -110,56 +136,111 @@ func TestPatchAddNodeGrowsSnapshot(t *testing.T) {
 	if err := m.AddEdge(2, 0); err != nil {
 		t.Fatal(err)
 	}
-	got := base.Patch(m.Drain())
-	want := m.Clone().Snapshot()
-	if got.NumNodes() != 3 || !got.Equal(want) {
-		t.Fatalf("patched snapshot after AddNode = %d nodes %v/%v, want %v/%v",
-			got.NumNodes(), got.Index, got.Adj, want.Index, want.Adj)
+	base, log = m.Batch()
+	got := base.Patch(log)
+	want := New(3)
+	for _, e := range []Edge{{0, 1}, {2, 0}} {
+		if err := want.AddEdge(e.From, e.To); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got.NumNodes() != 3 || !got.Equal(want.Snapshot()) {
+		t.Fatalf("patched snapshot after AddNode = %d nodes %v/%v, want %v",
+			got.NumNodes(), got.Index, got.Adj, want.Snapshot().Adj)
 	}
 }
 
-func TestPatchBaseDrainInvariant(t *testing.T) {
-	// The base snapshot for a Patch must be the one current at the previous
-	// Drain: deltas journaled before SnapshotAndDrain are NOT pending
-	// afterwards.
-	m := NewMutable(New(5))
+// TestBatchAdvanceInvariant pins the rebuild protocol: Batch leaves the
+// log in place, a delta logged between Batch and Advance stays pending,
+// Advance moves the base onto the patched snapshot without overwriting
+// the batch handed out, and the rebuilt overlay still sees the advanced
+// edges through the new base.
+func TestBatchAdvanceInvariant(t *testing.T) {
+	m := NewMutable(New(5).Snapshot())
 	if err := m.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	snap, deltas := m.SnapshotAndDrain()
-	if len(deltas) != 1 || m.Pending() != 0 {
-		t.Fatalf("SnapshotAndDrain left %d pending (drained %d)", m.Pending(), len(deltas))
-	}
-	if !snap.HasEdge(0, 1) {
-		t.Fatal("snapshot missing journaled edge")
+	base, log := m.Batch()
+	snap := base.Patch(log)
+	if m.Pending() != 1 {
+		t.Fatalf("Batch cleared the log: %d pending", m.Pending())
 	}
 	if err := m.AddEdge(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	got := snap.Patch(m.Drain())
-	if !got.Equal(m.Clone().Snapshot()) {
-		t.Fatal("patch on SnapshotAndDrain basis diverged")
+	m.Advance(snap, len(log))
+	if _, err := m.AddNode(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Delta{{Op: DeltaAddEdge, From: 0, To: 1}}; !slices.Equal(log, want) {
+		t.Fatalf("batch handed out became %v, want %v", log, want)
+	}
+	base, log = m.Batch()
+	if base != Store(snap) {
+		t.Fatal("Advance did not install the patched snapshot as the base")
+	}
+	if want := []Delta{{Op: DeltaAddEdge, From: 1, To: 2}, {Op: DeltaAddNode, From: 5}}; !slices.Equal(log, want) {
+		t.Fatalf("pending after Advance = %v, want %v", log, want)
+	}
+	if m.NumEdges() != 2 || m.NumNodes() != 6 {
+		t.Fatalf("live graph after Advance: %d edges, %d nodes; want 2 and 6", m.NumEdges(), m.NumNodes())
+	}
+	if err := m.AddEdge(1, 0); !errors.Is(err, ErrDuplicateEdge) {
+		t.Fatalf("re-adding an advanced edge: %v, want ErrDuplicateEdge", err)
+	}
+	if err := m.AddEdge(2, 1); !errors.Is(err, ErrDuplicateEdge) {
+		t.Fatalf("re-adding a pending edge: %v, want ErrDuplicateEdge", err)
+	}
+	if err := m.RemoveEdge(1, 0); err != nil {
+		t.Fatalf("removing an advanced edge: %v", err)
+	}
+	want := New(6)
+	if err := want.AddEdge(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	base, log = m.Batch()
+	if !base.Patch(log).Equal(want.Snapshot()) {
+		t.Fatal("patch of the advanced base diverged")
 	}
 }
 
 func TestMutableGraphRejectsInvalid(t *testing.T) {
-	m := NewMutable(New(3))
-	if err := m.AddEdge(0, 0); err == nil {
-		t.Fatal("self loop accepted")
+	m := NewMutable(New(3).Snapshot())
+	if err := m.AddEdge(0, 0); !errors.Is(err, ErrSelfLoop) {
+		t.Fatalf("self loop: %v", err)
 	}
-	if err := m.AddEdge(0, 7); err == nil {
-		t.Fatal("out-of-range accepted")
+	if err := m.AddEdge(0, 7); !errors.Is(err, ErrNodeRange) {
+		t.Fatalf("out of range: %v", err)
 	}
-	if err := m.RemoveEdge(0, 1); err == nil {
-		t.Fatal("missing-edge removal accepted")
+	if err := m.AddEdge(-1, 0); !errors.Is(err, ErrNodeRange) {
+		t.Fatalf("negative node: %v", err)
+	}
+	if err := m.RemoveEdge(0, 1); !errors.Is(err, ErrMissingEdge) {
+		t.Fatalf("missing-edge removal: %v", err)
 	}
 	if got := m.Pending(); got != 0 {
 		t.Fatalf("failed mutations journaled %d deltas", got)
 	}
+	// A journal veto leaves the live graph untouched.
+	veto := errors.New("veto")
+	m.SetJournal(func(Delta) error { return veto })
+	if err := m.AddEdge(0, 1); !errors.Is(err, veto) {
+		t.Fatalf("vetoed AddEdge: %v", err)
+	}
+	if id, err := m.AddNode(); id != -1 || !errors.Is(err, veto) {
+		t.Fatalf("vetoed AddNode = (%d, %v)", id, err)
+	}
+	if m.Pending() != 0 || m.NumEdges() != 0 || m.NumNodes() != 3 {
+		t.Fatalf("veto applied a mutation: pending=%d edges=%d nodes=%d", m.Pending(), m.NumEdges(), m.NumNodes())
+	}
 }
 
+// TestMutableGraphConcurrentMutations races writers against a rebuilder
+// that patches and advances, then replays every delta the rebuilder
+// advanced past plus the remaining log onto a plain Graph: each must apply
+// (the log is a valid journal) and the result must equal the live graph.
 func TestMutableGraphConcurrentMutations(t *testing.T) {
-	m := NewMutable(New(64))
+	m := NewMutable(New(64).Snapshot())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -176,19 +257,40 @@ func TestMutableGraphConcurrentMutations(t *testing.T) {
 			}
 		}(int64(w + 1))
 	}
+	done := make(chan struct{})
+	var advanced []Delta
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			base, log := m.Batch()
+			m.Advance(base.Patch(log), len(log))
+			advanced = append(advanced, log...)
+		}
+	}()
 	wg.Wait()
-	if err := m.Validate(); err != nil {
-		t.Fatalf("graph invariant broken after concurrent mutations: %v", err)
+	<-done
+	base, log := m.Batch()
+	oracle := New(64)
+	for i, d := range append(advanced, log...) {
+		var err error
+		if d.Op == DeltaAddEdge {
+			err = oracle.AddEdge(d.From, d.To)
+		} else {
+			err = oracle.RemoveEdge(d.From, d.To)
+		}
+		if err != nil {
+			t.Fatalf("delta %d %+v is not valid at its point in the journal: %v", i, d, err)
+		}
 	}
-	if got := m.Clone().Snapshot(); !got.Equal(m.Clone().Snapshot()) {
-		t.Fatal("snapshots of a quiescent graph differ")
+	if !base.Patch(log).Equal(oracle.Snapshot()) || m.NumEdges() != oracle.NumEdges() {
+		t.Fatal("live graph diverged from its journal's replay")
 	}
 }
 
-// FuzzGraphMutations drives random mutation scripts through MutableGraph,
-// checking after every drained batch that (a) the Graph invariant holds and
-// (b) the incrementally patched CSR is bit-identical to a from-scratch
-// Snapshot — the property the live serving path depends on.
+// FuzzGraphMutations drives random mutation scripts through MutableGraph
+// and a plain Graph oracle, checking that every op answers alike and, at
+// every checkpoint, that the patched CSR is bit-identical to the oracle's
+// from-scratch Snapshot — the property the live serving path depends on.
 func FuzzGraphMutations(f *testing.F) {
 	f.Add(uint8(4), false, []byte{0, 0, 1, 0, 1, 2, 3, 0, 1})
 	f.Add(uint8(6), true, []byte{0, 0, 1, 5, 0, 0, 0, 6, 0, 3, 0, 1})

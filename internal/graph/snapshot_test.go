@@ -72,8 +72,8 @@ func TestSnapshotEmptyAndIsolated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if got.NumNodes() != n || got.NumArcs() != 0 {
-			t.Fatalf("n=%d: decoded %d nodes, %d arcs", n, got.NumNodes(), got.NumArcs())
+		if got.NumNodes() != n || got.NumEdges() != 0 {
+			t.Fatalf("n=%d: decoded %d nodes, %d edges", n, got.NumNodes(), got.NumEdges())
 		}
 	}
 }
@@ -107,7 +107,7 @@ func TestSnapshotFileAndMapped(t *testing.T) {
 		}
 		// Spot-check every Store query against the heap backend.
 		if m.NumNodes() != heap.NumNodes() || m.NumEdges() != heap.NumEdges() ||
-			m.NumArcs() != heap.NumArcs() || m.Directed() != heap.Directed() ||
+			m.Directed() != heap.Directed() ||
 			m.MaxDegree() != heap.MaxDegree() {
 			t.Fatal("mapped scalar queries differ from heap backend")
 		}
@@ -119,16 +119,13 @@ func TestSnapshotFileAndMapped(t *testing.T) {
 
 		// Patch must copy out of the mapping: the overlay stays valid and
 		// correct after Close.
-		var deltas []Delta
-		mut := NewMutable(g.Clone())
-		if err := mut.AddEdge(0, heap.NumNodes()-1); err == nil {
-			deltas = mut.Drain()
-		} else {
+		mut := NewMutable(heap)
+		if err := mut.AddEdge(0, heap.NumNodes()-1); err != nil {
 			if err := mut.RemoveEdge(0, int(heap.Out(0)[0])); err != nil {
 				t.Fatalf("seeding patch delta: %v", err)
 			}
-			deltas = mut.Drain()
 		}
+		_, deltas := mut.Batch()
 		patchedFromMap := m.Patch(deltas)
 		patchedFromHeap := heap.Patch(deltas)
 		if err := m.Close(); err != nil {

@@ -4,7 +4,7 @@ package graph
 // package serves from. It is the narrow contract between the storage layer
 // and the recommendation engine: degree and neighbor-span queries (the
 // utility kernels walk the Out spans directly) and an incremental Patch
-// producing a writable copy-on-write overlay.
+// producing the next heap snapshot from a delta log.
 //
 // Two interchangeable backends implement it: the heap-resident *CSR built
 // by Graph.Snapshot or decoded from a snapshot file, and the zero-copy
@@ -22,10 +22,6 @@ type Store interface {
 	// NumEdges returns the number of graph edges (each undirected edge
 	// counted once).
 	NumEdges() int
-	// NumArcs returns the number of stored out-adjacency entries: m for
-	// directed snapshots, 2m for undirected ones. It is the size proxy
-	// rebuild heuristics use.
-	NumArcs() int
 	// Directed reports whether the snapshot came from a directed graph.
 	Directed() bool
 	// Out returns the sorted out-neighbors of v as a shared span; callers
@@ -79,19 +75,15 @@ func (c *CSR) NumEdges() int {
 	return len(c.Adj) / 2
 }
 
-// NumArcs returns the number of stored out-adjacency entries.
-func (c *CSR) NumArcs() int { return len(c.Adj) }
-
 func (c *CSR) sections() storeSections {
 	return storeSections{index: c.Index, adj: c.Adj, inIndex: c.inIndex, inAdj: c.inAdj, directed: c.directed}
 }
 
 // FromStore materializes a mutable Graph with the same nodes, edges, and
-// directedness as the snapshot. It is how a process cold-started from a
-// snapshot file bootstraps the live-mutation subsystem, which needs a
-// mutable basis. The error path only triggers on a corrupted store whose
-// adjacency violates the simple-graph invariants (self loops, duplicate
-// entries).
+// directedness as the snapshot. It is how a live Recommender hands out a
+// copy of its current graph (the serving snapshot patched with the pending
+// log). The error path only triggers on a corrupted store whose adjacency
+// violates the simple-graph invariants (self loops, duplicate entries).
 func FromStore(s Store) (*Graph, error) {
 	n := s.NumNodes()
 	directed := s.Directed()

@@ -62,7 +62,7 @@
 // Live mutations: when the Recommender is built with live mutations
 // (socialrec.WithLiveMutations, recserve -live), the server additionally
 // accepts writes — POST /v1/edges, DELETE /v1/edges, POST /v1/nodes —
-// which journal deltas into the mutable graph; a background rebuilder
+// which journal deltas into the live graph's log; a background rebuilder
 // debounces them into atomic snapshot swaps, so reads never block on
 // writes. Mutation responses carry the current snapshot version and
 // pending-delta count, and /healthz exports the same as gauges. Applying

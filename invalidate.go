@@ -11,7 +11,7 @@ import (
 // serving almost entirely uncached. But the serving utilities are local —
 // a CommonNeighbors vector depends only on the 2-hop out-ball of its
 // target — so a small delta batch provably cannot touch the vast majority
-// of cached targets. This file computes, for one drained batch, a
+// of cached targets. This file computes, for one patched batch, a
 // conservative superset of the targets whose entries could differ on the
 // new snapshot; vectorCache.advance then re-keys every other entry to the
 // new epoch untouched.
@@ -52,7 +52,7 @@ import (
 // privacy-bearing noise is still drawn fresh per request; no randomness and
 // no released output ever crosses a snapshot boundary.
 
-// affectedSet is what one drained delta batch may have touched, handed to
+// affectedSet is what one patched delta batch may have touched, handed to
 // vectorCache.advance at swap time: the batch's edge endpoints expanded by
 // radius reverse-BFS hops over the post-patch adjacency, held as a bitset
 // over node IDs. advance drops every entry whose target is in the set and
@@ -92,17 +92,18 @@ func (r *Recommender) retentionRadius() int {
 	return 0
 }
 
-// affectedByBatch computes the affectedSet for one drained batch, or nil
+// affectedByBatch computes the affectedSet for one patched batch, or nil
 // when the swap must flush everything:
 //
 //   - the utility declares no radius;
-//   - basisLost: a previous rebuild drained deltas but failed to install a
-//     snapshot, so this batch is not the complete diff between cur and next;
 //   - the batch adds a node (every entry's candidate count changes);
 //   - Δf or the smoothing x changed across the swap (baked into CDFs).
-func (r *Recommender) affectedByBatch(cur, next *snapState, deltas []graph.Delta, basisLost bool) *affectedSet {
+//
+// The batch is always the whole diff between cur and next: it is every
+// delta logged since cur.snap, including any a failed rebuild left pending.
+func (r *Recommender) affectedByBatch(cur, next *snapState, deltas []graph.Delta) *affectedSet {
 	radius := r.retentionRadius()
-	if radius == 0 || basisLost {
+	if radius == 0 {
 		return nil
 	}
 	if next.sens != cur.sens || next.x != cur.x {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"socialrec/internal/fault"
 	"socialrec/internal/utility"
 )
 
@@ -227,6 +228,44 @@ func TestCacheRetentionIsDefault(t *testing.T) {
 	st, _ := rec.CacheStats()
 	if st.Retained == 0 {
 		t.Fatalf("edge-only rebuild retained nothing: %+v", st)
+	}
+	verifyRetainedEntries(t, rec)
+}
+
+// TestCacheRetentionAfterFailedRebuild pins that a failed rebuild costs
+// the cache nothing: its batch stays pending, so the retried rebuild still
+// sees the whole diff between the two snapshots and retains every entry
+// outside its touched set.
+func TestCacheRetentionAfterFailedRebuild(t *testing.T) {
+	defer fault.Reset()
+	const n = 800
+	g, err := GenerateSocialGraph(n, 3200, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := NewRecommender(g, WithCache(n), WithLiveMutations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	for target := 0; target < n; target++ {
+		_, _ = rec.Recommend(target) // hopeless targets cache negatives
+	}
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 4; i++ {
+		mutateOnce(t, rec, rng, n)
+	}
+	fault.Arm("live.rebuild", fault.Config{Mode: fault.Error})
+	if err := rec.Rebuild(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Rebuild = %v, want injected error", err)
+	}
+	fault.Reset()
+	if err := rec.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := rec.CacheStats()
+	if st.Retained == 0 {
+		t.Fatalf("rebuild after a failed one retained nothing: %+v", st)
 	}
 	verifyRetainedEntries(t, rec)
 }

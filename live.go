@@ -14,13 +14,14 @@ import (
 )
 
 // Live graph mutations: the paper's setting is a live social network whose
-// edges arrive continuously, so a Recommender can optionally retain a
-// concurrency-safe mutable copy of its graph (WithLiveMutations). Writers
-// append AddEdge/RemoveEdge/AddNode deltas to an internal journal while
-// readers keep serving from the current immutable snapshot; a background
-// rebuilder debounces the journal and atomically swaps in a fresh snapState
-// — patched incrementally for small batches — advancing the cache epoch.
-// This swap is the only way a Recommender's snapshot ever changes.
+// edges arrive continuously, so a Recommender can optionally accept writes
+// (WithLiveMutations). Its live graph is the serving snapshot plus the
+// ordered log of mutations accepted since it (graph.MutableGraph); no
+// second copy of the graph is kept. Writers append AddEdge/RemoveEdge/
+// AddNode deltas to the log while readers keep serving from the snapshot;
+// a background rebuilder debounces the log, patches the snapshot with it
+// and atomically swaps in the resulting snapState, advancing the cache
+// epoch. This swap is the only way a Recommender's snapshot ever changes.
 //
 // Why this is DP-safe: a mutation changes the *input* graph, not the
 // mechanism. Every recommendation is ε-differentially private with respect
@@ -40,13 +41,15 @@ const (
 	DefaultMaxPendingDeltas = 1024
 )
 
-// liveState is the Recommender's mutable-graph side: the journaling graph
-// wrapper, the rebuild knobs, and the background rebuilder's lifecycle.
+// liveState is the Recommender's mutable-graph side: the live graph, the
+// rebuild knobs, and the background rebuilder's lifecycle.
 type liveState struct {
 	// rebuildMu serializes rebuilds, the only writers of the Recommender's
 	// state after construction; readers never take it.
 	rebuildMu sync.Mutex
 
+	// mut's base is always the serving snapshot, state.snap: a rebuild
+	// advances it onto the snapshot it swaps in.
 	mut        *graph.MutableGraph
 	interval   time.Duration
 	maxPending int
@@ -55,22 +58,7 @@ type liveState struct {
 	stop chan struct{}
 	done chan struct{}
 
-	rebuilds    atomic.Uint64
-	incremental atomic.Uint64
-
-	// forceFull is set (under rebuildMu) when a rebuild failed after the
-	// journal was drained, losing the incremental basis; the next rebuild
-	// must re-snapshot from the full graph, even with nothing pending, since
-	// the drained edges are in no served snapshot yet. Atomic so the
-	// background loop can read it without the lock.
-	forceFull atomic.Bool
-
-	// drainedLSN (under rebuildMu) is the WAL sequence number of the last
-	// drained delta. Journal appends and WAL appends happen in the same
-	// mutation critical section, so each drain of k deltas advances it by
-	// exactly k; a successfully installed snapshot then covers the WAL up
-	// to this mark. Zero when no WAL is configured.
-	drainedLSN uint64
+	rebuilds atomic.Uint64
 
 	closeOnce sync.Once
 }
@@ -86,11 +74,13 @@ type LiveStats struct {
 	PendingDeltas int `json:"pending_deltas"`
 	// Rebuilds counts snapshot swaps performed by Rebuild.
 	Rebuilds uint64 `json:"rebuilds"`
-	// IncrementalRebuilds counts the subset of Rebuilds that took the
-	// CSR patch path instead of a from-scratch snapshot.
+	// IncrementalRebuilds equals Rebuilds: every rebuild patches the
+	// serving snapshot with the pending log.
+	//
+	// Deprecated: every rebuild patches; deleted with ROADMAP item 9.
 	IncrementalRebuilds uint64 `json:"incremental_rebuilds"`
-	// Nodes and Edges describe the current mutable graph (which may be
-	// ahead of the serving snapshot by PendingDeltas mutations).
+	// Nodes and Edges describe the live graph (which may be ahead of the
+	// serving snapshot by PendingDeltas mutations).
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
 	// SnapshotsPersisted and PersistErrors count the atomic snapshot-file
@@ -187,11 +177,12 @@ func (r *Recommender) LiveStats() (stats LiveStats, ok bool) {
 	if lv == nil {
 		return LiveStats{}, false
 	}
+	rebuilds := lv.rebuilds.Load()
 	stats = LiveStats{
 		SnapshotVersion:     r.SnapshotVersion(),
 		PendingDeltas:       lv.mut.Pending(),
-		Rebuilds:            lv.rebuilds.Load(),
-		IncrementalRebuilds: lv.incremental.Load(),
+		Rebuilds:            rebuilds,
+		IncrementalRebuilds: rebuilds,
 		Nodes:               lv.mut.NumNodes(),
 		Edges:               lv.mut.NumEdges(),
 		SnapshotsPersisted:  r.persists.Load(),
@@ -211,24 +202,24 @@ func (r *Recommender) LiveStats() (stats LiveStats, ok bool) {
 	return stats, true
 }
 
-// CurrentGraph returns a deep copy of the live graph, including mutations
-// not yet folded into the serving snapshot. It returns ErrNotLive when live
-// mutations are disabled.
+// CurrentGraph returns a copy of the live graph, including mutations not
+// yet folded into the serving snapshot: the snapshot patched with the
+// pending log. It returns ErrNotLive when live mutations are disabled.
 func (r *Recommender) CurrentGraph() (*Graph, error) {
 	lv := r.live
 	if lv == nil {
 		return nil, ErrNotLive
 	}
-	return lv.mut.Clone(), nil
+	base, deltas := lv.mut.Batch()
+	return graph.FromStore(base.Patch(deltas))
 }
 
-// Rebuild synchronously folds every pending delta into a new serving
-// snapshot and swaps it in atomically, advancing the cache epoch. Small
-// batches take the incremental CSR patch path; batches large relative to
-// the snapshot fall back to a from-scratch build. It is a no-op when
-// nothing is pending, and safe to call concurrently with reads, writes, and
-// the background rebuilder. Returns ErrNotLive when live mutations are
-// disabled.
+// Rebuild synchronously patches every pending delta into a new serving
+// snapshot and swaps it in atomically, advancing the cache epoch. It is a
+// no-op when nothing is pending, and safe to call concurrently with reads,
+// writes, and the background rebuilder. When it fails, the deltas stay
+// pending and the next Rebuild retries them together with newer ones.
+// Returns ErrNotLive when live mutations are disabled.
 func (r *Recommender) Rebuild() error {
 	lv := r.live
 	if lv == nil {
@@ -243,44 +234,22 @@ func (r *Recommender) Rebuild() error {
 }
 
 // rebuildLocked performs the swap under lv.rebuildMu and returns the new
-// state (nil when nothing was pending and no failed rebuild awaits a
-// retry). Persistence deliberately happens outside the lock: a
-// multi-second disk write must not stall subsequent swaps.
+// state (nil when nothing was pending). Persistence deliberately happens
+// outside the lock: a multi-second disk write must not stall subsequent
+// swaps.
 func (r *Recommender) rebuildLocked(lv *liveState) (*snapState, error) {
 	lv.rebuildMu.Lock()
 	defer lv.rebuildMu.Unlock()
-	pending := lv.mut.Pending()
-	if pending == 0 && !lv.forceFull.Load() {
+	// base is cur.snap: only this function moves either, under rebuildMu.
+	base, deltas := lv.mut.Batch()
+	if len(deltas) == 0 {
 		return nil, nil
 	}
 	cur := r.state.Load()
-	var snap *graph.CSR
-	var deltas []graph.Delta
-	// When a previous rebuild drained the journal but failed to install its
-	// snapshot, the deltas drained now are not the complete diff between
-	// cur.snap and the recovery snapshot — so the cache sweep below must not
-	// trust them for retention.
-	basisLost := lv.forceFull.Load()
-	incremental := !basisLost && patchWorthwhile(pending, cur.snap)
-	if incremental {
-		deltas = lv.mut.Drain()
-		// Patch copies touched and untouched rows out of whichever store
-		// backs the current snapshot (heap or mmap), so the overlay is a
-		// plain heap CSR with no ties to a mapping.
-		snap = cur.snap.Patch(deltas)
-	} else {
-		// Even on the from-scratch path the drained batch is still exactly
-		// snapshot_k - snapshot_{k-1} (the Drain invariant), so it remains a
-		// valid basis for delta-aware cache retention unless basisLost.
-		snap, deltas = lv.mut.SnapshotAndDrain()
-	}
-	drained := len(deltas)
-	// Each drained delta had a WAL record appended in the same critical
-	// section, so the drain advances the covered mark by exactly drained.
-	// This stands even if the build below fails: the drained deltas are
-	// already in the mutable graph, and the forceFull recovery snapshot
-	// re-captures them wholesale.
-	lv.drainedLSN += uint64(drained)
+	// Patch copies touched and untouched rows out of whichever store backs
+	// the current snapshot (heap or mmap), so the result is a plain heap
+	// CSR with no ties to a mapping.
+	snap := base.Patch(deltas)
 	var st *snapState
 	err := retry.Default.Do(context.Background(), func() error {
 		if err := fault.Inject("live.rebuild"); err != nil {
@@ -291,30 +260,28 @@ func (r *Recommender) rebuildLocked(lv *liveState) (*snapState, error) {
 		return berr
 	})
 	if err != nil {
-		// The journal was drained but no snapshot was installed: the
-		// incremental basis is lost, so the next attempt must re-snapshot
-		// the full graph (which is always self-consistent). Serving
+		// Nothing is lost: the batch stays pending, and the next attempt
+		// patches it again together with any newer deltas. Serving
 		// continues from the last good snapshot; /healthz shows degraded.
-		lv.forceFull.Store(true)
 		r.health.set(subsystemRebuild, err)
 		return nil, err
 	}
-	lv.forceFull.Store(false)
 	r.health.clear(subsystemRebuild)
-	st.walLSN = lv.drainedLSN
+	// Each logged delta had its WAL record appended in the same critical
+	// section, in log order, so the batch advances the covered mark by
+	// exactly its length.
+	st.walLSN = cur.walLSN + uint64(len(deltas))
 	// Sweep the cache before publishing the new state so retained entries
 	// are warm the instant readers see the new epoch. A reader that races a
 	// put at cur.epoch after its shard was swept merely leaves residue the
 	// next sweep removes; one that puts at st.epoch early computed from st
 	// and is already correct.
 	if c := r.cache; c != nil {
-		c.advance(cur.epoch, st.epoch, r.affectedByBatch(cur, st, deltas, basisLost))
+		c.advance(cur.epoch, st.epoch, r.affectedByBatch(cur, st, deltas))
 	}
 	r.state.Store(st)
+	lv.mut.Advance(st.snap, len(deltas))
 	lv.rebuilds.Add(1)
-	if incremental {
-		lv.incremental.Add(1)
-	}
 	return st, nil
 }
 
@@ -357,21 +324,16 @@ func (r *Recommender) persistSwapped(st *snapState) {
 	}
 }
 
-// patchWorthwhile decides between the incremental patch and a from-scratch
-// snapshot: patching copies the adjacency arrays wholesale either way, so
-// it wins until the edit count is a sizable fraction of the snapshot.
-func patchWorthwhile(pending int, snap graph.Store) bool {
-	return pending*4 <= snap.NumNodes()+snap.NumArcs()+64
-}
-
 // Close stops the background rebuilder goroutine, if any, waits for it to
 // exit, syncs and closes the write-ahead log, and releases the snapshot
 // file the Recommender owns when it was built with WithSnapshotFile.
 // Pending deltas are left journaled in memory but remain recoverable from
 // the WAL when one is configured; call Rebuild first if they must be
 // folded into the serving snapshot. Close is idempotent. For
-// memory-mapped snapshots, call Close only after in-flight requests have
-// drained: unmapping while a request still scans the mapping is unsafe.
+// memory-mapped snapshots, call Close only after in-flight requests and
+// mutations have drained: unmapping while a request still scans the
+// mapping is unsafe, and until the first rebuild a mutation is checked
+// against the mapping too.
 func (r *Recommender) Close() error {
 	if lv := r.live; lv != nil {
 		lv.closeOnce.Do(func() {
@@ -393,22 +355,27 @@ func (r *Recommender) Close() error {
 
 // rebuildLoop is the background debouncer: every interval tick — or
 // immediately when a writer kicks it past the pending-delta bound — it
-// folds pending deltas into a new snapshot. Rebuild errors are retained for
-// the next attempt via the forceFull fallback rather than crashing the
+// folds pending deltas into a new snapshot. A failed rebuild leaves its
+// deltas pending, so the next tick retries them rather than crashing the
 // serving process.
 func (r *Recommender) rebuildLoop(lv *liveState) {
 	defer close(lv.done)
 	ticker := time.NewTicker(lv.interval)
 	defer ticker.Stop()
 	for {
+		due := 1
 		select {
 		case <-lv.stop:
 			return
 		case <-ticker.C:
 		case <-lv.kick:
+			// The batch of a rebuild in progress stays pending until it is
+			// swapped in, so writes during it send kicks the swap makes
+			// stale: act on a kick only while the bound is still reached.
+			due = lv.maxPending
 		}
-		if lv.mut.Pending() > 0 || lv.forceFull.Load() {
-			r.Rebuild() //nolint:errcheck // retried next tick via forceFull
+		if lv.mut.Pending() >= due {
+			r.Rebuild() //nolint:errcheck // the batch stays pending; retried next tick
 		}
 	}
 }

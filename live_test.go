@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"socialrec/internal/fault"
 )
 
 func TestMutationsRequireLiveMode(t *testing.T) {
@@ -240,6 +242,40 @@ func TestLiveMaxPendingDeltasKicksRebuild(t *testing.T) {
 			t.Fatal("pending-delta bound never triggered a rebuild")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWritesDuringRebuildDoNotTriggerAnother pins the pending-delta
+// bound's kick: a write that lands while a rebuild still holds its batch
+// sees the bound reached and kicks, but once that batch is swapped in the
+// one delta left is below the bound, so the loop must not rebuild again.
+func TestWritesDuringRebuildDoNotTriggerAnother(t *testing.T) {
+	defer fault.Reset()
+	rec, err := NewRecommender(ringGraph(64), WithRebuildInterval(time.Hour), WithMaxPendingDeltas(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	// Hold each rebuild open long enough for a write to land inside it.
+	fault.Arm("live.rebuild", fault.Config{Mode: fault.Latency, Delay: 50 * time.Millisecond})
+	for v := 2; v < 6; v++ {
+		if err := rec.AddEdge(0, v*2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the kicked rebuild to start", func() bool { return fault.Fired("live.rebuild") > 0 })
+	if err := rec.AddEdge(1, 33); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the kicked rebuild to swap", func() bool { return rec.SnapshotVersion() == 1 })
+	// Once the loop has taken the second kick, its response to it is all
+	// that stands between it and the stop signal, which Close waits out.
+	waitFor(t, "the loop to take the second kick", func() bool { return len(rec.live.kick) == 0 })
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v, p := rec.SnapshotVersion(), rec.PendingDeltas(); v != 1 || p != 1 {
+		t.Fatalf("after a write during a rebuild: version %d, %d pending; want 1 and 1", v, p)
 	}
 }
 

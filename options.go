@@ -76,9 +76,10 @@ func WithDeltaInvalidation() Option {
 }
 
 // WithLiveMutations enables the streaming mutation API (AddEdge,
-// RemoveEdge, AddNode, Rebuild): the Recommender retains a concurrency-safe
-// mutable copy of the construction graph and starts a background rebuilder
-// that debounces journaled deltas into atomic snapshot swaps. Rebuild
+// RemoveEdge, AddNode, Rebuild): the Recommender logs accepted mutations
+// on top of its serving snapshot, keeping no second copy of the graph, and
+// starts a background rebuilder that debounces the log into patched,
+// atomically swapped snapshots. Rebuild
 // cadence uses DefaultRebuildInterval and DefaultMaxPendingDeltas unless
 // overridden with WithRebuildInterval / WithMaxPendingDeltas. Call Close to
 // stop the rebuilder when discarding the Recommender.
@@ -125,8 +126,9 @@ func WithMaxPendingDeltas(n int) Option {
 // elsewhere or when mapping fails; either way the draws are identical. The
 // Recommender owns the opened file and releases it in Close. Combine with
 // WithLiveMutations to accept streaming writes on top of the loaded
-// snapshot — the mutable basis is materialized from the file once at
-// construction.
+// snapshot: nothing is copied out of the file at construction, and the
+// Recommender serves from it until its first rebuild swaps in a patched
+// heap snapshot.
 func WithSnapshotFile(path string) Option {
 	return func(r *Recommender) error {
 		if path == "" {

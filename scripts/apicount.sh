@@ -5,7 +5,9 @@
 # examples export nothing), the number of exported top-level funcs and
 # types `go doc -all` lists (methods included, as `func (r *T) M` lines),
 # then their total, then the number of lines of non-test and of test Go
-# outside benchmark/ (the benchmark is a module of its own).
+# outside benchmark/ (the benchmark is a module of its own). Go files under
+# a testdata/ directory (lint fixtures) are counted with the test lines:
+# they are inputs to tests, not program code.
 # Changes that delete code cite these counts before and after.
 #
 # Usage: scripts/apicount.sh
@@ -20,7 +22,7 @@ for pkg in $(go list -f '{{if ne .Name "main"}}{{.ImportPath}}{{end}}' ./...); d
 done
 printf '%5d  total exported funcs and types\n' "$total"
 
-lines=$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
+lines=$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l)
 printf '%5d  lines of non-test Go outside benchmark/\n' "$lines"
-lines=$(find . -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
+lines=$(find . -name '*.go' \( -name '*_test.go' -o -path '*/testdata/*' \) -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
 printf '%5d  lines of test Go outside benchmark/\n' "$lines"

@@ -205,10 +205,9 @@ func TestLiveRebuildPersistsSnapshot(t *testing.T) {
 	}
 }
 
-// TestFromStoreMatchesSnapshot pins graph.FromStore, which materializes
-// the mutable basis of a live Recommender served from a snapshot file,
-// against the source graph, over both stores that serve the file, for both
-// directednesses.
+// TestFromStoreMatchesSnapshot pins graph.FromStore, which materializes a
+// live Recommender's CurrentGraph, against the source graph, over both
+// stores that serve the file, for both directednesses.
 func TestFromStoreMatchesSnapshot(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		g, path := writeTestSnapshot(t, directed)

@@ -144,8 +144,8 @@ type Recommender struct {
 	// drawSeq numbers the per-request RNG streams RequestRNG hands out.
 	drawSeq atomic.Uint64
 
-	// live is non-nil when the Recommender retains a mutable copy of its
-	// graph for streaming mutations; see live.go.
+	// live is non-nil when the Recommender accepts streaming mutations: it
+	// holds the log of mutations since the serving snapshot; see live.go.
 	live *liveState
 
 	// ownedSnap is the snapshot file this Recommender opened itself (via
@@ -228,13 +228,13 @@ func NewRecommender(g *Graph, opts ...Option) (*Recommender, error) {
 	if r.pendingSnapshotFile != "" {
 		return nil, fmt.Errorf("socialrec: WithSnapshotFile(%q) conflicts with a non-nil graph; pass nil", r.pendingSnapshotFile)
 	}
-	st, err := r.buildState(g, 0)
+	// The snapshot is a copy, so mutating the caller's graph never affects
+	// the Recommender.
+	st, err := r.buildStateFromSnap(g.Snapshot(), 0)
 	if err != nil {
 		return nil, err
 	}
-	// Clone preserves the constructor contract that mutating the caller's
-	// graph never affects the Recommender.
-	if err := r.finishInit(st, func() (*Graph, error) { return g.Clone(), nil }); err != nil {
+	if err := r.finishInit(st); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -275,7 +275,7 @@ func (r *Recommender) initFromSnapshotFile() error {
 		snap.Close()
 		return err
 	}
-	if err := r.finishInit(st, func() (*Graph, error) { return graph.FromStore(snap) }); err != nil {
+	if err := r.finishInit(st); err != nil {
 		snap.Close()
 		return err
 	}
@@ -284,11 +284,15 @@ func (r *Recommender) initFromSnapshotFile() error {
 }
 
 // finishInit installs the initial snapState and — when live mutations were
-// requested — materializes the mutable basis via mutableBase and starts the
-// background rebuilder. With WithWAL it first
-// opens the log and replays any records that survived a crash, so the
-// initial serving snapshot already reflects every acknowledged mutation.
-func (r *Recommender) finishInit(st *snapState, mutableBase func() (*Graph, error)) error {
+// requested — starts the live graph on its snapshot and the background
+// rebuilder. With WithWAL it first opens the log and replays any records
+// that survived a crash, so the initial serving snapshot already reflects
+// every acknowledged mutation.
+func (r *Recommender) finishInit(st *snapState) error {
+	var mut *graph.MutableGraph
+	if r.pendingLive {
+		mut = graph.NewMutable(st.snap)
+	}
 	var w *wal.WAL
 	if r.pendingWALDir != "" {
 		var recs []wal.Record
@@ -297,84 +301,59 @@ func (r *Recommender) finishInit(st *snapState, mutableBase func() (*Graph, erro
 		if err != nil {
 			return fmt.Errorf("socialrec: opening WAL %q: %w", r.pendingWALDir, err)
 		}
-		if len(recs) > 0 {
-			// Acknowledged mutations outlived the previous process: fold
-			// them into the basis before the first snapshot. Replay mutates
-			// pre-noise graph state only, so it has no DP cost — no noise
-			// is drawn and nothing is released during recovery.
-			base, err := mutableBase()
-			if err == nil {
-				err = replayWAL(base, recs)
-			}
-			var replayed *snapState
-			if err == nil {
-				replayed, err = r.buildState(base, st.epoch)
-			}
-			if err != nil {
-				w.Close()
-				return err
-			}
-			st = replayed
-			mutableBase = func() (*Graph, error) { return base, nil }
+		// Acknowledged mutations outlived the previous process: fold them
+		// into the snapshot before it serves. Replay mutates pre-noise
+		// graph state only, so it has no DP cost — no noise is drawn and
+		// nothing is released during recovery.
+		if st, err = r.replayWAL(mut, st, recs); err != nil {
+			w.Close()
+			return err
 		}
 		st.walLSN = w.LastLSN()
 		r.wal = w
 	}
 	r.state.Store(st)
-	if r.pendingLive {
-		base, err := mutableBase()
-		if err != nil {
-			if w != nil {
-				w.Close()
-			}
-			return err
-		}
-		mut := graph.NewMutable(base)
-		if w != nil {
-			// The journal hook runs inside the mutation critical section,
-			// so WAL order matches delta-log order record for record, and a
-			// mutation is only acknowledged once its record is durable per
-			// the fsync policy. An append failure vetoes (rolls back) the
-			// mutation and marks the WAL subsystem degraded.
-			mut.SetJournal(func(d graph.Delta) error {
-				if _, err := w.Append(walRecord(d)); err != nil {
-					r.health.set(subsystemWAL, err)
-					return fmt.Errorf("socialrec: WAL append: %w", err)
-				}
-				r.health.clear(subsystemWAL)
-				return nil
-			})
-		}
-		lv := &liveState{
-			mut:        mut,
-			interval:   r.pendingInterval,
-			maxPending: r.pendingMaxPending,
-			kick:       make(chan struct{}, 1),
-			stop:       make(chan struct{}),
-			done:       make(chan struct{}),
-			drainedLSN: st.walLSN,
-		}
-		if lv.interval <= 0 {
-			lv.interval = DefaultRebuildInterval
-		}
-		if lv.maxPending <= 0 {
-			lv.maxPending = DefaultMaxPendingDeltas
-		}
-		r.live = lv
-		go r.rebuildLoop(lv)
+	if mut == nil {
+		return nil
 	}
+	if w != nil {
+		// The journal hook runs inside the mutation critical section, so
+		// WAL order matches delta-log order record for record, and a
+		// mutation is only acknowledged once its record is durable per the
+		// fsync policy. An append failure vetoes the mutation and marks the
+		// WAL subsystem degraded.
+		mut.SetJournal(func(d graph.Delta) error {
+			if _, err := w.Append(walRecord(d)); err != nil {
+				r.health.set(subsystemWAL, err)
+				return fmt.Errorf("socialrec: WAL append: %w", err)
+			}
+			r.health.clear(subsystemWAL)
+			return nil
+		})
+	}
+	lv := &liveState{
+		mut:        mut,
+		interval:   r.pendingInterval,
+		maxPending: r.pendingMaxPending,
+		kick:       make(chan struct{}, 1),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
+	}
+	if lv.interval <= 0 {
+		lv.interval = DefaultRebuildInterval
+	}
+	if lv.maxPending <= 0 {
+		lv.maxPending = DefaultMaxPendingDeltas
+	}
+	r.live = lv
+	go r.rebuildLoop(lv)
 	return nil
 }
 
-// buildState computes every snapshot-derived quantity for g at the given
-// cache epoch.
-func (r *Recommender) buildState(g *Graph, epoch uint64) (*snapState, error) {
-	return r.buildStateFromSnap(g.Snapshot(), epoch)
-}
-
-// buildStateFromSnap is buildState for an already-materialized snapshot
-// store — the live rebuilder hands it incrementally patched CSRs, and the
-// snapshot-file constructors hand it heap or mmap-backed stores.
+// buildStateFromSnap computes every snapshot-derived quantity for snap at
+// the given cache epoch: NewRecommender hands it the graph's CSR, the
+// snapshot-file constructor a heap or mmap-backed store, and the live
+// rebuilder and WAL replay patched CSRs.
 func (r *Recommender) buildStateFromSnap(snap graph.Store, epoch uint64) (*snapState, error) {
 	st := &snapState{snap: snap, epoch: epoch}
 	st.sens = r.util.Sensitivity(st.snap)
