@@ -298,13 +298,13 @@ func BenchmarkAblationPathLen(b *testing.B) {
 }
 
 // BenchmarkAblationCSR compares the sparse utility kernel on the mutable
-// map-adjacency graph against the immutable CSR snapshot — the
-// representation ablation DESIGN.md calls out.
+// graph's per-node rows against the immutable CSR snapshot's one flat
+// array — the representation ablation.
 func BenchmarkAblationCSR(b *testing.B) {
 	wiki, _ := benchGraphs(b)
 	snap := wiki.Snapshot()
 	cn := utility.CommonNeighbors{}
-	b.Run("map", func(b *testing.B) {
+	b.Run("rows", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := cn.Sparse(wiki, i%wiki.NumNodes()); err != nil {
 				b.Fatal(err)

@@ -102,7 +102,7 @@ type cachedVector struct {
 	// ncand is the total candidate-domain size: the support's nonzeros
 	// plus the implicit zero-utility candidates. A zero-tail rank maps
 	// back to a node ID through the target's out-row and the support (see
-	// streamComplementSelect).
+	// cachedComplementSelect).
 	ncand int
 	// cdf is the exponential mechanism's sparse cumulative-weight form
 	// (nil for other mechanisms): one prefix sum per 32 support entries,

@@ -109,8 +109,10 @@
 // the same candidate as the streamed draw. The smoothing top-k release also
 // reads the gathered entry, because its without-replacement draws need the
 // closed-form probabilities. A winning zero-tail rank maps back to a node
-// ID the same way for both sources: an ascending merge over the target, its
-// out-row and the support.
+// ID by an ascending merge over the target, its out-row and the support.
+// A cache entry first narrows the merge to one 32-entry block of its
+// support, by binary search over the blocks' absolute first IDs; a kernel
+// stream walks from the start.
 //
 // Scratch ownership is strictly per request: a scorer owns its pooled
 // accumulators from StreamSparse until Close, the mechanism borrows the
@@ -218,9 +220,9 @@
 // tail mass (n_cand-nnz)·e^{-(ε/Δf)·u_max}, and noisy-max mechanisms
 // sample the tail's maximum noise in one inverse-CDF draw (the max of m
 // Laplace variates via U^{1/m}). A winning tail rank maps back to a node
-// ID by an O(d_r + nnz) merge over the target's out-row and the support;
-// tail picks are a small share of draws (about 5% on the benchmark's
-// cached workload).
+// ID by a merge over the target's out-row and the support: O(d_r + nnz)
+// over a kernel stream, and O(log nnz · log d_r + d_r) over a cache entry,
+// whose gap-coded IDs restart at an absolute ID every 32 entries.
 //
 // Why sparsification preserves the DP guarantee: it is a pure pre-noise
 // refactor. The sparse kernels return bit-identical nonzero values to the
@@ -382,7 +384,11 @@
 // scans the utilities are built from). An in-memory graph serves from a
 // heap CSR; a snapshot file serves from a memory mapping of the same
 // layout, or from a heap decode where mapping is impossible. The platform,
-// not an option, picks which, and the mechanism layer cannot tell.
+// not an option, picks which, and the mechanism layer cannot tell. The
+// caller's mutable Graph stores one strictly ascending int32 row per node
+// (and the mirrored in rows of a directed graph), about 6 B per stored
+// entry, so the heap CSR NewRecommender builds from it is a copy of those
+// rows behind their prefix sums, with no gather and no sort.
 //
 // Snapshots persist in the .srsnap binary format: an 8-byte magic and
 // versioned 64-byte header followed by the four CSR sections (out-index,
@@ -407,8 +413,8 @@
 // Where the platform cannot map the file (non-unix hosts, big-endian
 // hosts) or mapping fails at run time (filesystems without mmap support),
 // the file is decoded into the heap instead: the same CSR layout
-// Graph.Snapshot builds, minus the edge-list re-parse and adjacency-map
-// construction that dominate cold start.
+// Graph.Snapshot builds, minus the edge-list re-parse and row building
+// that dominate cold start.
 //
 // Live mutations compose with either store: rebuilds patch rows out of
 // the current store into fresh heap CSRs (a writable copy-on-write overlay

@@ -2,7 +2,6 @@ package bounds
 
 import (
 	"fmt"
-	"slices"
 
 	"socialrec/internal/utility"
 )
@@ -77,9 +76,7 @@ func SensitiveCommonNeighborsCeiling(g utility.View, r int, eps float64, policy 
 	if umax == 0 {
 		return SensitiveCeilingResult{}, ErrNoMax
 	}
-	var neighbors []int
-	g.ForEachOutNeighbor(r, func(w int) { neighbors = append(neighbors, w) })
-	slices.Sort(neighbors)
+	neighbors := g.Out(r)
 	dr := g.OutDegree(r)
 	// Edges from x to distinct existing neighbors of r. When u_max = d_r
 	// there are not enough existing neighbors to beat the incumbent, so the
@@ -107,10 +104,10 @@ func SensitiveCommonNeighborsCeiling(g utility.View, r int, eps float64, policy 
 		}
 		avail := 0
 		for _, w := range neighbors {
-			if w == x || g.HasEdge(x, w) {
+			if int(w) == x || g.HasEdge(x, int(w)) {
 				continue
 			}
-			if policy(x, w) {
+			if policy(x, int(w)) {
 				avail++
 				if avail >= needExisting {
 					break

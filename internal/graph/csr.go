@@ -1,12 +1,10 @@
 package graph
 
-import "slices"
-
 // CSR is an immutable compressed-sparse-row snapshot of a graph's
 // out-adjacency: neighbors of v are Adj[Index[v]:Index[v+1]], sorted
 // ascending. Utility-vector computation over hundreds of sampled targets
 // scans neighborhoods far more often than it mutates edges, and the CSR
-// layout removes the per-edge map overhead on those scans (see
+// layout keeps every row in one flat array that no mutation touches (see
 // BenchmarkAblationCSR in the root benchmark suite).
 type CSR struct {
 	Index    []int32
@@ -17,8 +15,9 @@ type CSR struct {
 	inAdj   []int32
 }
 
-// Snapshot builds a CSR view of g. Subsequent mutations of g are not
-// reflected in the snapshot.
+// Snapshot builds a CSR view of g by copying its rows, already ascending,
+// behind their prefix sums. Subsequent mutations of g are not reflected in
+// the snapshot.
 func (g *Graph) Snapshot() *CSR {
 	n := len(g.out)
 	c := &CSR{directed: g.directed}
@@ -29,22 +28,17 @@ func (g *Graph) Snapshot() *CSR {
 	return c
 }
 
-func buildCSR(adj []map[int]struct{}, n int) ([]int32, []int32) {
+// buildCSR concatenates rows, already ascending, behind their prefix sums.
+func buildCSR(rows [][]int32, n int) ([]int32, []int32) {
 	index := make([]int32, n+1)
 	total := 0
-	for v := range adj {
-		total += len(adj[v])
+	for v, row := range rows {
+		total += len(row)
 		index[v+1] = int32(total)
 	}
-	flat := make([]int32, total)
-	for v := range adj {
-		row := flat[index[v]:index[v+1]]
-		i := 0
-		for u := range adj[v] {
-			row[i] = int32(u)
-			i++
-		}
-		slices.Sort(row)
+	flat := make([]int32, 0, total)
+	for _, row := range rows {
+		flat = append(flat, row...)
 	}
 	return index, flat
 }

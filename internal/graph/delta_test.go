@@ -81,6 +81,9 @@ func testPatchMatchesSnapshot(t *testing.T, directed bool, nodes int, script []b
 		if m.NumNodes() != g.NumNodes() || m.NumEdges() != g.NumEdges() {
 			t.Fatalf("live graph counts %d nodes, %d edges; oracle %d, %d", m.NumNodes(), m.NumEdges(), g.NumNodes(), g.NumEdges())
 		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("oracle graph invalid after %d script bytes: %v", hi, err)
+		}
 		if cp%3 != 2 {
 			m.Advance(got, len(log))
 		}

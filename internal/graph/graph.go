@@ -32,33 +32,27 @@ type Edge struct {
 	From, To int
 }
 
-// Graph is a mutable simple graph. The zero value is an empty undirected
-// graph with no nodes; construct with New or NewDirected.
+// Graph is a mutable simple graph. Each node's adjacency is one strictly
+// ascending []int32 row (out, plus the mirrored in rows of a directed
+// graph), so neighbor scans read in order without sorting, membership is a
+// binary search, and Snapshot copies rows instead of gathering and sorting
+// them. The zero value is an empty undirected graph with no nodes;
+// construct with New or NewDirected.
 type Graph struct {
 	directed bool
-	out      []map[int]struct{}
-	in       []map[int]struct{} // nil for undirected graphs
+	out      [][]int32
+	in       [][]int32 // nil for undirected graphs
 	m        int
 }
 
 // New returns an undirected graph with n isolated nodes.
 func New(n int) *Graph {
-	g := &Graph{out: make([]map[int]struct{}, n)}
-	for i := range g.out {
-		g.out[i] = make(map[int]struct{})
-	}
-	return g
+	return &Graph{out: make([][]int32, n)}
 }
 
 // NewDirected returns a directed graph with n isolated nodes.
 func NewDirected(n int) *Graph {
-	g := New(n)
-	g.directed = true
-	g.in = make([]map[int]struct{}, n)
-	for i := range g.in {
-		g.in[i] = make(map[int]struct{})
-	}
-	return g
+	return &Graph{directed: true, out: make([][]int32, n), in: make([][]int32, n)}
 }
 
 // Directed reports whether the graph is directed.
@@ -72,9 +66,9 @@ func (g *Graph) NumEdges() int { return g.m }
 
 // AddNode appends a new isolated node and returns its ID.
 func (g *Graph) AddNode() int {
-	g.out = append(g.out, make(map[int]struct{}))
+	g.out = append(g.out, nil)
 	if g.directed {
-		g.in = append(g.in, make(map[int]struct{}))
+		g.in = append(g.in, nil)
 	}
 	return len(g.out) - 1
 }
@@ -84,6 +78,27 @@ func (g *Graph) checkNode(v int) error {
 		return fmt.Errorf("%w: %d (graph has %d nodes)", ErrNodeRange, v, len(g.out))
 	}
 	return nil
+}
+
+// mirror returns the rows holding each edge's reverse entry: the in rows
+// of a directed graph, the out rows themselves of an undirected one.
+func (g *Graph) mirror() [][]int32 {
+	if g.directed {
+		return g.in
+	}
+	return g.out
+}
+
+// insertSorted inserts x, known absent, into the ascending row.
+func insertSorted(row []int32, x int32) []int32 {
+	i, _ := slices.BinarySearch(row, x)
+	return slices.Insert(row, i, x)
+}
+
+// removeSorted deletes x, known present, from the ascending row.
+func removeSorted(row []int32, x int32) []int32 {
+	i, _ := slices.BinarySearch(row, x)
+	return slices.Delete(row, i, i+1)
 }
 
 // AddEdge inserts the edge u->v (or {u,v} when undirected). It returns
@@ -98,15 +113,12 @@ func (g *Graph) AddEdge(u, v int) error {
 	if u == v {
 		return ErrSelfLoop
 	}
-	if _, dup := g.out[u][v]; dup {
+	if g.HasEdge(u, v) {
 		return fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, u, v)
 	}
-	g.out[u][v] = struct{}{}
-	if g.directed {
-		g.in[v][u] = struct{}{}
-	} else {
-		g.out[v][u] = struct{}{}
-	}
+	g.out[u] = insertSorted(g.out[u], int32(v))
+	mirror := g.mirror()
+	mirror[v] = insertSorted(mirror[v], int32(u))
 	g.m++
 	return nil
 }
@@ -119,15 +131,12 @@ func (g *Graph) RemoveEdge(u, v int) error {
 	if err := g.checkNode(v); err != nil {
 		return err
 	}
-	if _, ok := g.out[u][v]; !ok {
+	if !g.HasEdge(u, v) {
 		return fmt.Errorf("%w: (%d,%d)", ErrMissingEdge, u, v)
 	}
-	delete(g.out[u], v)
-	if g.directed {
-		delete(g.in[v], u)
-	} else {
-		delete(g.out[v], u)
-	}
+	g.out[u] = removeSorted(g.out[u], int32(v))
+	mirror := g.mirror()
+	mirror[v] = removeSorted(mirror[v], int32(u))
 	g.m--
 	return nil
 }
@@ -138,7 +147,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= len(g.out) || v < 0 || v >= len(g.out) {
 		return false
 	}
-	_, ok := g.out[u][v]
+	_, ok := slices.BinarySearch(g.out[u], int32(v))
 	return ok
 }
 
@@ -146,12 +155,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 func (g *Graph) OutDegree(v int) int { return len(g.out[v]) }
 
 // InDegree returns the in-degree of v (its degree when undirected).
-func (g *Graph) InDegree(v int) int {
-	if g.directed {
-		return len(g.in[v])
-	}
-	return len(g.out[v])
-}
+func (g *Graph) InDegree(v int) int { return len(g.mirror()[v]) }
 
 // Degree returns the total degree: OutDegree for undirected graphs, and
 // in+out for directed graphs.
@@ -174,50 +178,42 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// OutNeighbors returns the out-neighbors of v in ascending order. The slice
-// is freshly allocated each call.
-func (g *Graph) OutNeighbors(v int) []int {
-	ns := make([]int, 0, len(g.out[v]))
-	for u := range g.out[v] {
-		ns = append(ns, u)
+// Out returns the out-neighbors of v in ascending order as the graph's own
+// row, like CSR.Out: do not modify it; it is invalid after the next
+// mutation.
+func (g *Graph) Out(v int) []int32 { return g.out[v] }
+
+// widen copies a row into a fresh []int.
+func widen(row []int32) []int {
+	ns := make([]int, len(row))
+	for i, u := range row {
+		ns[i] = int(u)
 	}
-	slices.Sort(ns)
 	return ns
 }
 
+// OutNeighbors returns the out-neighbors of v in ascending order. The slice
+// is freshly allocated each call.
+func (g *Graph) OutNeighbors(v int) []int { return widen(g.out[v]) }
+
 // InNeighbors returns the in-neighbors of v in ascending order.
-func (g *Graph) InNeighbors(v int) []int {
-	src := g.out[v]
-	if g.directed {
-		src = g.in[v]
-	}
-	ns := make([]int, 0, len(src))
-	for u := range src {
-		ns = append(ns, u)
-	}
-	slices.Sort(ns)
-	return ns
-}
+func (g *Graph) InNeighbors(v int) []int { return widen(g.mirror()[v]) }
 
 // Neighbors is OutNeighbors; named for readability on undirected graphs.
 func (g *Graph) Neighbors(v int) []int { return g.OutNeighbors(v) }
 
-// ForEachOutNeighbor calls fn for every out-neighbor of v in unspecified
-// order, avoiding the allocation of OutNeighbors on hot paths.
+// ForEachOutNeighbor calls fn for every out-neighbor of v in ascending
+// order, avoiding the allocation of OutNeighbors.
 func (g *Graph) ForEachOutNeighbor(v int, fn func(u int)) {
-	for u := range g.out[v] {
-		fn(u)
+	for _, u := range g.out[v] {
+		fn(int(u))
 	}
 }
 
-// ForEachInNeighbor calls fn for every in-neighbor of v in unspecified order.
+// ForEachInNeighbor calls fn for every in-neighbor of v in ascending order.
 func (g *Graph) ForEachInNeighbor(v int, fn func(u int)) {
-	src := g.out[v]
-	if g.directed {
-		src = g.in[v]
-	}
-	for u := range src {
-		fn(u)
+	for _, u := range g.mirror()[v] {
+		fn(int(u))
 	}
 }
 
@@ -225,40 +221,40 @@ func (g *Graph) ForEachInNeighbor(v int, fn func(u int)) {
 // once with From < To.
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.m)
-	for u := range g.out {
-		for v := range g.out[u] {
-			if !g.directed && v < u {
+	for u, row := range g.out {
+		for _, v := range row {
+			if !g.directed && int(v) < u {
 				continue
 			}
-			es = append(es, Edge{From: u, To: v})
+			es = append(es, Edge{From: u, To: int(v)})
 		}
 	}
-	slices.SortFunc(es, func(a, b Edge) int {
-		if a.From != b.From {
-			return a.From - b.From
-		}
-		return a.To - b.To
-	})
 	return es
+}
+
+// cloneRows deep-copies rows into one shared backing array. Each row is
+// capped at its length, so a later insert reallocates that row alone
+// instead of overwriting its neighbor.
+func cloneRows(rows [][]int32) [][]int32 {
+	total := 0
+	for _, row := range rows {
+		total += len(row)
+	}
+	flat := make([]int32, 0, total)
+	out := make([][]int32, len(rows))
+	for v, row := range rows {
+		lo := len(flat)
+		flat = append(flat, row...)
+		out[v] = flat[lo:len(flat):len(flat)]
+	}
+	return out
 }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{directed: g.directed, m: g.m, out: make([]map[int]struct{}, len(g.out))}
-	for v, ns := range g.out {
-		c.out[v] = make(map[int]struct{}, len(ns))
-		for u := range ns {
-			c.out[v][u] = struct{}{}
-		}
-	}
+	c := &Graph{directed: g.directed, m: g.m, out: cloneRows(g.out)}
 	if g.directed {
-		c.in = make([]map[int]struct{}, len(g.in))
-		for v, ns := range g.in {
-			c.in[v] = make(map[int]struct{}, len(ns))
-			for u := range ns {
-				c.in[v][u] = struct{}{}
-			}
-		}
+		c.in = cloneRows(g.in)
 	}
 	return c
 }
@@ -269,14 +265,9 @@ func (g *Graph) Equal(h *Graph) bool {
 	if g.directed != h.directed || len(g.out) != len(h.out) || g.m != h.m {
 		return false
 	}
-	for v, ns := range g.out {
-		if len(ns) != len(h.out[v]) {
+	for v, row := range g.out {
+		if !slices.Equal(row, h.out[v]) {
 			return false
-		}
-		for u := range ns {
-			if _, ok := h.out[v][u]; !ok {
-				return false
-			}
 		}
 	}
 	return true
@@ -291,55 +282,73 @@ func (g *Graph) DegreeSequence() []int {
 	return ds
 }
 
-// Validate checks internal consistency: symmetric adjacency for undirected
-// graphs, matching in/out mirrors for directed graphs, no self loops, and an
-// edge count that matches the adjacency structure. It returns the first
-// inconsistency found, or nil. It is used by property-based tests as the
-// global graph invariant.
+// Validate checks internal consistency: strictly ascending rows of in-range
+// neighbors with no self loops, symmetric adjacency for undirected graphs,
+// matching in/out mirrors for directed graphs, and an edge count that
+// matches the adjacency structure. It returns the first inconsistency
+// found, or nil. It is used by property-based tests as the global graph
+// invariant.
 func (g *Graph) Validate() error {
+	n := len(g.out)
+	mirror := g.mirror()
+	if len(mirror) != n {
+		return fmt.Errorf("graph: %d in rows for %d nodes", len(mirror), n)
+	}
+	if err := validateRows(g.out); err != nil {
+		return err
+	}
+	if g.directed {
+		if err := validateRows(g.in); err != nil {
+			return err
+		}
+	}
+	// Enumerating arcs (v, u) in ascending v visits each mirror row u in
+	// ascending order, so a per-row cursor that must match v exactly, and
+	// must end at the row's end, pairs every arc with its mirror entry.
+	cursors := make([]int, n)
 	count := 0
-	for v, ns := range g.out {
-		for u := range ns {
-			if u == v {
-				return fmt.Errorf("graph: self loop at %d", v)
-			}
-			if u < 0 || u >= len(g.out) {
-				return fmt.Errorf("graph: neighbor %d of %d out of range", u, v)
-			}
-			if g.directed {
-				if _, ok := g.in[u][v]; !ok {
+	for v, row := range g.out {
+		for _, u := range row {
+			c := cursors[u]
+			if c >= len(mirror[u]) || mirror[u][c] != int32(v) {
+				if g.directed {
 					return fmt.Errorf("graph: out edge (%d,%d) missing in-mirror", v, u)
 				}
-			} else {
-				if _, ok := g.out[u][v]; !ok {
-					return fmt.Errorf("graph: undirected edge (%d,%d) not symmetric", v, u)
-				}
+				return fmt.Errorf("graph: undirected edge (%d,%d) not symmetric", v, u)
 			}
+			cursors[u]++
 			count++
 		}
 	}
-	if g.directed {
-		inCount := 0
-		for v, ns := range g.in {
-			for u := range ns {
-				if _, ok := g.out[u][v]; !ok {
-					return fmt.Errorf("graph: in edge (%d,%d) missing out-mirror", u, v)
-				}
-				inCount++
-			}
-		}
-		if inCount != count {
-			return fmt.Errorf("graph: in/out edge counts differ (%d vs %d)", inCount, count)
+	for u, row := range mirror {
+		if cursors[u] != len(row) {
+			return fmt.Errorf("graph: row %d holds %d entries but only %d mirrored edges", u, len(row), cursors[u])
 		}
 	}
 	if !g.directed {
-		if count%2 != 0 {
-			return fmt.Errorf("graph: odd half-edge count %d in undirected graph", count)
-		}
 		count /= 2
 	}
 	if count != g.m {
 		return fmt.Errorf("graph: cached edge count %d but adjacency holds %d", g.m, count)
+	}
+	return nil
+}
+
+// validateRows checks that every row is strictly ascending over in-range
+// nodes and skips its own node.
+func validateRows(rows [][]int32) error {
+	for v, row := range rows {
+		for i, u := range row {
+			if u < 0 || int(u) >= len(rows) {
+				return fmt.Errorf("graph: neighbor %d of %d out of range", u, v)
+			}
+			if int(u) == v {
+				return fmt.Errorf("graph: self loop at %d", v)
+			}
+			if i > 0 && row[i-1] >= u {
+				return fmt.Errorf("graph: row %d not strictly ascending at %d", v, i)
+			}
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -228,14 +229,14 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt: break symmetry.
-	delete(g.out[1], 0)
+	g.out[1] = nil
 	if err := g.Validate(); err == nil {
 		t.Error("Validate missed asymmetric adjacency")
 	}
 
 	d := NewDirected(2)
 	mustAdd(t, d, [2]int{0, 1})
-	delete(d.in[1], 0)
+	d.in[1] = nil
 	if err := d.Validate(); err == nil {
 		t.Error("Validate missed missing in-mirror")
 	}
@@ -245,6 +246,23 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	e.m = 7
 	if err := e.Validate(); err == nil {
 		t.Error("Validate missed wrong edge count")
+	}
+
+	// Rows must be strictly ascending: an out-of-order row, then a
+	// duplicated entry, each with consistent mirrors and edge count.
+	o := New(3)
+	mustAdd(t, o, [2]int{0, 1}, [2]int{0, 2})
+	o.out[0] = []int32{2, 1}
+	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "ascending") {
+		t.Errorf("Validate on an out-of-order row = %v", err)
+	}
+	u := New(2)
+	mustAdd(t, u, [2]int{0, 1})
+	u.out[0] = []int32{1, 1}
+	u.out[1] = []int32{0, 0}
+	u.m = 2
+	if err := u.Validate(); err == nil || !strings.Contains(err.Error(), "ascending") {
+		t.Errorf("Validate on a duplicated entry = %v", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Relabel returns a new graph in which node v of g becomes node perm[v].
 // perm must be a permutation of 0..NumNodes-1; otherwise an error is
@@ -22,23 +25,24 @@ func (g *Graph) Relabel(perm []int) (*Graph, error) {
 		}
 		seen[p] = true
 	}
-	var h *Graph
+	h := &Graph{directed: g.directed, m: g.m, out: relabelRows(g.out, perm)}
 	if g.directed {
-		h = NewDirected(n)
-	} else {
-		h = New(n)
-	}
-	for u := range g.out {
-		for v := range g.out[u] {
-			if !g.directed && perm[v] < perm[u] {
-				continue // add each undirected edge once
-			}
-			if g.directed || !h.HasEdge(perm[u], perm[v]) {
-				if err := h.AddEdge(perm[u], perm[v]); err != nil {
-					return nil, err
-				}
-			}
-		}
+		h.in = relabelRows(g.in, perm)
 	}
 	return h, nil
+}
+
+// relabelRows maps every row entry and row position through perm and
+// re-sorts each row.
+func relabelRows(rows [][]int32, perm []int) [][]int32 {
+	out := make([][]int32, len(rows))
+	for v, row := range rows {
+		r := make([]int32, len(row))
+		for i, u := range row {
+			r[i] = int32(perm[u])
+		}
+		slices.Sort(r)
+		out[perm[v]] = r
+	}
+	return out
 }

@@ -19,19 +19,18 @@ package graph
 // intermediaries from u to v following out-edges. On undirected graphs this
 // is the classic common-neighbor count C(u, v).
 func (g *Graph) CommonNeighbors(u, v int) int {
-	a := g.out[u]
-	b := g.out[v]
-	if g.directed {
-		b = g.in[v]
-	}
-	// Iterate over the smaller set.
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	n := 0
-	for x := range a {
-		if _, ok := b[x]; ok {
+	a, b := g.out[u], g.mirror()[v]
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
 			n++
+			i++
+			j++
 		}
 	}
 	return n
@@ -44,9 +43,9 @@ func (g *Graph) CommonNeighbors(u, v int) int {
 // never a candidate). The result slice has length NumNodes.
 func (g *Graph) CommonNeighborsFrom(r int) []int {
 	counts := make([]int, len(g.out))
-	for a := range g.out[r] {
-		for i := range g.out[a] {
-			if i == r || i == a {
+	for _, a := range g.out[r] {
+		for _, i := range g.out[a] {
+			if int(i) == r || i == a {
 				continue
 			}
 			counts[i]++

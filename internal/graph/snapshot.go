@@ -17,7 +17,7 @@ import (
 // Binary snapshot codec: the .srsnap format persists a CSR snapshot as four
 // checksummed little-endian int32 sections behind a fixed 64-byte header, so
 // a serving process can cold-start by decoding (or just memory-mapping) the
-// file instead of re-parsing an edge list and rebuilding adjacency maps.
+// file instead of re-parsing an edge list and rebuilding adjacency rows.
 //
 // Layout (all integers little-endian):
 //

@@ -80,28 +80,29 @@ func (c *CSR) sections() storeSections {
 }
 
 // FromStore materializes a mutable Graph with the same nodes, edges, and
-// directedness as the snapshot. It is how a live Recommender hands out a
-// copy of its current graph (the serving snapshot patched with the pending
-// log). The error path only triggers on a corrupted store whose adjacency
-// violates the simple-graph invariants (self loops, duplicate entries).
+// directedness as the snapshot by copying its rows. It is how a live
+// Recommender hands out a copy of its current graph (the serving snapshot
+// patched with the pending log). The error path only triggers on a
+// corrupted store whose adjacency violates the graph invariants (self
+// loops, duplicate or unordered entries, unmirrored arcs); see
+// Graph.Validate.
 func FromStore(s Store) (*Graph, error) {
 	n := s.NumNodes()
-	directed := s.Directed()
-	var g *Graph
-	if directed {
-		g = NewDirected(n)
-	} else {
-		g = New(n)
+	g := &Graph{directed: s.Directed(), out: storeRows(s.Out, n), m: s.NumEdges()}
+	if g.directed {
+		g.in = storeRows(s.In, n)
 	}
-	for v := 0; v < n; v++ {
-		for _, u := range s.Out(v) {
-			if !directed && int(u) < v {
-				continue // each undirected edge appears in both rows
-			}
-			if err := g.AddEdge(v, int(u)); err != nil {
-				return nil, err
-			}
-		}
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// storeRows copies the n rows row(0..n-1) of a store into a Graph's rows.
+func storeRows(row func(v int) []int32, n int) [][]int32 {
+	rows := make([][]int32, n)
+	for v := range rows {
+		rows[v] = row(v)
+	}
+	return cloneRows(rows)
 }

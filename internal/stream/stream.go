@@ -105,6 +105,25 @@ func (d *IDs) At(j int) int32 {
 	return int32(id)
 }
 
+// Block decodes the IDs of block b (entries b·IDBlock onwards, at most
+// IDBlock of them) into buf and returns them.
+func (d *IDs) Block(b int, buf *[IDBlock]int32) []int32 {
+	end := len(d.Gaps)
+	if b+1 < len(d.Off) {
+		end = int(d.Off[b+1])
+	}
+	id, p := uvarint(d.Gaps, int(d.Off[b]))
+	buf[0] = int32(id)
+	k := 1
+	for ; p < end; k++ {
+		var g uint32
+		g, p = uvarint(d.Gaps, p)
+		id += g
+		buf[k] = int32(id)
+	}
+	return buf[:k]
+}
+
 // Bytes returns the encoded size: the gaps plus the block offsets.
 func (d *IDs) Bytes() int { return len(d.Gaps) + 4*len(d.Off) }
 

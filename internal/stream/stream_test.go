@@ -169,9 +169,9 @@ func fuzzSupport(first uint32, steps []byte, distinct, mult uint16) ([]int32, []
 
 // FuzzEncode checks that Encode followed by a Slice replay reproduces an
 // arbitrary ascending support bit for bit, twice across a Reset, that
-// random access by position agrees with the sequential walk, and that the
-// support is level-coded exactly when it has at most MaxLevels distinct
-// utilities.
+// random access by position and block decoding agree with the sequential
+// walk, and that the support is level-coded exactly when it has at most
+// MaxLevels distinct utilities.
 func FuzzEncode(f *testing.F) {
 	ones := func(n int) []byte { return make([]byte, n) }         // gap 1 each
 	f.Add(uint32(0), ones(0), uint16(1), uint16(1))               // node 0 alone
@@ -214,6 +214,13 @@ func FuzzEncode(f *testing.F) {
 				t.Fatalf("pass %d: Slice yields past its last entry", pass)
 			}
 			s.Reset()
+		}
+		var buf [IDBlock]int32
+		for b := range ids.Off {
+			lo := b * IDBlock
+			if blk := ids.Block(b, &buf); !slices.Equal(blk, idx[lo:min(lo+IDBlock, len(idx))]) {
+				t.Fatalf("block %d decodes %v, want %v", b, blk, idx[lo:min(lo+IDBlock, len(idx))])
+			}
 		}
 	})
 }

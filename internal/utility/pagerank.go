@@ -85,7 +85,7 @@ func (p PageRank) accumulate(v View, r int, s *sparseScratch) (*accumulator, err
 				continue
 			}
 			share := (1 - alpha) * mass / float64(d)
-			for _, u := range outRow(v, int(i), &s.rowA) {
+			for _, u := range v.Out(int(i)) {
 				next.add(u, share)
 			}
 		}

@@ -27,27 +27,6 @@ func checkTarget(v View, r int) error {
 // vector's. Each utility exposes its accumulation once, as StreamSparse
 // (stream.go); gather below turns that stream into the sparse form.
 
-// spanner is the fast-path neighbor access every snapshot store (CSR,
-// Mapped, graph.Store) provides; the mutable *graph.Graph falls back to a
-// sorted copy.
-type spanner interface{ Out(v int) []int32 }
-
-// outRow returns v's out-neighbors ascending as an []int32 span. For
-// snapshot stores the span is returned zero-copy; for map-backed graphs the
-// row is gathered into *buf (grown capacity is written back so the pooled
-// buffer is actually reused) and sorted, because map iteration order is
-// unspecified and the kernels rely on deterministic ascending accumulation.
-func outRow(v View, node int, buf *[]int32) []int32 {
-	if s, ok := v.(spanner); ok {
-		return s.Out(node)
-	}
-	row := (*buf)[:0]
-	v.ForEachOutNeighbor(node, func(u int) { row = append(row, int32(u)) })
-	slices.Sort(row)
-	*buf = row
-	return row
-}
-
 // accumulator is a sparse accumulator (SPA): a dense value array that is
 // all-zero between uses plus the list of indices holding nonzero mass, so
 // clearing costs O(touched) rather than O(n). Once a pass is known to reach
@@ -175,14 +154,13 @@ func (a *accumulator) reset() {
 	a.touched = a.touched[:0]
 }
 
-// sparseScratch bundles the accumulators and row buffers one kernel
-// invocation needs; a sync.Pool recycles them so steady-state serving does
-// no length-n allocation. Accumulators are grown by the kernel itself —
-// most kernels use only s.a, and growing all three would triple the pooled
-// scratch memory for nothing.
+// sparseScratch bundles the accumulators one kernel invocation needs; a
+// sync.Pool recycles them so steady-state serving does no length-n
+// allocation. Accumulators are grown by the kernel itself — most kernels
+// use only s.a, and growing all three would triple the pooled scratch
+// memory for nothing.
 type sparseScratch struct {
-	a, b, c    accumulator
-	rowA, rowB []int32
+	a, b, c accumulator
 }
 
 var sparsePool = stream.NewPool("utility.sparse", func() *sparseScratch { return &sparseScratch{} })
@@ -210,14 +188,14 @@ func putSparseScratch(s *sparseScratch) {
 // way.
 func twoHopWalk(v View, r int, s *sparseScratch) {
 	s.a.grow(v.NumNodes())
-	row := outRow(v, r, &s.rowA)
+	row := v.Out(r)
 	bound := 0
 	for _, a := range row {
 		bound += v.OutDegree(int(a))
 	}
 	s.a.expect(bound, walkDiv)
 	for _, a := range row {
-		s.a.addRow(outRow(v, int(a), &s.rowB), 1, int32(r), a)
+		s.a.addRow(v.Out(int(a)), 1, int32(r), a)
 	}
 }
 
@@ -298,7 +276,9 @@ func getExclusions(v View, r int) *nodeMark {
 	m := markPool.Get()
 	m.grow(v.NumNodes())
 	m.set(r)
-	v.ForEachOutNeighbor(r, func(u int) { m.set(u) })
+	for _, u := range v.Out(r) {
+		m.set(int(u))
+	}
 	return m
 }
 

@@ -20,12 +20,10 @@ type Streamer interface {
 }
 
 // maskExclusions zeroes r and r's out-neighbors in acc — the candidate
-// convention — over outRow spans rather than the ForEachOutNeighbor
-// closure, which would escape to the heap through the interface call on
-// the serving hot path.
-func maskExclusions(v View, r int, acc *accumulator, rowBuf *[]int32) {
+// convention.
+func maskExclusions(v View, r int, acc *accumulator) {
 	acc.zero(int32(r))
-	for _, u := range outRow(v, r, rowBuf) {
+	for _, u := range v.Out(r) {
 		acc.zero(u)
 	}
 }
@@ -49,7 +47,7 @@ var accScorerPool = stream.NewPool("utility.scorer", func() *accScorer { return 
 // newAccScorer masks the exclusions in acc and wraps it in a pooled scorer
 // that owns s.
 func newAccScorer(v View, r int, s *sparseScratch, acc *accumulator) *accScorer {
-	maskExclusions(v, r, acc, &s.rowA)
+	maskExclusions(v, r, acc)
 	sc := accScorerPool.Get()
 	sc.s = s
 	sc.acc = acc
@@ -154,7 +152,6 @@ func (p PageRank) StreamSparse(v View, r int) (stream.Scorer, error) {
 type degreeScorer struct {
 	v    View
 	excl *nodeMark
-	row  []int32
 	n    int
 	pos  int
 }
@@ -170,13 +167,7 @@ func (Degree) StreamSparse(v View, r int) (stream.Scorer, error) {
 	sc.v = v
 	sc.n = v.NumNodes()
 	sc.pos = 0
-	m := markPool.Get()
-	m.grow(sc.n)
-	m.set(r)
-	for _, u := range outRow(v, r, &sc.row) {
-		m.set(int(u))
-	}
-	sc.excl = m
+	sc.excl = getExclusions(v, r)
 	return sc, nil
 }
 
@@ -204,7 +195,6 @@ func (sc *degreeScorer) Close() {
 		return
 	}
 	putExclusions(sc.excl)
-	row := sc.row // keep the grown row buffer with the pooled scorer
-	*sc = degreeScorer{row: row[:0]}
+	*sc = degreeScorer{}
 	degreeScorerPool.Put(sc)
 }

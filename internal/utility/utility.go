@@ -19,7 +19,9 @@ import (
 
 // View is the read-only graph interface utilities are computed against.
 // Both *graph.Graph and its immutable *graph.CSR snapshot satisfy it, so
-// callers can pick mutable convenience or scan throughput.
+// callers can pick mutable convenience or scan throughput. Out returns v's
+// out-neighbors ascending as a shared span the kernels walk directly;
+// callers must not modify it.
 type View interface {
 	NumNodes() int
 	Directed() bool
@@ -27,7 +29,7 @@ type View interface {
 	InDegree(v int) int
 	MaxDegree() int
 	HasEdge(u, v int) bool
-	ForEachOutNeighbor(v int, fn func(u int))
+	Out(v int) []int32
 }
 
 // Compile-time checks that every graph representation satisfies View: the

@@ -76,7 +76,7 @@ func (w WeightedPaths) accumulate(v View, r int, s *sparseScratch) error {
 	s.b.grow(n)
 	s.c.grow(n)
 	frontier, next := &s.b, &s.c
-	for _, a := range outRow(v, r, &s.rowA) {
+	for _, a := range v.Out(r) {
 		frontier.add(a, 1)
 	}
 	weight := 1.0 // γ^{l-2}
@@ -91,7 +91,7 @@ func (w WeightedPaths) accumulate(v View, r int, s *sparseScratch) error {
 		next.expect(bound, walkDiv)
 		for _, a := range level {
 			if cnt := frontier.val[a]; cnt != 0 {
-				next.addRow(outRow(v, int(a), &s.rowB), cnt, int32(r), int32(r))
+				next.addRow(v.Out(int(a)), cnt, int32(r), int32(r))
 			}
 		}
 		reached := next.ascending(n)

@@ -22,7 +22,7 @@ func oracleWeightedPaths(w WeightedPaths, v View, r int) ([]int32, []float64) {
 	s.b.grow(n)
 	s.c.grow(n)
 	frontier, next := &s.b, &s.c
-	for _, a := range outRow(v, r, &s.rowA) {
+	for _, a := range v.Out(r) {
 		frontier.add(a, 1)
 	}
 	weight := 1.0
@@ -32,7 +32,7 @@ func oracleWeightedPaths(w WeightedPaths, v View, r int) ([]int32, []float64) {
 			if cnt == 0 {
 				continue
 			}
-			for _, i := range outRow(v, int(a), &s.rowB) {
+			for _, i := range v.Out(int(a)) {
 				next.add(i, cnt)
 			}
 		}
@@ -46,7 +46,7 @@ func oracleWeightedPaths(w WeightedPaths, v View, r int) ([]int32, []float64) {
 		frontier.reset()
 		frontier, next = next, frontier
 	}
-	maskExclusions(v, r, &s.a, &s.rowA)
+	maskExclusions(v, r, &s.a)
 	var idx []int32
 	var val []float64
 	for _, i := range s.a.ascending(n) {
@@ -63,18 +63,20 @@ func oracleWeightedPaths(w WeightedPaths, v View, r int) ([]int32, []float64) {
 // a walk of length l-1) — the bound the kernel's density rule reads.
 func levelBounds(v View, r, maxLen int) []int {
 	frontier := map[int]bool{}
-	v.ForEachOutNeighbor(r, func(u int) { frontier[u] = true })
+	for _, u := range v.Out(r) {
+		frontier[int(u)] = true
+	}
 	var bounds []int
 	for l := 2; l <= maxLen; l++ {
 		bound := 0
 		next := map[int]bool{}
 		for a := range frontier {
 			bound += v.OutDegree(a)
-			v.ForEachOutNeighbor(a, func(u int) {
-				if u != r {
-					next[u] = true
+			for _, u := range v.Out(a) {
+				if int(u) != r {
+					next[int(u)] = true
 				}
-			})
+			}
 		}
 		bounds = append(bounds, bound)
 		frontier = next
@@ -260,7 +262,7 @@ func TestWeightedPathsScratchZeroAfterClose(t *testing.T) {
 		if err := w.accumulate(tc.v, tc.r, s); err != nil {
 			t.Fatal(err)
 		}
-		maskExclusions(tc.v, tc.r, &s.a, &s.rowA)
+		maskExclusions(tc.v, tc.r, &s.a)
 		s.a.ascending(tc.v.NumNodes())
 		s.reset()
 		assertZero(t, fmt.Sprintf("after n=%d target %d", tc.v.NumNodes(), tc.r), s)

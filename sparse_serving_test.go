@@ -17,6 +17,7 @@ package socialrec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"socialrec/internal/gen"
@@ -284,6 +285,60 @@ func TestSparseTailMappingBijective(t *testing.T) {
 				if !seen[c] {
 					t.Fatalf("target %d: candidate %d unreachable from sparse form", target, c)
 				}
+			}
+		}
+	}
+}
+
+// TestCachedComplementSelectMatchesWalk checks a cache entry's block
+// search for zero-tail picks against a brute-force complement and the full
+// stream walk, for every rank, on supports of several blocks. The target's
+// out-row holds the ID just below each block's first ID whenever that ID
+// is free, plus random IDs throughout, so row entries interleave every
+// block boundary; the target sits anywhere, including before, inside and
+// after the support.
+func TestCachedComplementSelectMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(400)
+		target := rng.Intn(n)
+		inSupp := make([]bool, n)
+		var supp []int32
+		for x := 0; x < n; x++ {
+			if x != target && rng.Intn(3) > 0 {
+				inSupp[x] = true
+				supp = append(supp, int32(x))
+			}
+		}
+		if len(supp) == 0 {
+			continue
+		}
+		inRow := make([]bool, n)
+		for x := 0; x < n; x++ {
+			free := x != target && !inSupp[x]
+			blockEdge := x+1 < n && inSupp[x+1] && slices.Index(supp, int32(x+1))%stream.IDBlock == 0
+			if free && (blockEdge || rng.Intn(2) == 0) {
+				inRow[x] = true
+			}
+		}
+		var row, want []int32
+		for x := 0; x < n; x++ {
+			switch {
+			case inRow[x]:
+				row = append(row, int32(x))
+			case x != target && !inSupp[x]:
+				want = append(want, int32(x))
+			}
+		}
+		ids, code, val := stream.Encode(stream.NewSlice(supp, make([]float64, len(supp))))
+		sc := stream.Slice{IDs: ids, Code: code, Val: val}
+		for rank, w := range want {
+			if got := cachedComplementSelect(row, &ids, target, rank); got != int(w) {
+				t.Fatalf("trial %d (n=%d, target %d, %d support): rank %d block search = %d, want %d",
+					trial, n, target, len(supp), rank, got, w)
+			}
+			if got := streamComplementSelect(row, &sc, target, rank); got != int(w) {
+				t.Fatalf("trial %d: rank %d stream walk = %d, want %d", trial, rank, got, w)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package socialrec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
@@ -81,15 +82,21 @@ func (r *Recommender) openSource(st *snapState, target int, materialize bool) (s
 }
 
 // recommendation resolves a pick to the released Recommendation. Support
-// picks arrive resolved; a tail pick walks the complement merge against
-// the target's current out-row. That row is the one the source was
+// picks arrive resolved; a tail pick merges the complement against the
+// target's current out-row, by block search over a cache entry and by a
+// walk of a kernel stream. That row is the one the source was
 // computed from: a cache entry is only ever served at an epoch whose
 // snapshot leaves its target's row unchanged (a delta endpoint at
 // distance 0 always lands in the touched set; see invalidate.go).
 func (src source) recommendation(snap graph.Store, target int, p mechanism.StreamPick) Recommendation {
 	node, util := int(p.Node), p.Util
 	if p.IsTail {
-		node, util = streamComplementSelect(snap.Out(target), src.sc, target, p.Tail), 0
+		if src.cv != nil {
+			node = cachedComplementSelect(snap.Out(target), &src.cv.ids, target, p.Tail)
+		} else {
+			node = streamComplementSelect(snap.Out(target), src.sc, target, p.Tail)
+		}
+		util = 0
 	}
 	return Recommendation{Target: target, Node: node, Utility: util, MaxUtility: src.umax}
 }
@@ -146,6 +153,78 @@ func streamComplementSelect(row []int32, sc stream.Scorer, target, rank int) int
 			i++
 		case 3:
 			sIdx, _, sOK = sc.Next()
+		}
+	}
+}
+
+// cachedComplementSelect is streamComplementSelect over a cache entry's
+// gap-coded support, in O(log nnz) block probes instead of a walk of the
+// whole support. Below an ID x lie x − |support < x| − |row < x| −
+// [target < x] zero-tail candidates, and this count grows with x. Each
+// block starts at an absolute ID with b·IDBlock support entries below it,
+// so a binary search over the block starts finds the last block starting
+// at or below the answer, and one merge of that block against the row
+// finishes the pick.
+func cachedComplementSelect(row []int32, ids *stream.IDs, target, rank int) int {
+	lo, hi := 0, len(ids.Off)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		start := ids.At(mid * stream.IDBlock)
+		i, _ := slices.BinarySearch(row, start)
+		free := int(start) - mid*stream.IDBlock - i
+		if target < int(start) {
+			free--
+		}
+		if free <= rank {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	// Every support entry and row entry below block lo-1's start is
+	// skipped up front, and the merge picks up exactly where a full walk
+	// would stand. A target below that start is still merged: it lies at
+	// or below the answer, so the merge skips it too.
+	var buf [stream.IDBlock]int32
+	var blk []int32
+	skipped := 0
+	if lo > 0 {
+		blk = ids.Block(lo-1, &buf)
+		i, _ := slices.BinarySearch(row, blk[0])
+		row = row[i:]
+		skipped = (lo-1)*stream.IDBlock + i
+	}
+	return complementMerge(row, blk, int32(target), rank+skipped)
+}
+
+// complementMerge is streamComplementSelect's merge over a materialized
+// support span, starting from the answer ans: the rank plus the IDs
+// already skipped.
+func complementMerge(row, supp []int32, tgt int32, ans int) int {
+	a := int32(ans)
+	for {
+		s := int32(math.MaxInt32)
+		src := 0
+		if tgt >= 0 {
+			s, src = tgt, 1
+		}
+		if len(row) > 0 && row[0] < s {
+			s, src = row[0], 2
+		}
+		if len(supp) > 0 && supp[0] < s {
+			s, src = supp[0], 3
+		}
+		if src == 0 || s > a {
+			return int(a)
+		}
+		a++
+		switch src {
+		case 1:
+			tgt = -1
+		case 2:
+			row = row[1:]
+		case 3:
+			supp = supp[1:]
 		}
 	}
 }
